@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .aging import (
     AgingDataset,
     CycleConditions,
-    CycleOutcome,
     cycle_degradation,
     default_grid,
     equivalent_life_cycles,

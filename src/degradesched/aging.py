@@ -87,71 +87,32 @@ class CycleConditions:
             raise ValueError(f"soh out of ({END_OF_LIFE_SOH}, 1.0]: {self.soh}")
 
 
-@dataclass(frozen=True)
-class CycleOutcome:
-    """Ground-truth internal state and fade produced by one cycle.
-
-    internal_temp is in degC, internal_resistance in milliohm, elcn in
-    cycles (to end of life at these stress conditions, from full health),
-    degradation in absolute SOH fraction lost during the cycle.
-    """
-
-    internal_temp: float
-    internal_resistance: float
-    elcn: float
-    degradation: float
-
-
 @dataclass
 class AgingDataset:
-    """Samples from a batch of aging tests plus generation metadata."""
+    """Samples from a batch of aging tests plus generation metadata.
 
-    samples: list[tuple[CycleConditions, CycleOutcome]]
+    `data` holds one row per recorded cycle as an (n, 9) float array in
+    DATASET_COLUMNS order: the five stress conditions, then the oracle's
+    internal temperature, internal resistance, ELCN and degradation.
+    """
+
+    data: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.data)
 
     def to_array(self) -> np.ndarray:
-        """Return the samples as an (n, 9) float array in DATASET_COLUMNS order."""
-        out = np.empty((len(self.samples), len(DATASET_COLUMNS)))
-        for i, (cond, res) in enumerate(self.samples):
-            out[i] = (
-                cond.soc_high,
-                cond.dod,
-                cond.temp_amb,
-                cond.c_rate,
-                cond.soh,
-                res.internal_temp,
-                res.internal_resistance,
-                res.elcn,
-                res.degradation,
-            )
-        return out
+        """Return a copy of the (n, 9) sample array."""
+        return self.data.copy()
 
     @staticmethod
     def from_array(data: np.ndarray, meta: dict | None = None) -> "AgingDataset":
-        """Rebuild a dataset from an (n, 9) array in DATASET_COLUMNS order."""
-        data = np.asarray(data, dtype=float)
+        """Build a dataset from a copy of an (n, 9) array in DATASET_COLUMNS order."""
+        data = np.array(data, dtype=float)
         if data.ndim != 2 or data.shape[1] != len(DATASET_COLUMNS):
             raise ValueError(f"expected (n, 9) array, got shape {data.shape}")
-        samples = []
-        for row in data:
-            cond = CycleConditions(
-                soc_high=float(row[0]),
-                dod=float(row[1]),
-                temp_amb=float(row[2]),
-                c_rate=float(row[3]),
-                soh=float(row[4]),
-            )
-            outc = CycleOutcome(
-                internal_temp=float(row[5]),
-                internal_resistance=float(row[6]),
-                elcn=float(row[7]),
-                degradation=float(row[8]),
-            )
-            samples.append((cond, outc))
-        return AgingDataset(samples=samples, meta=dict(meta or {}))
+        return AgingDataset(data=data, meta=dict(meta or {}))
 
 
 def internal_temperature(cond: CycleConditions) -> float:
@@ -172,7 +133,12 @@ def internal_resistance(cond: CycleConditions, it: float) -> float:
         raise ValueError(
             f"internal temperature {it} below ambient {cond.temp_amb}"
         )
-    aging = 1.0 + RESISTANCE_AGING_GAIN * (1.0 - cond.soh)
+    return _resistance(cond.soh, it)
+
+
+def _resistance(soh, it: float):
+    """internal_resistance for a health value or an array of them."""
+    aging = 1.0 + RESISTANCE_AGING_GAIN * (1.0 - soh)
     cold = 1.0 + RESISTANCE_COLD_GAIN * max(
         0.0, RESISTANCE_COLD_KNEE_C - it
     ) / RESISTANCE_COLD_KNEE_C
@@ -187,6 +153,15 @@ def cycle_degradation(cond: CycleConditions) -> float:
     a C-rate surcharge above C_RATE_KNEE, and aging acceleration as health
     is lost.
     """
+    return _fresh_degradation(cond) * _aging_factor(cond.soh)
+
+
+def _fresh_degradation(cond: CycleConditions) -> float:
+    """Every stress factor of cycle_degradation but the aging one.
+
+    Multiplying by _aging_factor last keeps cycle_degradation's left-to-right
+    product, so the split changes no bit of it.
+    """
     it_kelvin = internal_temperature(cond) + 273.15
     soc_avg = cond.soc_high - cond.dod / 2.0
     return (
@@ -195,8 +170,11 @@ def cycle_degradation(cond: CycleConditions) -> float:
         * (1.0 + SOC_STRESS_SLOPE * (soc_avg - 0.5))
         * math.exp(ARRHENIUS_RATE_K * (1.0 / REF_TEMP_K - 1.0 / it_kelvin))
         * (1.0 + C_RATE_SLOPE * max(0.0, cond.c_rate - C_RATE_KNEE))
-        * (1.0 + AGING_ACCELERATION * (1.0 - cond.soh))
     )
+
+
+def _aging_factor(soh: float) -> float:
+    return 1.0 + AGING_ACCELERATION * (1.0 - soh)
 
 
 def equivalent_life_cycles(cond: CycleConditions) -> float:
@@ -210,42 +188,41 @@ def equivalent_life_cycles(cond: CycleConditions) -> float:
     return (1.0 - END_OF_LIFE_SOH) / cycle_degradation(fresh)
 
 
-def run_aging_test(
-    initial: CycleConditions, max_cycles: int = 2_000_000
-) -> list[tuple[CycleConditions, CycleOutcome]]:
+def run_aging_test(initial: CycleConditions, max_cycles: int = 2_000_000) -> np.ndarray:
     """Cycle a fresh cell at fixed conditions until end of life.
 
     Starts at soh = 1.0 and repeatedly applies cycle_degradation, decrementing
-    soh by each cycle's fade; records one (conditions, outcome) sample per
-    cycle and stops once soh falls to END_OF_LIFE_SOH or below. SOC, DOD,
-    temperature and C rate are held fixed for the whole test.
+    soh by each cycle's fade, and stops once soh falls to END_OF_LIFE_SOH or
+    below. SOC, DOD, temperature and C rate are held fixed for the whole
+    test. Returns one row per cycle, an (m, 9) array in DATASET_COLUMNS order.
     """
     if initial.soh != 1.0:
         raise ValueError(f"aging tests start from full health, got soh={initial.soh}")
-    it = internal_temperature(initial)
-    elcn = equivalent_life_cycles(initial)
-    samples: list[tuple[CycleConditions, CycleOutcome]] = []
+    fresh = _fresh_degradation(initial)
+    if fresh <= 0.0:
+        # The aging factor is at least 1; without a positive fresh fade soh never falls.
+        raise RuntimeError(f"non-positive degradation {fresh} at cycle 0")
+    sohs: list[float] = []
+    fades: list[float] = []
     soh = 1.0
     while soh > END_OF_LIFE_SOH:
-        if len(samples) >= max_cycles:
+        if len(fades) >= max_cycles:
             raise RuntimeError(
                 f"aging test exceeded {max_cycles} cycles without reaching end of life"
             )
-        cond = replace(initial, soh=soh)
-        d = cycle_degradation(cond)
-        if d <= 0.0:
-            raise RuntimeError(
-                f"non-positive degradation {d} at cycle {len(samples)}"
-            )
-        outcome = CycleOutcome(
-            internal_temp=it,
-            internal_resistance=internal_resistance(cond, it),
-            elcn=elcn,
-            degradation=d,
-        )
-        samples.append((cond, outcome))
+        d = fresh * _aging_factor(soh)
+        sohs.append(soh)
+        fades.append(d)
         soh -= d
-    return samples
+    it = internal_temperature(initial)
+    out = np.empty((len(fades), len(DATASET_COLUMNS)))
+    out[:, :4] = (initial.soc_high, initial.dod, initial.temp_amb, initial.c_rate)
+    out[:, 4] = sohs
+    out[:, 5] = it
+    out[:, 6] = _resistance(out[:, 4], it)
+    out[:, 7] = equivalent_life_cycles(initial)
+    out[:, 8] = fades
+    return out
 
 
 def default_grid(n_groups: int = 35) -> list[CycleConditions]:
@@ -294,17 +271,15 @@ def generate_dataset(
         if cond.soh != 1.0:
             raise ValueError(f"grid entry {i} must start at soh=1.0, got {cond.soh}")
 
-    samples: list[tuple[CycleConditions, CycleOutcome]] = []
+    tests = []
     for i, cond in enumerate(grid):
         test = run_aging_test(cond)
         if noise_sigma > 0:
             rng = np.random.default_rng([seed, i])
             eps = rng.normal(0.0, noise_sigma, size=len(test))
-            test = [
-                (c, replace(o, degradation=max(0.0, o.degradation * (1.0 + e))))
-                for (c, o), e in zip(test, eps)
-            ]
-        samples.extend(test)
+            test[:, -1] = np.maximum(0.0, test[:, -1] * (1.0 + eps))
+        tests.append(test)
+    data = np.concatenate(tests)
 
     meta = {
         "grid": [
@@ -318,6 +293,6 @@ def generate_dataset(
         ],
         "noise_sigma": noise_sigma,
         "seed": seed,
-        "row_count": len(samples),
+        "row_count": len(data),
     }
-    return AgingDataset(samples=samples, meta=meta)
+    return AgingDataset(data=data, meta=meta)

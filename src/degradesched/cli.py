@@ -230,19 +230,16 @@ def cmd_train(dataset_path, out_path, variant_search, ubdf, bdp, with_benchmarks
 @click.option("--patience", type=int, default=10, show_default=True)
 @click.option("--soh", type=float, default=1.0, show_default=True,
               help="Day-start battery state of health.")
-@click.option("--engine", type=click.Choice(["highs", "bnb"]), default="highs",
-              show_default=True)
 @click.option("--config", "config_path", type=click.Path(), default=None)
 def cmd_schedule(case_path, mode, model_path, out_dir, capital_cost, salvage_value,
                  soh_eol, linear_rate, alpha, max_iterations, patience, soh,
-                 engine, config_path) -> None:
+                 config_path) -> None:
     """Solve the day-ahead schedule under one of the three strategies."""
     values = _apply_config(config_path, {
         "case": case_path, "mode": mode, "model": model_path, "out_dir": out_dir,
         "capital_cost": capital_cost, "salvage_value": salvage_value,
         "soh_eol": soh_eol, "linear_rate": linear_rate, "alpha": alpha,
         "max_iterations": max_iterations, "patience": patience, "soh": soh,
-        "engine": engine,
     })
     t0 = time.perf_counter()
     inputs = []
@@ -275,8 +272,7 @@ def cmd_schedule(case_path, mode, model_path, out_dir, capital_cost, salvage_val
     manifest_name = "manifest.json"
     try:
         if values["mode"] == "lod":
-            trace = run_lod(case, model, econ, lod_cfg, soh=values["soh"],
-                            engine=values["engine"])
+            trace = run_lod(case, model, econ, lod_cfg, soh=values["soh"])
             if trace.termination_reason == "infeasible":
                 _fail(EXIT_RUNTIME, "scheduling became infeasible during the loop")
             solve_seconds = time.perf_counter() - t0
@@ -290,7 +286,7 @@ def cmd_schedule(case_path, mode, model_path, out_dir, capital_cost, salvage_val
             summary["termination_reason"] = trace.termination_reason
         else:
             runner = run_traditional if values["mode"] == "traditional" else run_linear_bdc
-            result = runner(case, model, econ, soh=values["soh"], engine=values["engine"])
+            result = runner(case, model, econ, soh=values["soh"])
             solve_seconds = time.perf_counter() - t0
             storage.write_schedule(out / "schedule.csv", result.schedule, case)
             summary = storage.summary_from_iteration(result, solve_seconds, None)

@@ -155,10 +155,9 @@ def run_traditional(
     model: DegradationModel,
     econ: EconParams,
     soh: float = 1.0,
-    engine: str = "highs",
 ) -> LodIteration:
     """Single uncapped solve; degradation is costed after the fact only."""
-    sched = solve(build_model(case), engine=engine)
+    sched = solve(build_model(case))
     return _evaluate(case, sched, model, econ, soh, index=0, cap=None)
 
 
@@ -167,7 +166,6 @@ def run_linear_bdc(
     model: DegradationModel,
     econ: EconParams,
     soh: float = 1.0,
-    engine: str = "highs",
 ) -> LodIteration:
     """Single solve with the flat $/kWh usage term in the objective.
 
@@ -175,7 +173,7 @@ def run_linear_bdc(
     degradation cost is re-derived from the learned quantifier, so the
     result is comparable with the other strategies.
     """
-    sched = solve(build_model(case, linear_bdc_rate=econ.linear_bdc_rate), engine=engine)
+    sched = solve(build_model(case, linear_bdc_rate=econ.linear_bdc_rate))
     return _evaluate(case, sched, model, econ, soh, index=0, cap=None)
 
 
@@ -185,7 +183,6 @@ def run_lod(
     econ: EconParams,
     cfg: LodConfig | None = None,
     soh: float = 1.0,
-    engine: str = "highs",
 ) -> LodTrace:
     """Iterate solve -> cycle extraction -> degradation costing -> cap tightening.
 
@@ -205,7 +202,7 @@ def run_lod(
 
     for index in range(cfg.max_iterations + 1):
         try:
-            sched = solve(build_model(case, cap=cap), engine=engine)
+            sched = solve(build_model(case, cap=cap))
         except InfeasibleCaseError:
             reason = "infeasible"
             break

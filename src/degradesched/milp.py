@@ -7,8 +7,7 @@ limits, an energy-neutral end state and a spinning-reserve requirement.
 Optional extras: a cap on total battery throughput and a linear $/kWh
 battery-usage cost term.
 
-The model is solved exactly, either through an external HiGHS adapter or a
-deterministic depth-first branch-and-bound over the LP relaxation.
+The model is solved to proven optimality by HiGHS through scipy.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
-
-from .bnb import solve_milp_bnb
 
 FEASIBILITY_TOL = 1e-6
 
@@ -416,12 +413,6 @@ def _extract_schedule(problem: MilpProblem, x: np.ndarray, objective: float) -> 
             return np.empty((0, T))
         return x[idx[name]].reshape(units, T)
 
-    x = np.asarray(x, dtype=float).copy()
-    # Binaries come back within integrality tolerance of 0/1; snap them.
-    x[problem.is_int] = np.round(x[problem.is_int])
-    # Snap solver noise on continuous lower bounds (powers are >= 0).
-    x[~problem.is_int] = np.maximum(x[~problem.is_int], problem.lb[~problem.is_int])
-
     return DispatchSchedule(
         p_gen=block("p_gen", n_gen),
         u_gen=block("u_gen", n_gen).astype(int),
@@ -439,55 +430,67 @@ def _extract_schedule(problem: MilpProblem, x: np.ndarray, objective: float) -> 
     )
 
 
-def solve(problem: MilpProblem, engine: str = "highs") -> DispatchSchedule:
-    """Solve a built model to proven optimality.
+def _snap(problem: MilpProblem, x: np.ndarray) -> np.ndarray:
+    """Round binaries to 0/1 and lift continuous values onto their lower bounds."""
+    x = np.asarray(x, dtype=float).copy()
+    cont = ~problem.is_int
+    x[problem.is_int] = np.round(x[problem.is_int])
+    x[cont] = np.maximum(x[cont], problem.lb[cont])
+    return x
 
-    engine "highs" uses the scipy/HiGHS MILP adapter with a zero relative
-    gap; engine "bnb" uses the in-package depth-first branch-and-bound with
-    a fixed branching order (lowest-index fractional binary, zero branch
-    first), which makes the reported optimum reproducible bit-for-bit.
+
+def _row_violation(problem: MilpProblem, x: np.ndarray) -> float:
+    """Largest amount by which x violates a constraint row (0 if none)."""
+    worst = 0.0
+    if problem.a_ub.size:
+        worst = max(worst, float(np.max(problem.a_ub @ x - problem.b_ub)))
+    if problem.a_eq.size:
+        worst = max(worst, float(np.max(np.abs(problem.a_eq @ x - problem.b_eq))))
+    return worst
+
+
+def _milp(problem: MilpProblem, lb: np.ndarray, ub: np.ndarray, integrality: np.ndarray):
+    """HiGHS on the problem's rows and objective with the given bounds."""
+    constraints = []
+    if problem.a_ub.size:
+        constraints.append(optimize.LinearConstraint(problem.a_ub, -np.inf, problem.b_ub))
+    if problem.a_eq.size:
+        constraints.append(optimize.LinearConstraint(problem.a_eq, problem.b_eq, problem.b_eq))
+    return optimize.milp(
+        c=problem.c,
+        constraints=constraints,
+        integrality=integrality,
+        bounds=optimize.Bounds(lb, ub),
+        options={"mip_rel_gap": 0.0, "presolve": True},
+    )
+
+
+def solve(problem: MilpProblem) -> DispatchSchedule:
+    """Solve a built model to proven optimality with HiGHS (zero relative gap).
+
+    HiGHS returns binaries within its integrality tolerance of 0/1, and the
+    continuous values they bound may lean on that slack: a binary of 2.6e-7
+    can carry 3.9e-5 kW on a power limit row. The binaries are therefore
+    rounded, and if the rounded point violates any row by more than
+    FEASIBILITY_TOL, the LP with every binary fixed at its rounded value is
+    solved and the schedule is taken from that LP.
     """
-    if engine == "highs":
-        constraints = []
-        if problem.a_ub.size:
-            constraints.append(
-                optimize.LinearConstraint(problem.a_ub, -np.inf, problem.b_ub)
-            )
-        if problem.a_eq.size:
-            constraints.append(
-                optimize.LinearConstraint(problem.a_eq, problem.b_eq, problem.b_eq)
-            )
-        res = optimize.milp(
-            c=problem.c,
-            constraints=constraints,
-            integrality=problem.is_int.astype(int),
-            bounds=optimize.Bounds(problem.lb, problem.ub),
-            options={"mip_rel_gap": 0.0, "presolve": True},
-        )
-        if res.status == 2:
-            raise InfeasibleCaseError(_diagnose(problem))
-        if res.status == 3:
-            raise RuntimeError("model unbounded; case invariants violated")
+    res = _milp(problem, problem.lb, problem.ub, problem.is_int.astype(int))
+    if res.status == 2:
+        raise InfeasibleCaseError(_diagnose(problem))
+    if res.status == 3:
+        raise RuntimeError("model unbounded; case invariants violated")
+    if res.status != 0 or res.x is None:
+        raise RuntimeError(f"solver failed: {res.message}")
+    x, objective = _snap(problem, res.x), res.fun
+    if _row_violation(problem, x) > FEASIBILITY_TOL:
+        lb, ub = problem.lb.copy(), problem.ub.copy()
+        lb[problem.is_int] = ub[problem.is_int] = x[problem.is_int]
+        res = _milp(problem, lb, ub, np.zeros(problem.n_variables, dtype=int))
         if res.status != 0 or res.x is None:
-            raise RuntimeError(f"solver failed: {res.message}")
-        return _extract_schedule(problem, res.x, res.fun)
-    if engine == "bnb":
-        res = solve_milp_bnb(
-            problem.c,
-            problem.a_ub,
-            problem.b_ub,
-            problem.a_eq,
-            problem.b_eq,
-            problem.lb,
-            problem.ub,
-            problem.is_int,
-        )
-        if res.status == "infeasible":
-            raise InfeasibleCaseError(_diagnose(problem))
-        if res.status != "optimal":
-            raise RuntimeError(f"branch and bound failed: {res.status}")
-        return _extract_schedule(problem, res.x, res.fun)
-    raise ValueError(f"unknown engine {engine!r}; use 'highs' or 'bnb'")
+            raise RuntimeError(f"LP with rounded binaries failed: {res.message}")
+        x, objective = _snap(problem, res.x), res.fun
+    return _extract_schedule(problem, x, objective)
 
 
 def _diagnose(problem: MilpProblem) -> list[str]:

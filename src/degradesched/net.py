@@ -1,4 +1,4 @@
-"""Minimal fully-connected network engine.
+"""Minimal fully-connected neural network.
 
 Feature min-max scaling, an optional log-scaled target, relu/linear forward
 pass, analytic backpropagation, mini-batch gradient descent with a

@@ -11,7 +11,7 @@ networks can score an arbitrary hourly usage profile.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,6 +72,21 @@ class FeatureRangeWarning(UserWarning):
 def bdp_required_unobtainables(bdp_id: int) -> frozenset[str]:
     """Stage-one outputs a given stage-two variant needs as inputs."""
     return frozenset(BDP_VARIANTS[bdp_id]) & frozenset(UNOBTAINABLE_FEATURES)
+
+
+def check_closure(ubdf_id: int, bdp_id: int) -> None:
+    """Raise ValueError unless both variants exist and the stage-one variant
+    produces every internal feature the stage-two variant consumes."""
+    if ubdf_id not in UBDF_VARIANTS:
+        raise ValueError(f"unknown stage-one variant {ubdf_id}")
+    if bdp_id not in BDP_VARIANTS:
+        raise ValueError(f"unknown stage-two variant {bdp_id}")
+    missing = bdp_required_unobtainables(bdp_id) - frozenset(UBDF_VARIANTS[ubdf_id])
+    if missing:
+        raise ValueError(
+            f"stage-two variant {bdp_id} needs {sorted(missing)} "
+            f"which stage-one variant {ubdf_id} does not produce"
+        )
 
 
 def compatible_pairs() -> list[tuple[int, int]]:
@@ -170,8 +185,7 @@ def make_ubdf_features(cycle: AggregatedCycle) -> np.ndarray:
 class DegradationModel:
     """Composed two-stage quantifier: a stage-one and a stage-two network.
 
-    Construction validates composition closure: every internal feature the
-    stage-two variant consumes must be produced by the stage-one variant.
+    Construction validates composition closure (see check_closure).
     """
 
     ubdf_id: int
@@ -180,18 +194,7 @@ class DegradationModel:
     bdp: TrainedNetwork
 
     def __post_init__(self) -> None:
-        if self.ubdf_id not in UBDF_VARIANTS:
-            raise ValueError(f"unknown stage-one variant {self.ubdf_id}")
-        if self.bdp_id not in BDP_VARIANTS:
-            raise ValueError(f"unknown stage-two variant {self.bdp_id}")
-        missing = bdp_required_unobtainables(self.bdp_id) - frozenset(
-            UBDF_VARIANTS[self.ubdf_id]
-        )
-        if missing:
-            raise ValueError(
-                f"stage-two variant {self.bdp_id} needs {sorted(missing)} "
-                f"which stage-one variant {self.ubdf_id} does not produce"
-            )
+        check_closure(self.ubdf_id, self.bdp_id)
 
     @property
     def ubdf_outputs(self) -> tuple[str, ...]:
@@ -228,6 +231,17 @@ def predict_ubdf(
     return {name: pred[:, j] for j, name in enumerate(model.ubdf_outputs)}
 
 
+def stage_two_inputs(model: DegradationModel, x_bdf: np.ndarray) -> np.ndarray:
+    """Stage-two input matrix for cycles whose observables are the rows of x_bdf.
+
+    x_bdf holds one row per cycle in BDF_FEATURES order. Observable inputs
+    are copied from it; stage one's predictions supply the internal ones.
+    """
+    columns = dict(zip(BDF_FEATURES, x_bdf.T))
+    columns.update(zip(model.ubdf_outputs, np.atleast_2d(model.ubdf.predict(x_bdf)).T))
+    return np.column_stack([columns[name] for name in model.bdp_inputs])
+
+
 def predict_degradation(
     model: DegradationModel, cycles: list[AggregatedCycle], soh: float
 ) -> float:
@@ -235,21 +249,15 @@ def predict_degradation(
 
     Per-cycle stage-two outputs are clipped below at zero, weighted by the
     half-cycle weight, scaled by the battery's current soh and summed.
+    Inputs beyond either network's guard band raise FeatureRangeWarning.
     """
     if not 0.8 < soh <= 1.0:
         raise ValueError(f"soh out of (0.8, 1.0]: {soh}")
     if not cycles:
         return 0.0
-    unobtainable = predict_ubdf(model, cycles)
-    columns = {
-        "soc": np.array([c.soc_top for c in cycles]),
-        "dod": np.array([c.dod for c in cycles]),
-        "temp": np.array([c.temp_amb for c in cycles]),
-        "c_rate": np.array([c.c_rate for c in cycles]),
-        "soh": np.array([c.soh for c in cycles]),
-    }
-    columns.update(unobtainable)
-    x = np.column_stack([columns[name] for name in model.bdp_inputs])
+    x_bdf = np.vstack([make_ubdf_features(c) for c in cycles])
+    _check_guard_band(model.ubdf.x_norm, x_bdf, BDF_FEATURES)
+    x = stage_two_inputs(model, x_bdf)
     _check_guard_band(model.bdp.x_norm, x, model.bdp_inputs)
     per_cycle = np.maximum(model.bdp.predict(x).ravel(), 0.0)
     weights = np.array([c.weight for c in cycles])
@@ -262,8 +270,7 @@ def predict_degradation(
 
 def dataset_columns(dataset: AgingDataset) -> dict[str, np.ndarray]:
     """Named column views of the dataset array."""
-    data = dataset.to_array()
-    return {name: data[:, j] for j, name in enumerate(DATASET_COLUMNS)}
+    return {name: dataset.data[:, j] for j, name in enumerate(DATASET_COLUMNS)}
 
 
 def _mask_for(names: tuple[str, ...]) -> np.ndarray:
@@ -272,15 +279,7 @@ def _mask_for(names: tuple[str, ...]) -> np.ndarray:
 
 def _derived_config(cfg: TrainConfig, tag: int) -> TrainConfig:
     seed = int(np.random.SeedSequence([cfg.seed, tag]).generate_state(1)[0])
-    return TrainConfig(
-        initial_lr=cfg.initial_lr,
-        lr_decay_factor=cfg.lr_decay_factor,
-        decay_every_epochs=cfg.decay_every_epochs,
-        batch_size=cfg.batch_size,
-        epochs=cfg.epochs,
-        train_fraction=cfg.train_fraction,
-        seed=seed,
-    )
+    return replace(cfg, seed=seed)
 
 
 def train_ubdf_variant(
@@ -355,41 +354,17 @@ def train_pair(
     dataset: AgingDataset, ubdf_id: int, bdp_id: int, cfg: TrainConfig
 ) -> DegradationModel:
     """Train one closure-compatible (stage-one, stage-two) pair."""
+    check_closure(ubdf_id, bdp_id)  # before paying for training
     columns = dataset_columns(dataset)
     split = net.split_indices(len(dataset), cfg.train_fraction, cfg.seed)
-    # Validate closure before paying for training.
-    missing = bdp_required_unobtainables(bdp_id) - frozenset(UBDF_VARIANTS[ubdf_id])
-    if missing:
-        raise ValueError(
-            f"stage-two variant {bdp_id} needs {sorted(missing)} which "
-            f"stage-one variant {ubdf_id} does not produce"
-        )
     ubdf = train_ubdf_variant(columns, ubdf_id, cfg, split)
     bdp = train_bdp_variant(columns, bdp_id, cfg, split)
     return DegradationModel(ubdf_id=ubdf_id, bdp_id=bdp_id, ubdf=ubdf, bdp=bdp)
 
 
-def composed_predictions(
-    ubdf: TrainedNetwork,
-    ubdf_id: int,
-    bdp: TrainedNetwork,
-    bdp_id: int,
-    columns: dict[str, np.ndarray],
-    idx: np.ndarray,
-) -> np.ndarray:
-    """Stage-two predictions where stage one supplies the internal features."""
-    x_bdf = np.column_stack([columns[n] for n in BDF_FEATURES])[idx]
-    stage_one = np.atleast_2d(ubdf.predict(x_bdf))
-    predicted = {
-        name: stage_one[:, j] for j, name in enumerate(UBDF_VARIANTS[ubdf_id])
-    }
-    parts = []
-    for name in BDP_VARIANTS[bdp_id]:
-        if name in predicted:
-            parts.append(predicted[name])
-        else:
-            parts.append(columns[name][idx])
-    return bdp.predict(np.column_stack(parts)).ravel()
+def composed_predictions(model: DegradationModel, x_bdf: np.ndarray) -> np.ndarray:
+    """Per-cycle stage-two predictions, stage one supplying the internal features."""
+    return model.bdp.predict(stage_two_inputs(model, x_bdf)).ravel()
 
 
 def accuracy_row(predictions: np.ndarray, targets: np.ndarray, model_id) -> dict:
@@ -443,6 +418,7 @@ def select_best_combination(
     columns = dataset_columns(dataset)
     split = net.split_indices(len(dataset), cfg.train_fraction, cfg.seed)
     _, val_idx = split
+    x_val = np.column_stack([columns[n] for n in BDF_FEATURES])[val_idx]
     report = SelectionReport()
 
     ubdf_nets: dict[int, TrainedNetwork] = {}
@@ -453,7 +429,6 @@ def select_best_combination(
             report.failures.append(f"ubdf-{u}: {exc}")
             continue
         target = np.column_stack([columns[n] for n in UBDF_VARIANTS[u]])[val_idx]
-        x_val = np.column_stack([columns[n] for n in BDF_FEATURES])[val_idx]
         pred = np.atleast_2d(ubdf_nets[u].predict(x_val))
         report.ubdf_table.append(_multi_output_accuracy_row(pred, target, u))
 
@@ -465,9 +440,9 @@ def select_best_combination(
         except net.TrainingDiverged as exc:
             report.failures.append(f"bdp-{b}: {exc}")
             continue
-        x_val = np.column_stack([columns[n] for n in BDP_VARIANTS[b]])[val_idx]
+        x_bdp = np.column_stack([columns[n] for n in BDP_VARIANTS[b]])[val_idx]
         report.bdp_table.append(
-            accuracy_row(bdp_nets[b].predict(x_val).ravel(), deg_val, b)
+            accuracy_row(bdp_nets[b].predict(x_bdp).ravel(), deg_val, b)
         )
 
     best_key = None
@@ -475,19 +450,17 @@ def select_best_combination(
     for u, b in compatible_pairs():
         if u not in ubdf_nets or b not in bdp_nets:
             continue
-        pred = composed_predictions(ubdf_nets[u], u, bdp_nets[b], b, columns, val_idx)
-        row = accuracy_row(pred, deg_val, f"{u}-{b}")
+        pair = DegradationModel(ubdf_id=u, bdp_id=b, ubdf=ubdf_nets[u], bdp=bdp_nets[b])
+        row = accuracy_row(composed_predictions(pair, x_val), deg_val, f"{u}-{b}")
         report.composed_table.append(row)
         key = (row["tol15"], row["tol10"], -u, -b)
         if best_key is None or key > best_key:
             best_key = key
-            best_pair = (u, b)
+            best_pair = pair
 
     if best_pair is None:
         raise RuntimeError("every variant pair failed to train")
-    u, b = best_pair
-    model = DegradationModel(ubdf_id=u, bdp_id=b, ubdf=ubdf_nets[u], bdp=bdp_nets[b])
-    return model, report
+    return best_pair, report
 
 
 def train_benchmarks(
@@ -522,12 +495,8 @@ def performance_comparison(
     columns = dataset_columns(dataset)
     _, val_idx = net.split_indices(len(dataset), cfg.train_fraction, cfg.seed)
     deg_val = columns["degradation"][val_idx]
-    rows = []
-    composed = composed_predictions(
-        model.ubdf, model.ubdf_id, model.bdp, model.bdp_id, columns, val_idx
-    )
-    rows.append(accuracy_row(composed, deg_val, "hdl-bdq"))
     x_val = np.column_stack([columns[n] for n in BDF_FEATURES])[val_idx]
+    rows = [accuracy_row(composed_predictions(model, x_val), deg_val, "hdl-bdq")]
     for name in ("nnbd", "nnbd2"):
         rows.append(
             accuracy_row(benchmarks[name].predict(x_val).ravel(), deg_val, name)

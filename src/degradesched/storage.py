@@ -2,7 +2,10 @@
 
 CSV and JSON readers/writers for aging datasets, trained model artifacts,
 scheduling cases, dispatch schedules, iteration traces, report tables and
-run manifests. Everything else in the package is pure; filesystem side
+run manifests. Every numeric CSV that is read back (datasets, case series,
+schedules, traces) goes through one header-checked table reader that
+rejects wrong column counts and non-numeric or non-finite cells, naming the
+file and the row. Everything else in the package is pure; filesystem side
 effects live here and in the CLI.
 """
 
@@ -58,14 +61,45 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _parse_float(text: str, where: str) -> float:
+def _read_table(path: Path, header: tuple[str, ...], blank: str | None = None) -> np.ndarray:
+    """Parse a header-checked CSV of numbers into an (n, len(header)) float array.
+
+    The header must equal `header` and every row must have one cell per
+    column; every cell must be a finite number, except that the column named
+    `blank` may be empty and reads as NaN. Errors name the path and the data
+    row (1-based, header excluded).
+    """
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != list(header):
+            raise FileFormatError(f"{path}: expected header {','.join(header)}")
+        rows = list(reader)
+    for i, row in enumerate(rows, 1):
+        if len(row) != len(header):
+            raise FileFormatError(f"{path}: row {i} has {len(row)} columns")
+    empty = []
+    if blank is not None:
+        j = header.index(blank)
+        empty = [i for i, row in enumerate(rows) if row[j] == ""]
+        for i in empty:
+            rows[i][j] = "0"
     try:
-        value = float(text)
-    except ValueError as exc:
-        raise FileFormatError(f"{where}: not a number: {text!r}") from exc
-    if not np.isfinite(value):
-        raise FileFormatError(f"{where}: non-finite value {text!r}")
-    return value
+        data = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    except ValueError:
+        for i, row in enumerate(rows, 1):
+            for text in row:
+                try:
+                    float(text)
+                except ValueError:
+                    raise FileFormatError(f"{path}: row {i}: not a number: {text!r}") from None
+        raise
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        raise FileFormatError(f"{path}: row {i + 1}: non-finite value {rows[i][j]!r}")
+    if empty:
+        data[empty, header.index(blank)] = np.nan
+    return data
 
 
 def file_digest(path: str | Path) -> str:
@@ -79,12 +113,10 @@ def file_digest(path: str | Path) -> str:
 def write_dataset(path: str | Path, dataset: AgingDataset, manifest: str | None = None) -> Path:
     """Write the dataset CSV plus its `.meta.json` sidecar; returns the CSV path."""
     path = Path(path)
-    data = dataset.to_array()
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(DATASET_COLUMNS)
-        for row in data:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(dataset.data.tolist())  # floats print as repr, like _fmt
     meta = dict(dataset.meta)
     if manifest is not None:
         meta["manifest"] = manifest
@@ -95,23 +127,12 @@ def write_dataset(path: str | Path, dataset: AgingDataset, manifest: str | None 
 
 def read_dataset(path: str | Path) -> AgingDataset:
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != DATASET_COLUMNS:
-            raise FileFormatError(
-                f"{path}: expected header {','.join(DATASET_COLUMNS)}"
-            )
-        rows = []
-        for i, row in enumerate(reader):
-            if len(row) != len(DATASET_COLUMNS):
-                raise FileFormatError(f"{path}: row {i + 1} has {len(row)} columns")
-            rows.append([_parse_float(v, f"{path}:{i + 1}") for v in row])
-    if not rows:
+    data = _read_table(path, DATASET_COLUMNS)
+    if not len(data):
         raise FileFormatError(f"{path}: dataset has no rows")
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
-    return AgingDataset.from_array(np.array(rows), meta)
+    return AgingDataset.from_array(data, meta)
 
 
 # ----------------------------------------------------------------------
@@ -261,29 +282,13 @@ def write_series_csv(path: str | Path, case: MicrogridCase) -> Path:
 
 
 def _read_series_csv(path: Path) -> dict[str, np.ndarray]:
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != SERIES_HEADER:
-            raise FileFormatError(f"{path}: expected header {','.join(SERIES_HEADER)}")
-        rows = []
-        for i, row in enumerate(reader):
-            if len(row) != len(SERIES_HEADER):
-                raise FileFormatError(f"{path}: row {i + 1} has {len(row)} columns")
-            rows.append([_parse_float(v, f"{path}:{i + 1}") for v in row])
-    if len(rows) != REQUIRED_HORIZON:
+    data = _read_table(path, SERIES_HEADER)
+    if len(data) != REQUIRED_HORIZON:
         raise FileFormatError(
-            f"{path}: expected {REQUIRED_HORIZON} hourly rows, got {len(rows)}"
+            f"{path}: expected {REQUIRED_HORIZON} hourly rows, got {len(data)}"
         )
-    data = np.array(rows)
-    return {
-        "load": data[:, 1],
-        "wind": data[:, 2],
-        "solar": data[:, 3],
-        "price_buy": data[:, 4],
-        "price_sell": data[:, 5],
-        "temps": data[:, 6],
-    }
+    names = ("load", "wind", "solar", "price_buy", "price_sell", "temps")
+    return {name: data[:, j] for j, name in enumerate(names, 1)}
 
 
 def write_case(path: str | Path, case: MicrogridCase, series_csv: str | None = None) -> Path:
@@ -393,18 +398,7 @@ def write_schedule(path: str | Path, sched: DispatchSchedule, case: MicrogridCas
 
 
 def read_schedule(path: str | Path) -> dict[str, np.ndarray]:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != SCHEDULE_HEADER:
-            raise FileFormatError(f"{path}: expected header {','.join(SCHEDULE_HEADER)}")
-        rows = []
-        for i, row in enumerate(reader):
-            if len(row) != len(SCHEDULE_HEADER):
-                raise FileFormatError(f"{path}: row {i + 1} has {len(row)} columns")
-            rows.append([_parse_float(v, f"{path}:{i + 1}") for v in row])
-    data = np.array(rows)
+    data = _read_table(Path(path), SCHEDULE_HEADER)
     return {name: data[:, j] for j, name in enumerate(SCHEDULE_HEADER)}
 
 
@@ -428,25 +422,19 @@ def write_trace(path: str | Path, trace: LodTrace) -> Path:
 
 
 def read_trace(path: str | Path) -> list[dict]:
+    """Trace rows as dicts; an empty usage cap (the uncapped pass) reads as None."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != TRACE_HEADER:
-            raise FileFormatError(f"{path}: expected header {','.join(TRACE_HEADER)}")
-        out = []
-        for row in reader:
-            out.append(
-                {
-                    "iteration": int(row["iteration"]),
-                    "usage_cap_kwh": None
-                    if row["usage_cap_kwh"] == ""
-                    else float(row["usage_cap_kwh"]),
-                    "throughput_kwh": float(row["throughput_kwh"]),
-                    "operation_cost": float(row["operation_cost"]),
-                    "degradation_cost": float(row["degradation_cost"]),
-                    "total_cost": float(row["total_cost"]),
-                }
-            )
+    data = _read_table(path, TRACE_HEADER, blank="usage_cap_kwh")
+    fractional = np.flatnonzero(data[:, 0] != np.floor(data[:, 0]))
+    if fractional.size:
+        raise FileFormatError(f"{path}: row {fractional[0] + 1}: iteration is not an integer")
+    out = []
+    for row in data:
+        doc = {name: float(v) for name, v in zip(TRACE_HEADER, row)}
+        doc["iteration"] = int(row[0])
+        if np.isnan(row[1]):
+            doc["usage_cap_kwh"] = None
+        out.append(doc)
     return out
 
 

@@ -1,5 +1,6 @@
 """Tests for the synthetic battery-aging oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from degradesched import aging
-from degradesched.aging import CycleConditions
+from degradesched.aging import DATASET_COLUMNS, CycleConditions
+
+SOH = DATASET_COLUMNS.index("soh")
+DEGRADATION = DATASET_COLUMNS.index("degradation")
 
 
 def make_cond(soc=0.75, dod=0.5, temp=25.0, c=0.5, soh=1.0):
@@ -100,12 +104,12 @@ class TestRunAgingTest:
         cond = make_cond()
         d0 = aging.cycle_degradation(cond)
         n_oracle = math.ceil(math.log(1.3) / math.log1p(1.5 * d0))
-        test = aging.run_aging_test(cond)
+        fades = aging.run_aging_test(cond)[:, DEGRADATION]
         assert n_oracle == 800
-        assert abs(len(test) - n_oracle) <= 1  # float accumulation slack
-        final_soh = 1.0 - sum(o.degradation for _, o in test)
+        assert abs(len(fades) - n_oracle) <= 1  # float accumulation slack
+        final_soh = 1.0 - sum(fades)
         assert final_soh <= aging.END_OF_LIFE_SOH
-        assert final_soh > aging.END_OF_LIFE_SOH - 2 * test[-1][1].degradation
+        assert final_soh > aging.END_OF_LIFE_SOH - 2 * fades[-1]
 
     def test_hot_is_shorter(self):
         n_cool = len(aging.run_aging_test(make_cond(temp=25.0)))
@@ -113,9 +117,23 @@ class TestRunAgingTest:
         assert n_hot < n_cool
 
     def test_soh_strictly_decreasing(self):
-        test = aging.run_aging_test(make_cond(temp=45.0, c=2.0))
-        sohs = [c.soh for c, _ in test]
+        sohs = aging.run_aging_test(make_cond(temp=45.0, c=2.0))[:, SOH]
         assert all(b < a for a, b in zip(sohs, sohs[1:]))
+
+    def test_rows_equal_the_per_cycle_oracle(self):
+        cond = make_cond(temp=5.0, c=2.0)
+        rows = aging.run_aging_test(cond)
+        soh = 1.0
+        for row in rows:
+            cycle = dataclasses.replace(cond, soh=soh)
+            it = aging.internal_temperature(cycle)
+            expected = (cond.soc_high, cond.dod, cond.temp_amb, cond.c_rate, soh, it,
+                        aging.internal_resistance(cycle, it),
+                        aging.equivalent_life_cycles(cycle),
+                        aging.cycle_degradation(cycle))
+            assert tuple(row) == expected
+            soh -= row[DEGRADATION]
+        assert soh <= aging.END_OF_LIFE_SOH < rows[-1, SOH]
 
     def test_requires_full_health(self):
         with pytest.raises(ValueError):

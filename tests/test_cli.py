@@ -164,6 +164,18 @@ class TestSchedule:
         )
         assert result.exit_code == 2
 
+    def test_engine_config_key_rejected(self, workdir, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"engine": "highs"}))
+        result = runner.invoke(
+            main,
+            ["schedule", "--case", str(workdir / "case.json"), "--mode", "traditional",
+             "--model", str(workdir / "stub_model.json"), "--out-dir", str(tmp_path / "x"),
+             "--config", str(config)],
+        )
+        assert result.exit_code == 2
+        assert "unknown config keys: ['engine']" in result.output
+
     def test_example_day_case_loads(self, workdir, tmp_path):
         out = tmp_path / "ex"
         result = runner.invoke(
@@ -209,6 +221,32 @@ class TestReport:
         assert len(cmp_lines) == 25
         series = (report_out / "cost_vs_iteration.csv").read_text().splitlines()
         assert series[0] == "iteration,operation_cost,degradation_cost,total_cost"
+
+    @pytest.mark.parametrize("cell", ["abc", "nan", "inf"])
+    def test_bad_trace_number_is_validation_error(self, workdir, tmp_path, cell):
+        sched = tmp_path / "trad"
+        result = runner.invoke(
+            main,
+            ["schedule", "--case", str(workdir / "case.json"), "--mode", "traditional",
+             "--model", str(workdir / "stub_model.json"), "--out-dir", str(sched)],
+        )
+        assert result.exit_code == 0, result.output
+        trace = tmp_path / "trace.csv"
+        trace.write_text(
+            "iteration,usage_cap_kwh,throughput_kwh,operation_cost,degradation_cost,total_cost\n"
+            "0,,100.0,50.0,5.0,55.0\n"
+            f"1,90.0,90.0,51.0,{cell},55.5\n"
+        )
+        schedule = str(sched / "schedule.csv")
+        report_out = tmp_path / "report"
+        result = runner.invoke(
+            main,
+            ["report", "--traditional", schedule, "--linear", schedule, "--lod", schedule,
+             "--trace", str(trace), "--out-dir", str(report_out)],
+        )
+        assert result.exit_code == 2
+        assert "row 2" in result.output
+        assert not (report_out / "cost_vs_iteration.csv").exists()
 
     def test_missing_input_named(self, tmp_path):
         result = runner.invoke(

@@ -13,12 +13,51 @@ from test_lod import arbitrage_case, constant_model
 from test_milp import day_case
 
 
+class NumericTableChecks:
+    """Rejections every numeric CSV format read through the shared table reader
+    must make. A subclass sets `header` and `read(path)` for its format."""
+
+    def table(self, tmp_path, bad_row):
+        """A file of the format: one good row, then bad_row(good cells)."""
+        good = ["1.0"] * len(self.header)
+        lines = [",".join(self.header), ",".join(good), ",".join(bad_row(good))]
+        path = tmp_path / "table.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_wrong_header_rejected(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("a,b\n1,2\n")
+        with pytest.raises(FileFormatError, match="header"):
+            self.read(path)
+
+    def test_wrong_column_count_rejected(self, tmp_path):
+        path = self.table(tmp_path, lambda good: good[:3])
+        with pytest.raises(FileFormatError, match="row 2 has 3 columns"):
+            self.read(path)
+
+    def test_non_finite_rejected(self, tmp_path):
+        for text in ("nan", "inf"):
+            path = self.table(tmp_path, lambda good: good[:2] + [text] + good[3:])
+            with pytest.raises(FileFormatError, match=f"row 2: non-finite value '{text}'"):
+                self.read(path)
+
+    def test_non_numeric_rejected(self, tmp_path):
+        for text in ("abc", ""):
+            path = self.table(tmp_path, lambda good: good[:2] + [text] + good[3:])
+            with pytest.raises(FileFormatError, match=f"row 2: not a number: '{text}'"):
+                self.read(path)
+
+
 @pytest.fixture(scope="module")
 def small_dataset():
     return aging.generate_dataset(aging.default_grid(n_groups=2), noise_sigma=0.01, seed=4)
 
 
-class TestDatasetFiles:
+class TestDatasetFiles(NumericTableChecks):
+    header = aging.DATASET_COLUMNS
+    read = staticmethod(storage.read_dataset)
+
     def test_round_trip(self, tmp_path, small_dataset):
         path = storage.write_dataset(tmp_path / "aging.csv", small_dataset)
         back = storage.read_dataset(path)
@@ -37,26 +76,6 @@ class TestDatasetFiles:
         first = path.read_text().splitlines()[0]
         assert first == "soc,dod,temp,c_rate,soh,it,ir,elcn,degradation"
 
-    def test_wrong_column_count_rejected(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("soc,dod,temp,c_rate,soh,it,ir,elcn,degradation\n1,2,3\n")
-        with pytest.raises(FileFormatError, match="columns"):
-            storage.read_dataset(p)
-
-    def test_non_finite_rejected(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text(
-            "soc,dod,temp,c_rate,soh,it,ir,elcn,degradation\n"
-            "0.8,0.5,25.0,1.0,1.0,32.0,50.0,nan,2e-4\n"
-        )
-        with pytest.raises(FileFormatError, match="non-finite"):
-            storage.read_dataset(p)
-
-    def test_wrong_header_rejected(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("a,b\n1,2\n")
-        with pytest.raises(FileFormatError, match="header"):
-            storage.read_dataset(p)
 
 
 class TestModelArtifacts:
@@ -134,7 +153,18 @@ class TestModelArtifacts:
             storage.read_model_artifact(path)
 
 
-class TestCaseFiles:
+class TestCaseFiles(NumericTableChecks):
+    header = storage.SERIES_HEADER
+
+    @staticmethod
+    def read(path):
+        # A series CSV is read through the case document that names it.
+        case_path = storage.write_case(path.parent / "case.json", day_case())
+        doc = json.loads(case_path.read_text())
+        doc["series"] = {"csv": path.name}
+        case_path.write_text(json.dumps(doc))
+        return storage.read_case(case_path)
+
     def day24(self):
         return day_case()
 
@@ -171,7 +201,17 @@ class TestCaseFiles:
             storage.read_case(path)
 
 
-class TestScheduleAndTraceFiles:
+TRACE_TEXT = (
+    "iteration,usage_cap_kwh,throughput_kwh,operation_cost,degradation_cost,total_cost\n"
+    "0,,100.0,50.0,5.0,55.0\n"
+    "1,90.0,90.0,51.0,{cell},55.5\n"
+)
+
+
+class TestScheduleAndTraceFiles(NumericTableChecks):
+    header = storage.SCHEDULE_HEADER
+    read = staticmethod(storage.read_schedule)
+
     def test_schedule_round_trip(self, tmp_path):
         case = day_case()
         sched = solve(build_model(case))
@@ -196,6 +236,19 @@ class TestScheduleAndTraceFiles:
             trace.iterations[1].usage_cap_kwh
         )
         assert [r["iteration"] for r in rows] == list(range(len(trace.iterations)))
+
+    @pytest.mark.parametrize("cell", ["abc", "", "nan", "inf"])
+    def test_trace_bad_number_rejected(self, tmp_path, cell):
+        path = tmp_path / "trace.csv"
+        path.write_text(TRACE_TEXT.format(cell=cell))
+        with pytest.raises(FileFormatError, match="row 2: (not a number|non-finite)"):
+            storage.read_trace(path)
+
+    def test_trace_fractional_iteration_rejected(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(TRACE_TEXT.format(cell="4.5").replace("\n1,", "\n1.5,"))
+        with pytest.raises(FileFormatError, match="row 2: iteration"):
+            storage.read_trace(path)
 
     def test_comparison_requires_matching_horizons(self, tmp_path):
         case = day_case()
