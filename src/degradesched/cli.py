@@ -270,12 +270,13 @@ def cmd_schedule(case_path, mode, model_path, out_dir, capital_cost, salvage_val
     out = Path(values["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     manifest_name = "manifest.json"
+    t_solve = time.perf_counter()
     try:
         if values["mode"] == "lod":
             trace = run_lod(case, model, econ, lod_cfg, soh=values["soh"])
             if trace.termination_reason == "infeasible":
                 _fail(EXIT_RUNTIME, "scheduling became infeasible during the loop")
-            solve_seconds = time.perf_counter() - t0
+            solve_seconds = time.perf_counter() - t_solve
             best = trace.best
             storage.write_trace(out / "trace.csv", trace)
             storage.write_schedule(out / "schedule.csv", best.schedule, case)
@@ -287,7 +288,7 @@ def cmd_schedule(case_path, mode, model_path, out_dir, capital_cost, salvage_val
         else:
             runner = run_traditional if values["mode"] == "traditional" else run_linear_bdc
             result = runner(case, model, econ, soh=values["soh"])
-            solve_seconds = time.perf_counter() - t0
+            solve_seconds = time.perf_counter() - t_solve
             storage.write_schedule(out / "schedule.csv", result.schedule, case)
             summary = storage.summary_from_iteration(result, solve_seconds, None)
         storage.write_summary(out / "summary.json", summary, manifest=manifest_name)

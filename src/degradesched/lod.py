@@ -188,11 +188,15 @@ def run_lod(
 
     Iteration 0 solves without battery restrictions. Every following
     iteration caps total battery throughput at (1 - alpha) times the previous
-    iteration's throughput. The loop stops once `patience` consecutive
+    iteration's throughput. The model is built once; each pass solves it
+    under that pass's cap. The loop stops once `patience` consecutive
     iterations fail to improve the best combined cost, when the battery goes
-    idle, or at the iteration bound; the best iteration is the answer.
+    idle, or at the iteration bound; the best iteration is the answer. An
+    infeasible first pass raises InfeasibleCaseError with the solver's
+    diagnosis; an infeasible later pass ends the loop as "infeasible".
     """
     cfg = cfg or LodConfig()
+    problem = build_model(case)
     iterations: list[LodIteration] = []
     best_index = 0
     best_total = np.inf
@@ -202,8 +206,10 @@ def run_lod(
 
     for index in range(cfg.max_iterations + 1):
         try:
-            sched = solve(build_model(case, cap=cap))
+            sched = solve(problem, cap)
         except InfeasibleCaseError:
+            if not iterations:
+                raise
             reason = "infeasible"
             break
         it = _evaluate(case, sched, model, econ, soh, index, cap)
@@ -224,8 +230,6 @@ def run_lod(
             break
         cap = UsageCap((1.0 - cfg.alpha) * it.bess_throughput_kwh)
 
-    if not iterations:
-        raise InfeasibleCaseError(["scheduling infeasible at iteration 0"])
     return LodTrace(
         iterations=iterations, best_index=best_index, termination_reason=reason
     )

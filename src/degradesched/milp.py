@@ -4,15 +4,17 @@ Minimizes generation, no-load, startup and net power-exchange cost subject to
 power balance, generator capability and ramping, exclusive grid trade with
 tie-line limits, exclusive battery charge/discharge with power and energy
 limits, an energy-neutral end state and a spinning-reserve requirement.
-Optional extras: a cap on total battery throughput and a linear $/kWh
-battery-usage cost term.
+A linear $/kWh battery-usage cost term is optional when the model is built.
+The last inequality row always bounds total battery throughput; `solve` sets
+a usage cap there, so a loop that tightens the cap builds the model once.
 
 The model is solved to proven optimality by HiGHS through scipy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import optimize
@@ -169,11 +171,15 @@ class DispatchSchedule:
 
 @dataclass
 class MilpProblem:
-    """Assembled MILP arrays plus the variable index bookkeeping."""
+    """Assembled MILP arrays plus the variable index bookkeeping.
+
+    `index` maps each DispatchSchedule field name to its columns, shaped as
+    that field. The last row of a_ub is the usage cap on total battery
+    charge+discharge energy; b_ub holds a default for it that never binds,
+    and `solve` sets a cap there on a copy.
+    """
 
     case: MicrogridCase
-    cap: UsageCap | None
-    linear_bdc_rate: float | None
     c: np.ndarray
     a_ub: np.ndarray
     b_ub: np.ndarray
@@ -193,239 +199,192 @@ class MilpProblem:
         return int(self.is_int.sum())
 
 
+# DispatchSchedule fields that hold binary decisions.
+_BINARY_FIELDS = ("u_gen", "v_gen", "u_buy", "u_sell", "u_char", "u_disc")
+
+
 def _precheck(case: MicrogridCase) -> None:
     """Cheap necessary feasibility conditions, reported before any solve."""
-    report = []
     supply_max = (
         case.p_grid_max
         + sum(g.p_max for g in case.generators)
         + sum(b.p_max for b in case.bess)
     )
-    for t in range(case.horizon):
-        available = supply_max + case.wind[t] + case.solar[t]
-        if case.load[t] > available + FEASIBILITY_TOL:
-            report.append(
-                f"power_balance: load {case.load[t]:.3f} kW at interval {t} "
-                f"exceeds maximum supply {available:.3f} kW"
-            )
-    if report:
-        raise InfeasibleCaseError(report)
+    available = supply_max + case.wind + case.solar
+    short = np.flatnonzero(case.load > available + FEASIBILITY_TOL)
+    if short.size:
+        raise InfeasibleCaseError([
+            f"power_balance: load {case.load[t]:.3f} kW at interval {t} "
+            f"exceeds maximum supply {available[t]:.3f} kW"
+            for t in short
+        ])
 
 
-def build_model(
-    case: MicrogridCase,
-    cap: UsageCap | None = None,
-    linear_bdc_rate: float | None = None,
-) -> MilpProblem:
+def _blocks(shapes: dict[str, tuple[int, ...]]) -> tuple[dict[str, np.ndarray], int]:
+    """Consecutive index blocks of the given shapes, and the total count."""
+    blocks, start = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        blocks[name] = np.arange(start, start + size).reshape(shape)
+        start += size
+    return blocks, start
+
+
+def _place(a: np.ndarray, rows: np.ndarray, *terms) -> None:
+    """Add coef * x[cols] to `rows` of `a` for every (cols, coef) term.
+
+    rows, cols and coef broadcast together, and no (row, col) pair repeats
+    within one term.
+    """
+    for cols, coef in terms:
+        r, c, v = np.broadcast_arrays(rows, cols, coef)
+        a[r, c] += v
+
+
+def _per_unit(units: list, attr: str) -> np.ndarray:
+    """One attribute of every generator or battery, as a (units, 1) column."""
+    return np.array([getattr(u, attr) for u in units], dtype=float).reshape(-1, 1)
+
+
+def build_model(case: MicrogridCase, linear_bdc_rate: float | None = None) -> MilpProblem:
     """Assemble objective, constraints and bounds for one case.
 
-    Startup indicators are linked through v[g,t] >= u[g,t] - u[g,t-1] with
-    the initial commitment taken from the generator data. Battery energy is
-    kept inside [e_min, e_max] and returned to its initial value at the end
-    of the horizon. With a usage cap, total charge+discharge energy is
-    bounded; with a linear rate, that energy is also priced in the objective.
+    Each constraint family is one block of rows over all units and
+    intervals. Startup indicators are linked through
+    v[g,t] >= u[g,t] - u[g,t-1] with the initial commitment taken from the
+    generator data. Battery energy is kept inside [e_min, e_max] and returned
+    to its initial value at the end of the horizon. The last inequality row
+    bounds total charge+discharge energy by 2*T*dt*sum(p_max), which no
+    schedule exceeds; `solve` sets a usage cap there, so one model serves
+    every cap. With a linear rate, that energy is also priced in the
+    objective.
     """
     _precheck(case)
-    T = case.horizon
-    n_gen = len(case.generators)
-    n_bess = len(case.bess)
-    dt = case.dt_hours
+    T, dt = case.horizon, case.dt_hours
+    gens, bess = case.generators, case.bess
+    G, S = len(gens), len(bess)
 
-    index: dict = {}
-    counter = 0
+    # Continuous blocks, then binaries; each shaped as its schedule field.
+    col, n = _blocks({
+        "p_gen": (G, T), "p_buy": (T,), "p_sell": (T,),
+        "p_char": (S, T), "p_disc": (S, T), "energy": (S, T),
+        "u_gen": (G, T), "v_gen": (G, T), "u_buy": (T,), "u_sell": (T,),
+        "u_char": (S, T), "u_disc": (S, T),
+    })
+    p_gen, u_gen = col["p_gen"], col["u_gen"]
+    p_char, p_disc, energy = col["p_char"], col["p_disc"], col["energy"]
+    u_char, u_disc = col["u_char"], col["u_disc"]
 
-    def add_block(name: str, count: int) -> np.ndarray:
-        nonlocal counter
-        idx = np.arange(counter, counter + count)
-        index[name] = idx
-        counter += count
-        return idx
-
-    # Continuous blocks, each shaped (units, T) flattened row-major.
-    i_pgen = add_block("p_gen", n_gen * T).reshape(n_gen, T) if n_gen else np.empty((0, T), int)
-    if n_gen == 0:
-        index["p_gen"] = np.empty(0, int)
-    i_pbuy = add_block("p_buy", T)
-    i_psell = add_block("p_sell", T)
-    i_pchar = add_block("p_char", n_bess * T).reshape(n_bess, T) if n_bess else np.empty((0, T), int)
-    i_pdisc = add_block("p_disc", n_bess * T).reshape(n_bess, T) if n_bess else np.empty((0, T), int)
-    i_energy = add_block("energy", n_bess * T).reshape(n_bess, T) if n_bess else np.empty((0, T), int)
-    for name in ("p_char", "p_disc", "energy"):
-        if n_bess == 0:
-            index[name] = np.empty(0, int)
-
-    # Binary blocks, ordered by time inside each block.
-    i_ugen = add_block("u_gen", n_gen * T).reshape(n_gen, T) if n_gen else np.empty((0, T), int)
-    i_vgen = add_block("v_gen", n_gen * T).reshape(n_gen, T) if n_gen else np.empty((0, T), int)
-    i_ubuy = add_block("u_buy", T)
-    i_usell = add_block("u_sell", T)
-    i_uchar = add_block("u_char", n_bess * T).reshape(n_bess, T) if n_bess else np.empty((0, T), int)
-    i_udisc = add_block("u_disc", n_bess * T).reshape(n_bess, T) if n_bess else np.empty((0, T), int)
-    for name in ("u_gen", "v_gen", "u_char", "u_disc"):
-        if (n_gen if name in ("u_gen", "v_gen") else n_bess) == 0:
-            index[name] = np.empty(0, int)
-
-    n = counter
     c = np.zeros(n)
     lb = np.zeros(n)
     ub = np.full(n, np.inf)
     is_int = np.zeros(n, dtype=bool)
-
-    first_binary = i_ugen[0, 0] if n_gen else i_ubuy[0]
-    is_int[first_binary:] = True
-    ub[first_binary:] = 1.0
+    for name in _BINARY_FIELDS:
+        is_int[col[name]] = True
+    ub[is_int] = 1.0
 
     # Objective: energy costs carry dt, startup is per event.
-    for g, gen in enumerate(case.generators):
-        c[i_pgen[g]] = gen.cost_energy * dt
-        c[i_ugen[g]] = gen.cost_no_load * dt
-        c[i_vgen[g]] = gen.cost_startup
-    c[i_pbuy] = case.price_buy * dt
-    c[i_psell] = -case.price_sell * dt
+    c[p_gen] = _per_unit(gens, "cost_energy") * dt
+    c[u_gen] = _per_unit(gens, "cost_no_load") * dt
+    c[col["v_gen"]] = _per_unit(gens, "cost_startup")
+    c[col["p_buy"]] = case.price_buy * dt
+    c[col["p_sell"]] = -case.price_sell * dt
     if linear_bdc_rate is not None:
-        for s in range(n_bess):
-            c[i_pchar[s]] += linear_bdc_rate * dt
-            c[i_pdisc[s]] += linear_bdc_rate * dt
+        c[p_char] = c[p_disc] = linear_bdc_rate * dt
 
     # Variable bounds.
-    for g, gen in enumerate(case.generators):
-        lb[i_pgen[g]] = gen.p_min
-        ub[i_pgen[g]] = gen.p_max
-    ub[i_pbuy] = case.p_grid_max
-    ub[i_psell] = case.p_grid_max
-    for s, bess in enumerate(case.bess):
-        ub[i_pchar[s]] = bess.p_max
-        ub[i_pdisc[s]] = bess.p_max
-        lb[i_energy[s]] = bess.e_min
-        ub[i_energy[s]] = bess.e_max
+    lb[p_gen] = _per_unit(gens, "p_min")
+    ub[p_gen] = _per_unit(gens, "p_max")
+    ub[col["p_buy"]] = ub[col["p_sell"]] = case.p_grid_max
+    p_min, p_max = _per_unit(bess, "p_min"), _per_unit(bess, "p_max")
+    ub[p_char] = ub[p_disc] = p_max
+    lb[energy] = _per_unit(bess, "e_min")
+    ub[energy] = _per_unit(bess, "e_max")
 
-    rows_ub: list[np.ndarray] = []
-    rhs_ub: list[float] = []
-    rows_eq: list[np.ndarray] = []
-    rhs_eq: list[float] = []
+    row, n_ub = _blocks({
+        "trade": (T,), "buy_limit": (T,), "sell_limit": (T,), "reserve": (T,),
+        "bess_excl": (S, T), "char_max": (S, T), "char_min": (S, T),
+        "disc_max": (S, T), "disc_min": (S, T),
+        "ramp_up": (G, T - 1), "ramp_down": (G, T - 1), "startup": (G, T),
+        "cap": (1,),
+    })
+    eq_row, n_eq = _blocks({"balance": (T,), "recursion": (S, T), "terminal": (S,)})
+    a_ub, b_ub = np.zeros((n_ub, n)), np.zeros(n_ub)
+    a_eq, b_eq = np.zeros((n_eq, n)), np.zeros(n_eq)
+    e_initial = _per_unit(bess, "e_initial")
 
-    def ub_row(pairs, rhs):
-        row = np.zeros(n)
-        for j, coef in pairs:
-            row[j] += coef
-        rows_ub.append(row)
-        rhs_ub.append(rhs)
+    # Power balance: buy + gen + renewables + discharge = sell + load + charge.
+    rows = eq_row["balance"]
+    _place(a_eq, rows, (col["p_buy"], 1.0), (col["p_sell"], -1.0), (p_gen, 1.0),
+           (p_disc, 1.0), (p_char, -1.0))
+    b_eq[rows] = case.load - case.wind - case.solar
 
-    def eq_row(pairs, rhs):
-        row = np.zeros(n)
-        for j, coef in pairs:
-            row[j] += coef
-        rows_eq.append(row)
-        rhs_eq.append(rhs)
+    # Exclusive grid trade and tie-line limits.
+    _place(a_ub, row["trade"], (col["u_buy"], 1.0), (col["u_sell"], 1.0))
+    b_ub[row["trade"]] = 1.0
+    _place(a_ub, row["buy_limit"], (col["p_buy"], 1.0), (col["u_buy"], -case.p_grid_max))
+    _place(a_ub, row["sell_limit"], (col["p_sell"], 1.0), (col["u_sell"], -case.p_grid_max))
 
-    for t in range(T):
-        # Power balance: buy + gen + renewables + discharge = sell + load + charge.
-        pairs = [(i_pbuy[t], 1.0), (i_psell[t], -1.0)]
-        pairs += [(i_pgen[g, t], 1.0) for g in range(n_gen)]
-        pairs += [(i_pdisc[s, t], 1.0) for s in range(n_bess)]
-        pairs += [(i_pchar[s, t], -1.0) for s in range(n_bess)]
-        eq_row(pairs, case.load[t] - case.wind[t] - case.solar[t])
+    # Reserve: tie-line headroom plus generator headroom covers a load share.
+    rows = row["reserve"]
+    _place(a_ub, rows, (col["p_buy"], 1.0), (col["p_sell"], -1.0), (p_gen, 1.0))
+    b_ub[rows] = (
+        case.p_grid_max + sum(g.p_max for g in gens) - case.reserve_fraction * case.load
+    )
 
-        # Exclusive grid trade and tie-line limits.
-        ub_row([(i_ubuy[t], 1.0), (i_usell[t], 1.0)], 1.0)
-        ub_row([(i_pbuy[t], 1.0), (i_ubuy[t], -case.p_grid_max)], 0.0)
-        ub_row([(i_psell[t], 1.0), (i_usell[t], -case.p_grid_max)], 0.0)
+    # Exclusive charge/discharge with commitment-linked power limits.
+    _place(a_ub, row["bess_excl"], (u_char, 1.0), (u_disc, 1.0))
+    b_ub[row["bess_excl"]] = 1.0
+    _place(a_ub, row["char_max"], (p_char, 1.0), (u_char, -p_max))
+    _place(a_ub, row["char_min"], (u_char, p_min), (p_char, -1.0))
+    _place(a_ub, row["disc_max"], (p_disc, 1.0), (u_disc, -p_max))
+    _place(a_ub, row["disc_min"], (u_disc, p_min), (p_disc, -1.0))
 
-        # Reserve: tie-line headroom plus generator headroom covers a load share.
-        pairs = [(i_pbuy[t], 1.0), (i_psell[t], -1.0)]
-        pairs += [(i_pgen[g, t], 1.0) for g in range(n_gen)]
-        rhs = (
-            case.p_grid_max
-            + sum(g.p_max for g in case.generators)
-            - case.reserve_fraction * case.load[t]
-        )
-        ub_row(pairs, rhs)
+    # Energy recursion: e_t - e_{t-1} + dt*(disc/eta_d - char*eta_c) = 0,
+    # with e_{-1} the initial energy; at the end, back to the initial energy.
+    rows = eq_row["recursion"]
+    _place(a_eq, rows, (energy, 1.0), (p_disc, dt / _per_unit(bess, "eta_discharge")),
+           (p_char, -dt * _per_unit(bess, "eta_charge")))
+    _place(a_eq, rows[:, 1:], (energy[:, :-1], -1.0))
+    b_eq[rows[:, :1]] = e_initial
+    _place(a_eq, eq_row["terminal"], (energy[:, -1], 1.0))
+    b_eq[eq_row["terminal"]] = e_initial[:, 0]
 
-        for s, bess in enumerate(case.bess):
-            # Exclusive charge/discharge with commitment-linked power limits.
-            ub_row([(i_uchar[s, t], 1.0), (i_udisc[s, t], 1.0)], 1.0)
-            ub_row([(i_pchar[s, t], 1.0), (i_uchar[s, t], -bess.p_max)], 0.0)
-            ub_row([(i_uchar[s, t], bess.p_min), (i_pchar[s, t], -1.0)], 0.0)
-            ub_row([(i_pdisc[s, t], 1.0), (i_udisc[s, t], -bess.p_max)], 0.0)
-            ub_row([(i_udisc[s, t], bess.p_min), (i_pdisc[s, t], -1.0)], 0.0)
+    # Ramping between consecutive intervals.
+    _place(a_ub, row["ramp_up"], (p_gen[:, 1:], 1.0), (p_gen[:, :-1], -1.0))
+    _place(a_ub, row["ramp_down"], (p_gen[:, :-1], 1.0), (p_gen[:, 1:], -1.0))
+    b_ub[row["ramp_up"]] = b_ub[row["ramp_down"]] = dt * _per_unit(gens, "ramp")
 
-            # Energy recursion: e_t - e_{t-1} + dt*(disc/eta_d - char*eta_c) = 0.
-            pairs = [
-                (i_energy[s, t], 1.0),
-                (i_pdisc[s, t], dt / bess.eta_discharge),
-                (i_pchar[s, t], -dt * bess.eta_charge),
-            ]
-            if t == 0:
-                eq_row(pairs, bess.e_initial)
-            else:
-                eq_row(pairs + [(i_energy[s, t - 1], -1.0)], 0.0)
+    # Startup linking v_t >= u_t - u_{t-1}, from the initial commitment.
+    rows = row["startup"]
+    _place(a_ub, rows, (u_gen, 1.0), (col["v_gen"], -1.0))
+    _place(a_ub, rows[:, 1:], (u_gen[:, :-1], -1.0))
+    b_ub[rows[:, :1]] = _per_unit(gens, "initially_on")
 
-    for g, gen in enumerate(case.generators):
-        # Ramping between consecutive intervals.
-        for t in range(T - 1):
-            limit = dt * gen.ramp
-            ub_row([(i_pgen[g, t + 1], 1.0), (i_pgen[g, t], -1.0)], limit)
-            ub_row([(i_pgen[g, t], 1.0), (i_pgen[g, t + 1], -1.0)], limit)
-        # Startup linking v_t >= u_t - u_{t-1}.
-        for t in range(T):
-            pairs = [(i_ugen[g, t], 1.0), (i_vgen[g, t], -1.0)]
-            if t == 0:
-                ub_row(pairs, 1.0 if gen.initially_on else 0.0)
-            else:
-                ub_row(pairs + [(i_ugen[g, t - 1], -1.0)], 0.0)
-
-    for s, bess in enumerate(case.bess):
-        # End-of-horizon energy neutrality.
-        eq_row([(i_energy[s, T - 1], 1.0)], bess.e_initial)
-
-    if cap is not None:
-        pairs = []
-        for s in range(n_bess):
-            pairs += [(i_pchar[s, t], dt) for t in range(T)]
-            pairs += [(i_pdisc[s, t], dt) for t in range(T)]
-        ub_row(pairs, cap.cap_kwh)
+    # Usage cap: total charge+discharge energy.
+    _place(a_ub, row["cap"], (p_char.ravel(), dt), (p_disc.ravel(), dt))
+    b_ub[row["cap"]] = 2 * T * dt * sum(b.p_max for b in bess)
 
     return MilpProblem(
         case=case,
-        cap=cap,
-        linear_bdc_rate=linear_bdc_rate,
         c=c,
-        a_ub=np.vstack(rows_ub) if rows_ub else np.empty((0, n)),
-        b_ub=np.array(rhs_ub),
-        a_eq=np.vstack(rows_eq) if rows_eq else np.empty((0, n)),
-        b_eq=np.array(rhs_eq),
+        a_ub=a_ub,
+        b_ub=b_ub,
+        a_eq=a_eq,
+        b_eq=b_eq,
         lb=lb,
         ub=ub,
         is_int=is_int,
-        index=index,
+        index=col,
     )
 
 
 def _extract_schedule(problem: MilpProblem, x: np.ndarray, objective: float) -> DispatchSchedule:
-    case = problem.case
-    T = case.horizon
-    n_gen = len(case.generators)
-    n_bess = len(case.bess)
-    idx = problem.index
-
-    def block(name: str, units: int) -> np.ndarray:
-        if units == 0:
-            return np.empty((0, T))
-        return x[idx[name]].reshape(units, T)
-
     return DispatchSchedule(
-        p_gen=block("p_gen", n_gen),
-        u_gen=block("u_gen", n_gen).astype(int),
-        v_gen=block("v_gen", n_gen).astype(int),
-        p_buy=x[idx["p_buy"]],
-        p_sell=x[idx["p_sell"]],
-        u_buy=x[idx["u_buy"]].astype(int),
-        u_sell=x[idx["u_sell"]].astype(int),
-        p_char=block("p_char", n_bess),
-        p_disc=block("p_disc", n_bess),
-        u_char=block("u_char", n_bess).astype(int),
-        u_disc=block("u_disc", n_bess).astype(int),
-        energy=block("energy", n_bess),
+        **{
+            name: x[cols].astype(int) if name in _BINARY_FIELDS else x[cols]
+            for name, cols in problem.index.items()
+        },
         objective=float(objective),
     )
 
@@ -441,32 +400,33 @@ def _snap(problem: MilpProblem, x: np.ndarray) -> np.ndarray:
 
 def _row_violation(problem: MilpProblem, x: np.ndarray) -> float:
     """Largest amount by which x violates a constraint row (0 if none)."""
-    worst = 0.0
-    if problem.a_ub.size:
-        worst = max(worst, float(np.max(problem.a_ub @ x - problem.b_ub)))
-    if problem.a_eq.size:
-        worst = max(worst, float(np.max(np.abs(problem.a_eq @ x - problem.b_eq))))
-    return worst
+    return max(
+        0.0,
+        float(np.max(problem.a_ub @ x - problem.b_ub)),
+        float(np.max(np.abs(problem.a_eq @ x - problem.b_eq))),
+    )
 
 
 def _milp(problem: MilpProblem, lb: np.ndarray, ub: np.ndarray, integrality: np.ndarray):
     """HiGHS on the problem's rows and objective with the given bounds."""
-    constraints = []
-    if problem.a_ub.size:
-        constraints.append(optimize.LinearConstraint(problem.a_ub, -np.inf, problem.b_ub))
-    if problem.a_eq.size:
-        constraints.append(optimize.LinearConstraint(problem.a_eq, problem.b_eq, problem.b_eq))
     return optimize.milp(
         c=problem.c,
-        constraints=constraints,
+        constraints=[
+            optimize.LinearConstraint(problem.a_ub, -np.inf, problem.b_ub),
+            optimize.LinearConstraint(problem.a_eq, problem.b_eq, problem.b_eq),
+        ],
         integrality=integrality,
         bounds=optimize.Bounds(lb, ub),
         options={"mip_rel_gap": 0.0, "presolve": True},
     )
 
 
-def solve(problem: MilpProblem) -> DispatchSchedule:
+def solve(problem: MilpProblem, cap: UsageCap | None = None) -> DispatchSchedule:
     """Solve a built model to proven optimality with HiGHS (zero relative gap).
+
+    With a cap, total battery charge+discharge energy is bounded by
+    cap.cap_kwh: the cap row's right-hand side is set on a copy of b_ub, so
+    the problem is never changed and can be solved again under another cap.
 
     HiGHS returns binaries within its integrality tolerance of 0/1, and the
     continuous values they bound may lean on that slack: a binary of 2.6e-7
@@ -475,9 +435,13 @@ def solve(problem: MilpProblem) -> DispatchSchedule:
     FEASIBILITY_TOL, the LP with every binary fixed at its rounded value is
     solved and the schedule is taken from that LP.
     """
+    if cap is not None:
+        b_ub = problem.b_ub.copy()
+        b_ub[-1] = cap.cap_kwh
+        problem = replace(problem, b_ub=b_ub)
     res = _milp(problem, problem.lb, problem.ub, problem.is_int.astype(int))
     if res.status == 2:
-        raise InfeasibleCaseError(_diagnose(problem))
+        raise InfeasibleCaseError(_diagnose(problem.case, cap))
     if res.status == 3:
         raise RuntimeError("model unbounded; case invariants violated")
     if res.status != 0 or res.x is None:
@@ -493,7 +457,7 @@ def solve(problem: MilpProblem) -> DispatchSchedule:
     return _extract_schedule(problem, x, objective)
 
 
-def _diagnose(problem: MilpProblem) -> list[str]:
+def _diagnose(case: MicrogridCase, cap: UsageCap | None) -> list[str]:
     """Name the constraint family that makes the model infeasible, if obvious.
 
     Runs only after an infeasible solve. Per interval it checks the renewable
@@ -501,25 +465,18 @@ def _diagnose(problem: MilpProblem) -> list[str]:
     rows jointly: subtracting one from the other cancels grid trade and
     generation, so the net load minus the most the batteries can discharge
     must fit under the tie-line plus generator capacity less the reserve.
+    Under a usage cap the batteries move at most cap/dt in one interval. A
+    cap alone never conflicts with a battery's minimum power, since the
+    battery may idle.
     """
-    case = problem.case
     report = []
-    discharge_max = sum(b.p_max for b in case.bess)
+    battery_max = sum(b.p_max for b in case.bess)
+    if cap is not None:
+        battery_max = min(battery_max, cap.cap_kwh / case.dt_hours)
     supply_max = case.p_grid_max + sum(g.p_max for g in case.generators)
-    if problem.cap is not None:
-        for s, bess in enumerate(case.bess):
-            if bess.p_min > 0 and problem.cap.cap_kwh < bess.p_min * case.dt_hours:
-                report.append(
-                    f"usage_cap: cap {problem.cap.cap_kwh} kWh conflicts with "
-                    f"battery {s} minimum active power {bess.p_min} kW"
-                )
+    absorb = case.p_grid_max + battery_max - sum(g.p_min for g in case.generators)
     for t in range(case.horizon):
         surplus = case.wind[t] + case.solar[t] - case.load[t]
-        absorb = (
-            case.p_grid_max
-            + sum(b.p_max for b in case.bess)
-            - sum(g.p_min for g in case.generators)
-        )
         if surplus > absorb + FEASIBILITY_TOL:
             report.append(
                 f"power_balance: renewable surplus {surplus:.3f} kW at interval {t} "
@@ -527,12 +484,12 @@ def _diagnose(problem: MilpProblem) -> list[str]:
             )
         net_load = -surplus
         reserve_need = case.reserve_fraction * case.load[t]
-        if net_load - discharge_max > supply_max - reserve_need + FEASIBILITY_TOL:
+        if net_load - battery_max > supply_max - reserve_need + FEASIBILITY_TOL:
             report.append(
                 f"reserve: net load {net_load:.3f} kW at interval {t} exceeds "
                 f"{supply_max - reserve_need:.3f} kW of tie-line and generator "
                 f"supply left after the {reserve_need:.3f} kW reserve plus "
-                f"{discharge_max:.3f} kW of battery discharge"
+                f"{battery_max:.3f} kW of battery discharge"
             )
     if not report:
         report.append("infeasible; no single constraint family identified")

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,24 @@ class TestSchedule:
         rows = storage.read_trace(out / "trace.csv")
         caps = [r["usage_cap_kwh"] for r in rows if r["usage_cap_kwh"] is not None]
         assert all(b < a for a, b in zip(caps, caps[1:]))
+
+    def test_solve_seconds_excludes_reading_inputs(self, workdir, tmp_path, monkeypatch):
+        read = storage.read_model_artifact
+
+        def slow_read(path):
+            time.sleep(0.2)
+            return read(path)
+
+        monkeypatch.setattr(storage, "read_model_artifact", slow_read)
+        out = tmp_path / "timed"
+        result = runner.invoke(
+            main,
+            ["schedule", "--case", str(workdir / "case.json"), "--mode", "traditional",
+             "--model", str(workdir / "stub_model.json"), "--out-dir", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["solve_seconds"] < 0.2
 
     def test_missing_model_is_validation_error(self, workdir, tmp_path):
         result = runner.invoke(

@@ -1,11 +1,23 @@
 """Tests for the iterative degradation-aware scheduling loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from degradesched import lod
+from degradesched.exampleday import load_example_day
 from degradesched.lod import EconParams, LodConfig
-from degradesched.milp import Bess, Generator, MicrogridCase, UsageCap, build_model, solve, validate_schedule
+from degradesched.milp import (
+    Bess,
+    Generator,
+    InfeasibleCaseError,
+    MicrogridCase,
+    UsageCap,
+    build_model,
+    solve,
+    validate_schedule,
+)
 from degradesched.net import NetworkSpec, Normalizer, TrainedNetwork, TrainConfig
 from degradesched.quantifier import BDF_FEATURES, BDP_VARIANTS, UBDF_VARIANTS, DegradationModel
 
@@ -85,7 +97,7 @@ class TestDegradationCost:
 class TestLinearBdcCost:
     def test_idle_battery_is_free(self):
         case = arbitrage_case()
-        sched = solve(build_model(case, cap=UsageCap(0.0)))
+        sched = solve(build_model(case), UsageCap(0.0))
         assert lod.linear_bdc_cost(sched, case, ECON) == pytest.approx(0.0, abs=1e-9)
 
     def test_rate_times_throughput(self):
@@ -110,7 +122,7 @@ class TestBenchmarkRuns:
         model = constant_model(1e-4)
         trad = lod.run_traditional(case, model, ECON)
         linear = lod.run_linear_bdc(case, model, ECON)
-        capped = solve(build_model(case, cap=UsageCap(10.0)))
+        capped = solve(build_model(case), UsageCap(10.0))
         from degradesched.milp import operation_cost
 
         assert trad.operation_cost <= linear.operation_cost + 1e-6
@@ -160,6 +172,18 @@ class TestRunLod:
             cap = None if it.usage_cap_kwh is None else UsageCap(it.usage_cap_kwh)
             assert validate_schedule(case, it.schedule, cap=cap) == []
 
+    def test_builds_one_model_per_run(self, monkeypatch):
+        built = []
+
+        def counting_build(*args, **kwargs):
+            built.append(args)
+            return build_model(*args, **kwargs)
+
+        monkeypatch.setattr(lod, "build_model", counting_build)
+        trace = lod.run_lod(arbitrage_case(), constant_model(5e-4), ECON, LodConfig(alpha=0.1))
+        assert len(trace.iterations) > 1
+        assert len(built) == 1
+
     def test_best_is_argmin_and_not_worse_than_start(self):
         case = arbitrage_case()
         trace = lod.run_lod(case, constant_model(5e-4), ECON, LodConfig(alpha=0.1))
@@ -175,6 +199,12 @@ class TestRunLod:
         assert trace.best_index == 0
         assert trace.termination_reason == "converged"
         assert len(trace.iterations) == 11  # iteration 0 + patience stalls
+
+    def test_infeasible_first_pass_reports_the_diagnosis(self):
+        case = dataclasses.replace(load_example_day(), p_grid_max=800.0)
+        with pytest.raises(InfeasibleCaseError) as exc:
+            lod.run_lod(case, constant_model(5e-4), ECON)
+        assert any(line.startswith("reserve:") for line in exc.value.report)
 
     def test_trace_determinism(self):
         case = arbitrage_case()

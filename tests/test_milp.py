@@ -76,7 +76,7 @@ class TestBuildModel:
         assert problem.n_binaries == 24 * 6
 
     def test_zero_cap_forces_idle_battery(self):
-        sched = solve(build_model(day_case(), cap=UsageCap(0.0)))
+        sched = solve(build_model(day_case()), UsageCap(0.0))
         assert np.allclose(sched.p_char, 0.0, atol=1e-9)
         assert np.allclose(sched.p_disc, 0.0, atol=1e-9)
 
@@ -129,7 +129,7 @@ class TestSolveToyCases:
 class TestExampleDay:
     def test_solves_with_idle_battery_and_validates(self):
         case = load_example_day()
-        idle = solve(build_model(case, cap=UsageCap(0.0)))
+        idle = solve(build_model(case), UsageCap(0.0))
         assert np.allclose(idle.p_char, 0.0, atol=1e-9)
         assert np.allclose(idle.p_disc, 0.0, atol=1e-9)
         assert validate_schedule(case, idle, cap=UsageCap(0.0)) == []
@@ -150,6 +150,29 @@ class TestExampleDay:
         assert len(reserve) == 1
         assert "interval 19 " in reserve[0]
         assert not any("no single constraint family" in line for line in exc.value.report)
+
+    def test_zero_cap_reports_reserve_at_the_peak(self):
+        # With a 900 kW tie-line, hour 19 needs 1,020 - (900 + 180 - 128) = 68 kW
+        # of discharge, which a zero usage cap forbids.
+        case = dataclasses.replace(load_example_day(), p_grid_max=900.0)
+        solve(build_model(case))
+        with pytest.raises(InfeasibleCaseError) as exc:
+            solve(build_model(case), UsageCap(0.0))
+        reserve = [line for line in exc.value.report if line.startswith("reserve:")]
+        assert len(reserve) == 1
+        assert "interval 19 " in reserve[0]
+
+    def test_zero_cap_does_not_blame_minimum_battery_power(self):
+        # p_min * u <= p lets the battery idle, so a cap below p_min * dt is
+        # never a cause: the same battery solves under that cap at 1,000 kW.
+        day = load_example_day()
+        bess = [dataclasses.replace(day.bess[0], p_min=5.0)]
+        solve(build_model(dataclasses.replace(day, bess=bess)), UsageCap(0.0))
+        case = dataclasses.replace(day, bess=bess, p_grid_max=800.0)
+        with pytest.raises(InfeasibleCaseError) as exc:
+            solve(build_model(case), UsageCap(0.0))
+        assert not any(line.startswith("usage_cap:") for line in exc.value.report)
+        assert any(line.startswith("reserve:") for line in exc.value.report)
 
 
 class TestOracleEquivalence:
@@ -205,10 +228,25 @@ class TestUsageCap:
         free = solve(build_model(case))
         tau = free.bess_throughput_kwh(case)
         for fraction in (0.5, 0.2, 0.0):
-            capped = solve(build_model(case, cap=UsageCap(fraction * tau)))
+            capped = solve(build_model(case), UsageCap(fraction * tau))
             assert capped.objective >= free.objective - 1e-6
             assert capped.bess_throughput_kwh(case) <= fraction * tau + 1e-6
             assert validate_schedule(case, capped, cap=UsageCap(fraction * tau)) == []
+
+    def test_cap_leaves_the_problem_unchanged(self):
+        problem = build_model(day_case())
+        b_ub = problem.b_ub.copy()
+        solve(problem, UsageCap(10.0))
+        assert np.array_equal(problem.b_ub, b_ub)
+
+    def test_cap_row_is_last_with_a_finite_default(self):
+        case = day_case()
+        problem = build_model(case)
+        battery = np.concatenate([problem.index["p_char"].ravel(), problem.index["p_disc"].ravel()])
+        expected = np.zeros(problem.n_variables)
+        expected[battery] = case.dt_hours
+        assert np.array_equal(problem.a_ub[-1], expected)
+        assert problem.b_ub[-1] == 2 * case.horizon * case.dt_hours * case.bess[0].p_max
 
 
 class TestValidateSchedule:
