@@ -303,6 +303,12 @@ def cmd_schedule(case_path, mode, model_path, out_dir, capital_cost, salvage_val
     except InfeasibleCaseError as exc:
         for line in exc.report:
             click.echo(f"infeasible: {line}", err=True)
+        report = json.dumps({"mode": values["mode"], "report": exc.report},
+                            indent=2, sort_keys=True)
+        try:
+            (out / "infeasible.json").write_text(report + "\n")
+        except OSError as err:
+            _fail(EXIT_VALIDATION, f"cannot write output: {err}")
         sys.exit(EXIT_RUNTIME)
     except OSError as exc:
         _fail(EXIT_VALIDATION, f"cannot write output: {exc}")

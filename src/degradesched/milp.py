@@ -1,4 +1,4 @@
-"""24-interval microgrid look-ahead scheduling MILP.
+"""Microgrid look-ahead scheduling MILP over any number of intervals.
 
 Minimizes generation, no-load, startup and net power-exchange cost subject to
 power balance, generator capability and ramping, exclusive grid trade with
@@ -8,7 +8,9 @@ A linear $/kWh battery-usage cost term is optional when the model is built.
 The last inequality row always bounds total battery throughput; `solve` sets
 a usage cap there, so a loop that tightens the cap builds the model once.
 
-The model is solved to proven optimality by HiGHS through scipy.
+The constraint matrix is held sparse, as each family's (row, column,
+coefficient) terms; it is never densified on the way to the solver. The model
+is solved to proven optimality by HiGHS through scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, sparse
 
 FEASIBILITY_TOL = 1e-6
 
@@ -173,22 +175,34 @@ class DispatchSchedule:
 class MilpProblem:
     """Assembled MILP arrays plus the variable index bookkeeping.
 
-    `index` maps each DispatchSchedule field name to its columns, shaped as
-    that field. The last row of a_ub is the usage cap on total battery
-    charge+discharge energy; b_ub holds a default for it that never binds,
-    and `solve` sets a cap there on a copy.
+    `a` is the sparse constraint matrix: its first b_ub.size rows are the
+    inequalities a_ub @ x <= b_ub, the remaining rows the equalities
+    a_eq @ x == b_eq. It holds no explicit zeros and sorted indices. The last
+    inequality row is the usage cap on total battery charge+discharge energy;
+    b_ub holds a default for it that never binds, and `solve` sets a cap
+    there on a copy. `index` maps each DispatchSchedule field name to its
+    columns, shaped as that field.
     """
 
     case: MicrogridCase
     c: np.ndarray
-    a_ub: np.ndarray
+    a: sparse.csc_array
     b_ub: np.ndarray
-    a_eq: np.ndarray
     b_eq: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
     is_int: np.ndarray
     index: dict = field(default_factory=dict)
+
+    @property
+    def a_ub(self) -> np.ndarray:
+        """Dense copy of the inequality rows, for reference solvers and inspection."""
+        return self.a[: self.b_ub.size].toarray()
+
+    @property
+    def a_eq(self) -> np.ndarray:
+        """Dense copy of the equality rows, for reference solvers and inspection."""
+        return self.a[self.b_ub.size :].toarray()
 
     @property
     def n_variables(self) -> int:
@@ -220,9 +234,11 @@ def _precheck(case: MicrogridCase) -> None:
         ])
 
 
-def _blocks(shapes: dict[str, tuple[int, ...]]) -> tuple[dict[str, np.ndarray], int]:
-    """Consecutive index blocks of the given shapes, and the total count."""
-    blocks, start = {}, 0
+def _blocks(
+    shapes: dict[str, tuple[int, ...]], start: int = 0
+) -> tuple[dict[str, np.ndarray], int]:
+    """Consecutive index blocks of the given shapes from `start`, and the end."""
+    blocks = {}
     for name, shape in shapes.items():
         size = math.prod(shape)
         blocks[name] = np.arange(start, start + size).reshape(shape)
@@ -230,15 +246,16 @@ def _blocks(shapes: dict[str, tuple[int, ...]]) -> tuple[dict[str, np.ndarray], 
     return blocks, start
 
 
-def _place(a: np.ndarray, rows: np.ndarray, *terms) -> None:
-    """Add coef * x[cols] to `rows` of `a` for every (cols, coef) term.
+def _place(triplets: list, rows: np.ndarray, *terms) -> None:
+    """Append coef * x[cols] on `rows` to `triplets` for every (cols, coef) term.
 
-    rows, cols and coef broadcast together, and no (row, col) pair repeats
-    within one term.
+    rows, cols and coef broadcast together. Entries that share a (row, col)
+    pair are summed when the matrix is assembled.
     """
     for cols, coef in terms:
-        r, c, v = np.broadcast_arrays(rows, cols, coef)
-        a[r, c] += v
+        triplets.append(
+            tuple(arr.ravel() for arr in np.broadcast_arrays(rows, cols, coef))
+        )
 
 
 def _per_unit(units: list, attr: str) -> np.ndarray:
@@ -250,14 +267,15 @@ def build_model(case: MicrogridCase, linear_bdc_rate: float | None = None) -> Mi
     """Assemble objective, constraints and bounds for one case.
 
     Each constraint family is one block of rows over all units and
-    intervals. Startup indicators are linked through
-    v[g,t] >= u[g,t] - u[g,t-1] with the initial commitment taken from the
-    generator data. Battery energy is kept inside [e_min, e_max] and returned
-    to its initial value at the end of the horizon. The last inequality row
-    bounds total charge+discharge energy by 2*T*dt*sum(p_max), which no
-    schedule exceeds; `solve` sets a usage cap there, so one model serves
-    every cap. With a linear rate, that energy is also priced in the
-    objective.
+    intervals, collected as (row, column, coefficient) terms and assembled
+    once into the CSC matrix `a`: inequality rows, then equality rows.
+    Startup indicators are linked through v[g,t] >= u[g,t] - u[g,t-1] with
+    the initial commitment taken from the generator data. Battery energy is
+    kept inside [e_min, e_max] and returned to its initial value at the end
+    of the horizon. The last inequality row bounds total charge+discharge
+    energy by 2*T*dt*sum(p_max), which no schedule exceeds; `solve` sets a
+    usage cap there, so one model serves every cap. With a linear rate, that
+    energy is also priced in the objective.
     """
     _precheck(case)
     T, dt = case.horizon, case.dt_hours
@@ -308,70 +326,77 @@ def build_model(case: MicrogridCase, linear_bdc_rate: float | None = None) -> Mi
         "ramp_up": (G, T - 1), "ramp_down": (G, T - 1), "startup": (G, T),
         "cap": (1,),
     })
-    eq_row, n_eq = _blocks({"balance": (T,), "recursion": (S, T), "terminal": (S,)})
-    a_ub, b_ub = np.zeros((n_ub, n)), np.zeros(n_ub)
-    a_eq, b_eq = np.zeros((n_eq, n)), np.zeros(n_eq)
+    eq_row, n_rows = _blocks(
+        {"balance": (T,), "recursion": (S, T), "terminal": (S,)}, start=n_ub
+    )
+    terms: list = []
+    b = np.zeros(n_rows)
     e_initial = _per_unit(bess, "e_initial")
 
     # Power balance: buy + gen + renewables + discharge = sell + load + charge.
     rows = eq_row["balance"]
-    _place(a_eq, rows, (col["p_buy"], 1.0), (col["p_sell"], -1.0), (p_gen, 1.0),
+    _place(terms, rows, (col["p_buy"], 1.0), (col["p_sell"], -1.0), (p_gen, 1.0),
            (p_disc, 1.0), (p_char, -1.0))
-    b_eq[rows] = case.load - case.wind - case.solar
+    b[rows] = case.load - case.wind - case.solar
 
     # Exclusive grid trade and tie-line limits.
-    _place(a_ub, row["trade"], (col["u_buy"], 1.0), (col["u_sell"], 1.0))
-    b_ub[row["trade"]] = 1.0
-    _place(a_ub, row["buy_limit"], (col["p_buy"], 1.0), (col["u_buy"], -case.p_grid_max))
-    _place(a_ub, row["sell_limit"], (col["p_sell"], 1.0), (col["u_sell"], -case.p_grid_max))
+    _place(terms, row["trade"], (col["u_buy"], 1.0), (col["u_sell"], 1.0))
+    b[row["trade"]] = 1.0
+    _place(terms, row["buy_limit"], (col["p_buy"], 1.0), (col["u_buy"], -case.p_grid_max))
+    _place(terms, row["sell_limit"], (col["p_sell"], 1.0), (col["u_sell"], -case.p_grid_max))
 
     # Reserve: tie-line headroom plus generator headroom covers a load share.
     rows = row["reserve"]
-    _place(a_ub, rows, (col["p_buy"], 1.0), (col["p_sell"], -1.0), (p_gen, 1.0))
-    b_ub[rows] = (
+    _place(terms, rows, (col["p_buy"], 1.0), (col["p_sell"], -1.0), (p_gen, 1.0))
+    b[rows] = (
         case.p_grid_max + sum(g.p_max for g in gens) - case.reserve_fraction * case.load
     )
 
     # Exclusive charge/discharge with commitment-linked power limits.
-    _place(a_ub, row["bess_excl"], (u_char, 1.0), (u_disc, 1.0))
-    b_ub[row["bess_excl"]] = 1.0
-    _place(a_ub, row["char_max"], (p_char, 1.0), (u_char, -p_max))
-    _place(a_ub, row["char_min"], (u_char, p_min), (p_char, -1.0))
-    _place(a_ub, row["disc_max"], (p_disc, 1.0), (u_disc, -p_max))
-    _place(a_ub, row["disc_min"], (u_disc, p_min), (p_disc, -1.0))
+    _place(terms, row["bess_excl"], (u_char, 1.0), (u_disc, 1.0))
+    b[row["bess_excl"]] = 1.0
+    _place(terms, row["char_max"], (p_char, 1.0), (u_char, -p_max))
+    _place(terms, row["char_min"], (u_char, p_min), (p_char, -1.0))
+    _place(terms, row["disc_max"], (p_disc, 1.0), (u_disc, -p_max))
+    _place(terms, row["disc_min"], (u_disc, p_min), (p_disc, -1.0))
 
     # Energy recursion: e_t - e_{t-1} + dt*(disc/eta_d - char*eta_c) = 0,
     # with e_{-1} the initial energy; at the end, back to the initial energy.
     rows = eq_row["recursion"]
-    _place(a_eq, rows, (energy, 1.0), (p_disc, dt / _per_unit(bess, "eta_discharge")),
+    _place(terms, rows, (energy, 1.0), (p_disc, dt / _per_unit(bess, "eta_discharge")),
            (p_char, -dt * _per_unit(bess, "eta_charge")))
-    _place(a_eq, rows[:, 1:], (energy[:, :-1], -1.0))
-    b_eq[rows[:, :1]] = e_initial
-    _place(a_eq, eq_row["terminal"], (energy[:, -1], 1.0))
-    b_eq[eq_row["terminal"]] = e_initial[:, 0]
+    _place(terms, rows[:, 1:], (energy[:, :-1], -1.0))
+    b[rows[:, :1]] = e_initial
+    _place(terms, eq_row["terminal"], (energy[:, -1], 1.0))
+    b[eq_row["terminal"]] = e_initial[:, 0]
 
     # Ramping between consecutive intervals.
-    _place(a_ub, row["ramp_up"], (p_gen[:, 1:], 1.0), (p_gen[:, :-1], -1.0))
-    _place(a_ub, row["ramp_down"], (p_gen[:, :-1], 1.0), (p_gen[:, 1:], -1.0))
-    b_ub[row["ramp_up"]] = b_ub[row["ramp_down"]] = dt * _per_unit(gens, "ramp")
+    _place(terms, row["ramp_up"], (p_gen[:, 1:], 1.0), (p_gen[:, :-1], -1.0))
+    _place(terms, row["ramp_down"], (p_gen[:, :-1], 1.0), (p_gen[:, 1:], -1.0))
+    b[row["ramp_up"]] = b[row["ramp_down"]] = dt * _per_unit(gens, "ramp")
 
     # Startup linking v_t >= u_t - u_{t-1}, from the initial commitment.
     rows = row["startup"]
-    _place(a_ub, rows, (u_gen, 1.0), (col["v_gen"], -1.0))
-    _place(a_ub, rows[:, 1:], (u_gen[:, :-1], -1.0))
-    b_ub[rows[:, :1]] = _per_unit(gens, "initially_on")
+    _place(terms, rows, (u_gen, 1.0), (col["v_gen"], -1.0))
+    _place(terms, rows[:, 1:], (u_gen[:, :-1], -1.0))
+    b[rows[:, :1]] = _per_unit(gens, "initially_on")
 
     # Usage cap: total charge+discharge energy.
-    _place(a_ub, row["cap"], (p_char.ravel(), dt), (p_disc.ravel(), dt))
-    b_ub[row["cap"]] = 2 * T * dt * sum(b.p_max for b in bess)
+    _place(terms, row["cap"], (p_char.ravel(), dt), (p_disc.ravel(), dt))
+    b[row["cap"]] = 2 * T * dt * sum(unit.p_max for unit in bess)
 
+    r, k, v = (np.concatenate(parts) for parts in zip(*terms))
+    # 32-bit indices, as scipy derives for a matrix of this size from dense rows.
+    a = sparse.csc_array((v, (r.astype(np.int32), k.astype(np.int32))), shape=(n_rows, n))
+    a.sum_duplicates()
+    a.eliminate_zeros()
+    a.sort_indices()
     return MilpProblem(
         case=case,
         c=c,
-        a_ub=a_ub,
-        b_ub=b_ub,
-        a_eq=a_eq,
-        b_eq=b_eq,
+        a=a,
+        b_ub=b[:n_ub].copy(),
+        b_eq=b[n_ub:].copy(),
         lb=lb,
         ub=ub,
         is_int=is_int,
@@ -400,21 +425,28 @@ def _snap(problem: MilpProblem, x: np.ndarray) -> np.ndarray:
 
 def _row_violation(problem: MilpProblem, x: np.ndarray) -> float:
     """Largest amount by which x violates a constraint row (0 if none)."""
+    residual = problem.a @ x - np.concatenate((problem.b_ub, problem.b_eq))
+    n_ub = problem.b_ub.size
     return max(
         0.0,
-        float(np.max(problem.a_ub @ x - problem.b_ub)),
-        float(np.max(np.abs(problem.a_eq @ x - problem.b_eq))),
+        float(np.max(residual[:n_ub])),
+        float(np.max(np.abs(residual[n_ub:]))),
     )
 
 
 def _milp(problem: MilpProblem, lb: np.ndarray, ub: np.ndarray, integrality: np.ndarray):
-    """HiGHS on the problem's rows and objective with the given bounds."""
+    """HiGHS on the problem's rows and objective with the given bounds.
+
+    The sparse matrix goes to scipy as one constraint, inequality rows bounded
+    below by -inf, so scipy neither converts nor stacks it.
+    """
     return optimize.milp(
         c=problem.c,
-        constraints=[
-            optimize.LinearConstraint(problem.a_ub, -np.inf, problem.b_ub),
-            optimize.LinearConstraint(problem.a_eq, problem.b_eq, problem.b_eq),
-        ],
+        constraints=optimize.LinearConstraint(
+            problem.a,
+            np.concatenate((np.full(problem.b_ub.size, -np.inf), problem.b_eq)),
+            np.concatenate((problem.b_ub, problem.b_eq)),
+        ),
         integrality=integrality,
         bounds=optimize.Bounds(lb, ub),
         options={"mip_rel_gap": 0.0, "presolve": True},

@@ -8,7 +8,6 @@ metric used in the report tables.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,7 +142,9 @@ def forward(params: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray) -> np.nd
             f"input has {h.shape[1]} features, network expects {params[0][0].shape[0]}"
         )
     for w, b in params[:-1]:
-        h = np.maximum(0.0, h @ w + b)
+        h = h @ w
+        h += b
+        np.maximum(0.0, h, out=h)
     w, b = params[-1]
     out = h @ w + b
     return out[0] if np.asarray(x).ndim == 1 else out
@@ -171,7 +172,9 @@ def loss_gradients(
     acts = [x]
     h = x
     for w, b in params[:-1]:
-        h = np.maximum(0.0, h @ w + b)
+        h = h @ w
+        h += b
+        np.maximum(0.0, h, out=h)
         acts.append(h)
     w, b = params[-1]
     out = h @ w + b
@@ -182,7 +185,7 @@ def loss_gradients(
     for layer in range(len(params) - 1, -1, -1):
         w, _ = params[layer]
         a_prev = acts[layer]
-        grads.append((a_prev.T @ delta, delta.sum(axis=0)))
+        grads.append((a_prev.T @ delta, np.add.reduce(delta, axis=0)))
         if layer > 0:
             delta = (delta @ w.T) * (acts[layer] > 0.0)
     grads.reverse()
@@ -226,6 +229,15 @@ class TrainedNetwork:
         """Predict in physical units from raw (unnormalized) inputs."""
         out = self.y_norm.inverse(forward(self.params, self.x_norm.transform(x)))
         return np.exp(out) if self.log_target else out
+
+
+def _sgd_step(
+    params: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, y: np.ndarray, lr: float
+) -> None:
+    """One gradient-descent step on a minibatch, updating params in place."""
+    for (w, b), (gw, gb) in zip(params, loss_gradients(params, x, y)):
+        w -= lr * gw
+        b -= lr * gb
 
 
 def split_indices(
@@ -300,20 +312,18 @@ def train(
 
     history: dict = {"train_mse": [], "val_mse": [], "lr": []}
     best_val = np.inf
-    best_params = copy.deepcopy(params)
+    best_params = [(w.copy(), b.copy()) for w, b in params]
     best_epoch = -1
 
-    n_train = len(xt)
+    n_train, batch_size = len(xt), cfg.batch_size
     for epoch in range(cfg.epochs):
         lr = cfg.initial_lr * cfg.lr_decay_factor ** (epoch // cfg.decay_every_epochs)
+        # One shuffled copy per epoch; the minibatches are views of it.
         order = rng.permutation(n_train)
-        for start in range(0, n_train, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            grads = loss_gradients(params, xt[batch], yt[batch])
-            params = [
-                (w - lr * gw, b - lr * gb)
-                for (w, b), (gw, gb) in zip(params, grads)
-            ]
+        xs, ys = xt[order], yt[order]
+        for start in range(0, n_train, batch_size):
+            stop = start + batch_size
+            _sgd_step(params, xs[start:stop], ys[start:stop], lr)
         train_mse = mse(forward(params, xt), yt)
         val_mse = mse(forward(params, xv), yv)
         if not (np.isfinite(train_mse) and np.isfinite(val_mse)):
@@ -323,7 +333,7 @@ def train(
         history["lr"].append(lr)
         if val_mse < best_val:
             best_val = val_mse
-            best_params = copy.deepcopy(params)
+            best_params = [(w.copy(), b.copy()) for w, b in params]
             best_epoch = epoch
 
     return TrainedNetwork(

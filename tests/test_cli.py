@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -10,6 +11,7 @@ from click.testing import CliRunner
 
 from degradesched import storage
 from degradesched.cli import main
+from degradesched.exampleday import load_example_day
 from test_lod import constant_model
 from test_milp import day_case
 
@@ -204,6 +206,24 @@ class TestSchedule:
         )
         assert result.exit_code == 0, result.output
         assert (out / "schedule.csv").exists()
+
+    def test_infeasible_case_writes_report_file(self, workdir, tmp_path):
+        # An 800 kW tie-line leaves hour 19 short of its reserve.
+        case = dataclasses.replace(load_example_day(), p_grid_max=800.0)
+        storage.write_case(tmp_path / "narrow.json", case, series_csv="series.csv")
+        out = tmp_path / "narrow"
+        result = runner.invoke(
+            main,
+            ["schedule", "--case", str(tmp_path / "narrow.json"), "--mode", "traditional",
+             "--model", str(workdir / "stub_model.json"), "--out-dir", str(out)],
+        )
+        assert result.exit_code == 1, result.output
+        doc = json.loads((out / "infeasible.json").read_text())
+        assert doc["mode"] == "traditional"
+        reserve = [line for line in doc["report"] if line.startswith("reserve:")]
+        assert len(reserve) == 1 and "interval 19 " in reserve[0]
+        assert f"infeasible: {reserve[0]}" in result.output
+        assert not (out / "schedule.csv").exists()
 
 
 class TestReport:

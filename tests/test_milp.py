@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from degradesched.exampleday import load_example_day
 from degradesched.milp import (
@@ -220,6 +222,30 @@ class TestRoundedBinaries:
         sched = solve(build_model(case))
         assert validate_schedule(case, sched) == []
         assert sched.p_disc[0, 26] <= sched.u_disc[0, 26] * case.bess[0].p_max
+
+
+class TestSparseModel:
+    def test_matrix_is_canonical_csc_without_stored_zeros(self):
+        # p_min = 0 puts zero coefficients on the battery minimum-power rows.
+        problem = build_model(day_case())
+        assert problem.case.bess[0].p_min == 0
+        a = problem.a
+        assert isinstance(a, sparse.csc_array)
+        assert a.has_canonical_format
+        assert np.all(a.data != 0)
+        assert a.nnz == np.count_nonzero(problem.a_ub) + np.count_nonzero(problem.a_eq)
+        assert a.shape == (problem.b_ub.size + problem.b_eq.size, problem.n_variables)
+
+    def test_week_build_and_capped_solve_stay_small(self):
+        # The dense inequality rows of this 168-interval model alone take 36 MB.
+        case = week_case()
+        tracemalloc.start()
+        try:
+            solve(build_model(case), UsageCap(500.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestUsageCap:

@@ -1,5 +1,7 @@
 """Tests for the fully-connected network engine."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,61 @@ def numeric_gradients(params, x, y, h=1e-5):
             gb[j] = (lp - lm) / (2 * h)
         grads.append((gw, gb))
     return grads
+
+
+def reference_activations(params, x):
+    """Forward pass as first written, with a fresh array per operation:
+    the input, every hidden activation, then the output."""
+    acts = [x]
+    for w, b in params[:-1]:
+        acts.append(np.maximum(0.0, acts[-1] @ w + b))
+    w, b = params[-1]
+    return acts + [acts[-1] @ w + b]
+
+
+def reference_gradients(params, x, y):
+    """Backpropagation as first written, with a fresh array per operation."""
+    *acts, out = reference_activations(params, x)
+    delta = 2.0 * (out - y) / out.size
+    grads = []
+    for layer in range(len(params) - 1, -1, -1):
+        w, _ = params[layer]
+        grads.append((acts[layer].T @ delta, delta.sum(axis=0)))
+        if layer > 0:
+            delta = (delta @ w.T) * (acts[layer] > 0.0)
+    grads.reverse()
+    return grads
+
+
+def reference_train(x, y, spec, cfg):
+    """The training loop as first written: per-batch gathers, rebuilt
+    parameter lists and deep-copied snapshots. The reference for `train`."""
+    train_idx, val_idx = net.split_indices(len(x), cfg.train_fraction, cfg.seed)
+    x_norm = Normalizer.fit(x[train_idx])
+    y_norm = Normalizer.fit(y[train_idx], np.zeros(y.shape[1], dtype=bool))
+    xt, yt = x_norm.transform(x[train_idx]), y_norm.transform(y[train_idx])
+    xv, yv = x_norm.transform(x[val_idx]), y_norm.transform(y[val_idx])
+    rng = np.random.default_rng(cfg.seed)
+    params = init_params(spec, rng)
+    history = {"train_mse": [], "val_mse": [], "lr": []}
+    best_val, best_params, best_epoch = np.inf, copy.deepcopy(params), -1
+    for epoch in range(cfg.epochs):
+        lr = cfg.initial_lr * cfg.lr_decay_factor ** (epoch // cfg.decay_every_epochs)
+        order = rng.permutation(len(xt))
+        for start in range(0, len(xt), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            grads = reference_gradients(params, xt[batch], yt[batch])
+            params = [
+                (w - lr * gw, b - lr * gb) for (w, b), (gw, gb) in zip(params, grads)
+            ]
+        train_mse = mse(reference_activations(params, xt)[-1], yt)
+        val_mse = mse(reference_activations(params, xv)[-1], yv)
+        history["train_mse"].append(train_mse)
+        history["val_mse"].append(val_mse)
+        history["lr"].append(lr)
+        if val_mse < best_val:
+            best_val, best_params, best_epoch = val_mse, copy.deepcopy(params), epoch
+    return history, best_params, best_epoch
 
 
 def gradient_relative_error(params, x, y):
@@ -211,6 +268,22 @@ class TestTrain:
         h2 = train(x, y, NetworkSpec((2, 8, 4, 1)), cfg).history
         assert h1["train_mse"] == h2["train_mse"]
         assert h1["val_mse"] == h2["val_mse"]
+
+    @pytest.mark.parametrize("sizes", [(5, 20, 10, 1), (3, 12, 8, 6, 2)])
+    def test_matches_reference_loop_exactly(self, sizes):
+        # The in-place loop must do the reference's arithmetic bit for bit;
+        # 490 training rows leave a partial last batch.
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-1, 2, size=(612, sizes[0]))
+        y = np.sin(x @ rng.normal(size=(sizes[0], sizes[-1])))
+        cfg = TrainConfig(epochs=7, decay_every_epochs=3, seed=4)
+        model = train(x, y, NetworkSpec(sizes), cfg)
+        history, params, best_epoch = reference_train(x, y, NetworkSpec(sizes), cfg)
+        assert model.history == history
+        assert model.best_epoch == best_epoch
+        assert len(model.params) == len(params)
+        for (w, b), (w_ref, b_ref) in zip(model.params, params):
+            assert np.array_equal(w, w_ref) and np.array_equal(b, b_ref)
 
     def test_divergence_reports_epoch(self):
         rng = np.random.default_rng(0)
