@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -53,6 +54,16 @@ def _apply_config(config_path: str | None, values: dict) -> dict:
         _fail(EXIT_VALIDATION, f"unknown config keys: {sorted(unknown)}")
     values.update(doc)
     return values
+
+
+@contextmanager
+def _timed(timings: dict, key: str):
+    """Record the wall time of the with-block under timings[key]."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[key] = time.perf_counter() - start
 
 
 def _train_config(values: dict) -> TrainConfig:
@@ -152,8 +163,10 @@ def cmd_train(dataset_path, out_path, variant_search, ubdf, bdp, with_benchmarks
         "train_fraction": train_fraction, "seed": seed,
     })
     t0 = time.perf_counter()
+    timings: dict = {}
     try:
-        dataset = storage.read_dataset(values["dataset"])
+        with _timed(timings, "read_seconds"):
+            dataset = storage.read_dataset(values["dataset"])
         cfg = _train_config(values)
     except FileNotFoundError as exc:
         _fail(EXIT_VALIDATION, str(exc))
@@ -169,7 +182,8 @@ def cmd_train(dataset_path, out_path, variant_search, ubdf, bdp, with_benchmarks
         if values["variant_search"]:
             if values["ubdf"] is not None or values["bdp"] is not None:
                 _fail(EXIT_VALIDATION, "--variant-search excludes --ubdf/--bdp")
-            model, report = select_best_combination(dataset, cfg)
+            with _timed(timings, "search_seconds"):
+                model, report = select_best_combination(dataset, cfg)
             storage.write_report_table(report_to / "ubdf_models.csv", report.ubdf_table)
             storage.write_report_table(report_to / "bdp_models.csv", report.bdp_table)
             storage.write_report_table(
@@ -184,12 +198,14 @@ def cmd_train(dataset_path, out_path, variant_search, ubdf, bdp, with_benchmarks
             if values["ubdf"] is None or values["bdp"] is None:
                 _fail(EXIT_VALIDATION, "provide --ubdf and --bdp, or --variant-search")
             try:
-                model = train_pair(dataset, values["ubdf"], values["bdp"], cfg)
+                with _timed(timings, "pair_seconds"):
+                    model = train_pair(dataset, values["ubdf"], values["bdp"], cfg)
             except ValueError as exc:
                 _fail(EXIT_VALIDATION, str(exc))
         if values["with_benchmarks"]:
-            benchmarks = train_benchmarks(dataset, cfg)
-            rows = performance_comparison(model, benchmarks, dataset, cfg)
+            with _timed(timings, "benchmarks_seconds"):
+                benchmarks = train_benchmarks(dataset, cfg)
+                rows = performance_comparison(model, benchmarks, dataset, cfg)
             storage.write_report_table(report_to / "performance_comparison.csv", rows)
             metrics["performance_comparison"] = rows
     except Exception as exc:  # training/runtime failures
@@ -205,7 +221,7 @@ def cmd_train(dataset_path, out_path, variant_search, ubdf, bdp, with_benchmarks
             config={k: v for k, v in values.items() if k not in ("dataset", "out")},
             inputs=[values["dataset"]],
             seed=values["seed"],
-            timings={"wall_seconds": time.perf_counter() - t0},
+            timings={**timings, "wall_seconds": time.perf_counter() - t0},
         )
     except OSError as exc:
         _fail(EXIT_VALIDATION, f"cannot write output: {exc}")

@@ -4,11 +4,17 @@ Feature min-max scaling, an optional log-scaled target, relu/linear forward
 pass, analytic backpropagation, mini-batch gradient descent with a
 stepwise-decaying learning rate, MSE loss and the relative-tolerance accuracy
 metric used in the report tables.
+
+Networks of one layer shape train as one stack (`train_stack`): each
+minibatch step is one batched matmul pass for all of them, and every network
+comes out bit-identical to training it alone with `train`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -164,7 +170,12 @@ def mse(predictions: np.ndarray, targets: np.ndarray) -> float:
 def loss_gradients(
     params: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, y: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Gradients of mean-squared-error loss w.r.t. every weight and bias."""
+    """Gradients of mean-squared-error loss w.r.t. every weight and bias.
+
+    Takes one network (w is (n_in, n_out), b is (n_out,), x is (n, d_in)) or
+    a stack of K (w is (K, n_in, n_out), b is (K, n_out), x is (K, n, d_in));
+    each stacked network's loss is the mean over its own entries.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
 
@@ -173,21 +184,21 @@ def loss_gradients(
     h = x
     for w, b in params[:-1]:
         h = h @ w
-        h += b
+        h += b[..., None, :]
         np.maximum(0.0, h, out=h)
         acts.append(h)
     w, b = params[-1]
-    out = h @ w + b
+    out = h @ w + b[..., None, :]
 
-    # d(loss)/d(out) for loss = mean over all entries of (out - y)^2.
-    delta = 2.0 * (out - y) / out.size
+    # d(loss)/d(out) for loss = mean over one network's entries of (out - y)^2.
+    delta = 2.0 * (out - y) / (out.shape[-2] * out.shape[-1])
     grads: list[tuple[np.ndarray, np.ndarray]] = []
     for layer in range(len(params) - 1, -1, -1):
         w, _ = params[layer]
         a_prev = acts[layer]
-        grads.append((a_prev.T @ delta, np.add.reduce(delta, axis=0)))
+        grads.append((a_prev.swapaxes(-1, -2) @ delta, np.add.reduce(delta, axis=-2)))
         if layer > 0:
-            delta = (delta @ w.T) * (acts[layer] > 0.0)
+            delta = (delta @ w.swapaxes(-1, -2)) * (acts[layer] > 0.0)
     grads.reverse()
     return grads
 
@@ -250,28 +261,27 @@ def split_indices(
     return order[:n_train], order[n_train:]
 
 
-def train(
-    x: np.ndarray,
-    y: np.ndarray,
-    spec: NetworkSpec,
-    cfg: TrainConfig,
-    x_mask: np.ndarray | None = None,
-    y_mask: np.ndarray | None = None,
-    split: tuple[np.ndarray, np.ndarray] | None = None,
-    log_target: bool = False,
-) -> TrainedNetwork:
-    """Fit a network with mini-batch gradient descent.
+class TrainJob(NamedTuple):
+    """One network to fit: the arguments of `train`, in its order."""
 
-    Splits (x, y) into train/validation by a seeded shuffle (or uses the
-    provided index split), fits the feature normalizers on the training split
-    only, then runs the configured epochs of shuffled mini-batches. Returns
-    the parameters from the epoch with the lowest validation MSE.
+    x: np.ndarray
+    y: np.ndarray
+    spec: NetworkSpec
+    cfg: TrainConfig
+    x_mask: np.ndarray | None = None
+    y_mask: np.ndarray | None = None
+    split: tuple[np.ndarray, np.ndarray] | None = None
+    log_target: bool = False
 
-    x_mask / y_mask select which input/target columns are min-max scaled;
-    x_mask defaults to all inputs, y_mask to no targets. With log_target the
-    network is fitted to log(y), scaled per y_mask, so the targets must be
-    positive; the returned network predicts in the units of y.
+
+def _prepare(
+    job: TrainJob,
+) -> tuple[Normalizer, Normalizer, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Check a job's data, split it and fit its normalizers on the training rows.
+
+    Returns the two normalizers and the scaled (xt, yt, xv, yv).
     """
+    x, y, spec, cfg, x_mask, y_mask, split, log_target = job
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
@@ -303,46 +313,160 @@ def train(
         y_mask = np.zeros(y.shape[1], dtype=bool)
     x_norm = Normalizer.fit(x[train_idx], x_mask)
     y_norm = Normalizer.fit(y[train_idx], y_mask)
-
-    xt, yt = x_norm.transform(x[train_idx]), y_norm.transform(y[train_idx])
-    xv, yv = x_norm.transform(x[val_idx]), y_norm.transform(y[val_idx])
-
-    rng = np.random.default_rng(cfg.seed)
-    params = init_params(spec, rng)
-
-    history: dict = {"train_mse": [], "val_mse": [], "lr": []}
-    best_val = np.inf
-    best_params = [(w.copy(), b.copy()) for w, b in params]
-    best_epoch = -1
-
-    n_train, batch_size = len(xt), cfg.batch_size
-    for epoch in range(cfg.epochs):
-        lr = cfg.initial_lr * cfg.lr_decay_factor ** (epoch // cfg.decay_every_epochs)
-        # One shuffled copy per epoch; the minibatches are views of it.
-        order = rng.permutation(n_train)
-        xs, ys = xt[order], yt[order]
-        for start in range(0, n_train, batch_size):
-            stop = start + batch_size
-            _sgd_step(params, xs[start:stop], ys[start:stop], lr)
-        train_mse = mse(forward(params, xt), yt)
-        val_mse = mse(forward(params, xv), yv)
-        if not (np.isfinite(train_mse) and np.isfinite(val_mse)):
-            raise TrainingDiverged(epoch)
-        history["train_mse"].append(train_mse)
-        history["val_mse"].append(val_mse)
-        history["lr"].append(lr)
-        if val_mse < best_val:
-            best_val = val_mse
-            best_params = [(w.copy(), b.copy()) for w, b in params]
-            best_epoch = epoch
-
-    return TrainedNetwork(
-        spec=spec,
-        params=best_params,
-        x_norm=x_norm,
-        y_norm=y_norm,
-        config=cfg,
-        history=history,
-        best_epoch=best_epoch,
-        log_target=log_target,
+    scaled = (
+        x_norm.transform(x[train_idx]),
+        y_norm.transform(y[train_idx]),
+        x_norm.transform(x[val_idx]),
+        y_norm.transform(y[val_idx]),
     )
+    return x_norm, y_norm, scaled
+
+
+class _Member:
+    """One stacked network's own state: data, generator, scaling and record."""
+
+    def __init__(
+        self, job: TrainJob, x_norm: Normalizer, y_norm: Normalizer,
+        data: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    ):
+        self.cfg = job.cfg
+        self.log_target = job.log_target
+        self.x_norm = x_norm
+        self.y_norm = y_norm
+        self.xt, self.yt, self.xv, self.yv = data
+        self.rng = np.random.default_rng(job.cfg.seed)
+        self.history: dict = {"train_mse": [], "val_mse": [], "lr": []}
+        self.best_val = np.inf
+        self.best_params: list[tuple[np.ndarray, np.ndarray]] = []
+        self.best_epoch = -1
+        self.diverged: TrainingDiverged | None = None
+
+    def result(self, spec: NetworkSpec) -> TrainedNetwork | TrainingDiverged:
+        if self.diverged is not None:
+            return self.diverged
+        return TrainedNetwork(
+            spec=spec,
+            params=self.best_params,
+            x_norm=self.x_norm,
+            y_norm=self.y_norm,
+            config=self.cfg,
+            history=self.history,
+            best_epoch=self.best_epoch,
+            log_target=self.log_target,
+        )
+
+
+def train_stack(jobs: Iterable[TrainJob]) -> list[TrainedNetwork | TrainingDiverged]:
+    """Fit K networks of one layer shape as one stack.
+
+    The jobs must share their spec and every TrainConfig field but the seed,
+    and their splits must have equal train and validation sizes. Each weight
+    is held as a (K, n_in, n_out) stack and each bias as (K, n_out), so a
+    minibatch step is one batched forward/backward/update for all K. Every
+    network keeps its own data, generator (init draws, then one permutation
+    per epoch), normalizers, log target, history and best-epoch snapshot,
+    and comes out bit-identical to fitting its job alone with `train`.
+
+    Jobs are prepared one at a time, so a generator lets the caller build
+    each network's inputs only as the stack is assembled.
+
+    Returns one entry per job, in order: the fitted network, or the
+    TrainingDiverged of a network whose loss became non-finite. A diverged
+    network leaves the stack and the others train on.
+    """
+    members: list[_Member] = []
+    for job in jobs:
+        if not members:
+            spec, cfg = job.spec, job.cfg
+        elif job.spec != spec or replace(job.cfg, seed=cfg.seed) != cfg:
+            raise ValueError(
+                "stacked networks must share their layer sizes and every "
+                "TrainConfig field but the seed"
+            )
+        members.append(_Member(job, *_prepare(job)))
+    if not members:
+        raise ValueError("need at least one network to train")
+    if len({(len(m.xt), len(m.xv)) for m in members}) > 1:
+        raise ValueError("stacked networks need equal train and validation sizes")
+
+    inits = [init_params(spec, m.rng) for m in members]
+    params = [
+        (np.stack([p[i][0] for p in inits]), np.stack([p[i][1] for p in inits]))
+        for i in range(len(inits[0]))
+    ]
+    for k, m in enumerate(members):
+        m.best_params = [(w[k].copy(), b[k].copy()) for w, b in params]
+
+    alive = members
+    (n_train, n_in), n_out = members[0].xt.shape, spec.n_outputs
+    # A diverging network overflows on its way to a non-finite loss; the
+    # finite-loss check below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            lr = cfg.initial_lr * cfg.lr_decay_factor ** (epoch // cfg.decay_every_epochs)
+            # One shuffled copy per network and epoch; the minibatches are views
+            # of it. It is freed before the evaluation passes to bound the peak.
+            xs = np.empty((len(alive), n_train, n_in))
+            ys = np.empty((len(alive), n_train, n_out))
+            for k, m in enumerate(alive):
+                order = m.rng.permutation(n_train)
+                xs[k], ys[k] = m.xt[order], m.yt[order]
+            for start in range(0, n_train, cfg.batch_size):
+                stop = start + cfg.batch_size
+                _sgd_step(params, xs[:, start:stop], ys[:, start:stop], lr)
+            del xs, ys
+
+            keep = []
+            for k, m in enumerate(alive):
+                own = [(w[k], b[k]) for w, b in params]
+                train_mse = mse(forward(own, m.xt), m.yt)
+                val_mse = mse(forward(own, m.xv), m.yv)
+                if not (np.isfinite(train_mse) and np.isfinite(val_mse)):
+                    m.diverged = TrainingDiverged(epoch)
+                    continue
+                keep.append(k)
+                m.history["train_mse"].append(train_mse)
+                m.history["val_mse"].append(val_mse)
+                m.history["lr"].append(lr)
+                if val_mse < m.best_val:
+                    m.best_val = val_mse
+                    m.best_params = [(w.copy(), b.copy()) for w, b in own]
+                    m.best_epoch = epoch
+            if len(keep) < len(alive):
+                alive = [alive[k] for k in keep]
+                if not alive:
+                    break
+                params = [(w[keep], b[keep]) for w, b in params]
+
+    return [m.result(spec) for m in members]
+
+
+def train(
+    x: np.ndarray,
+    y: np.ndarray,
+    spec: NetworkSpec,
+    cfg: TrainConfig,
+    x_mask: np.ndarray | None = None,
+    y_mask: np.ndarray | None = None,
+    split: tuple[np.ndarray, np.ndarray] | None = None,
+    log_target: bool = False,
+) -> TrainedNetwork:
+    """Fit a network with mini-batch gradient descent.
+
+    Splits (x, y) into train/validation by a seeded shuffle (or uses the
+    provided index split), fits the feature normalizers on the training split
+    only, then runs the configured epochs of shuffled mini-batches. Returns
+    the parameters from the epoch with the lowest validation MSE; raises
+    TrainingDiverged if the loss becomes non-finite.
+
+    x_mask / y_mask select which input/target columns are min-max scaled;
+    x_mask defaults to all inputs, y_mask to no targets. With log_target the
+    network is fitted to log(y), scaled per y_mask, so the targets must be
+    positive; the returned network predicts in the units of y.
+
+    This is `train_stack` with a stack of one.
+    """
+    [result] = train_stack([TrainJob(x, y, spec, cfg, x_mask, y_mask, split, log_target)])
+    if isinstance(result, TrainingDiverged):
+        raise result
+    return result

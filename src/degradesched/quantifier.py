@@ -282,21 +282,25 @@ def _derived_config(cfg: TrainConfig, tag: int) -> TrainConfig:
     return replace(cfg, seed=seed)
 
 
-def train_ubdf_variant(
+def _ubdf_spec(variant: int) -> NetworkSpec:
+    return NetworkSpec((len(BDF_FEATURES), *HIDDEN_LAYERS, len(UBDF_VARIANTS[variant])))
+
+
+def _bdp_spec(variant: int) -> NetworkSpec:
+    return NetworkSpec((len(BDP_VARIANTS[variant]), *HIDDEN_LAYERS, 1))
+
+
+def _ubdf_job(
     columns: dict[str, np.ndarray],
     variant: int,
     cfg: TrainConfig,
     split: tuple[np.ndarray, np.ndarray],
-) -> TrainedNetwork:
-    """Fit one stage-one variant; targets are min-max scaled internal features."""
+) -> net.TrainJob:
     outputs = UBDF_VARIANTS[variant]
-    x = np.column_stack([columns[n] for n in BDF_FEATURES])
-    y = np.column_stack([columns[n] for n in outputs])
-    spec = NetworkSpec((len(BDF_FEATURES), *HIDDEN_LAYERS, len(outputs)))
-    return net.train(
-        x,
-        y,
-        spec,
+    return net.TrainJob(
+        np.column_stack([columns[n] for n in BDF_FEATURES]),
+        np.column_stack([columns[n] for n in outputs]),
+        _ubdf_spec(variant),
         _derived_config(cfg, 100 + variant),
         x_mask=_mask_for(BDF_FEATURES),
         y_mask=_mask_for(outputs),
@@ -304,14 +308,14 @@ def train_ubdf_variant(
     )
 
 
-def _train_degradation_net(
+def _degradation_job(
     columns: dict[str, np.ndarray],
     inputs: tuple[str, ...],
     spec: NetworkSpec,
     cfg: TrainConfig,
     split: tuple[np.ndarray, np.ndarray],
-) -> TrainedNetwork:
-    """Fit a network whose target is per-cycle degradation.
+) -> net.TrainJob:
+    """A network whose target is per-cycle degradation.
 
     The oracle's degradation is a product of stress factors and spans orders
     of magnitude, while accuracy is judged relative to the target; so the
@@ -319,9 +323,8 @@ def _train_degradation_net(
     add up. Predictions come back exponentiated, in SOH fractions. Every
     degradation target must be positive.
     """
-    x = np.column_stack([columns[n] for n in inputs])
-    return net.train(
-        x,
+    return net.TrainJob(
+        np.column_stack([columns[n] for n in inputs]),
         columns["degradation"][:, None],
         spec,
         cfg,
@@ -330,6 +333,28 @@ def _train_degradation_net(
         split=split,
         log_target=True,
     )
+
+
+def _bdp_job(
+    columns: dict[str, np.ndarray],
+    variant: int,
+    cfg: TrainConfig,
+    split: tuple[np.ndarray, np.ndarray],
+) -> net.TrainJob:
+    return _degradation_job(
+        columns, BDP_VARIANTS[variant], _bdp_spec(variant),
+        _derived_config(cfg, 200 + variant), split,
+    )
+
+
+def train_ubdf_variant(
+    columns: dict[str, np.ndarray],
+    variant: int,
+    cfg: TrainConfig,
+    split: tuple[np.ndarray, np.ndarray],
+) -> TrainedNetwork:
+    """Fit one stage-one variant; targets are min-max scaled internal features."""
+    return net.train(*_ubdf_job(columns, variant, cfg, split))
 
 
 def train_bdp_variant(
@@ -341,13 +366,9 @@ def train_bdp_variant(
     """Fit one stage-two variant on ground-truth inputs.
 
     The target is log(degradation), min-max scaled (see
-    _train_degradation_net); predictions are in SOH fractions.
+    _degradation_job); predictions are in SOH fractions.
     """
-    inputs = BDP_VARIANTS[variant]
-    spec = NetworkSpec((len(inputs), *HIDDEN_LAYERS, 1))
-    return _train_degradation_net(
-        columns, inputs, spec, _derived_config(cfg, 200 + variant), split
-    )
+    return net.train(*_bdp_job(columns, variant, cfg, split))
 
 
 def train_pair(
@@ -403,6 +424,28 @@ class SelectionReport:
     failures: list[str] = field(default_factory=list)
 
 
+def _train_search_networks(
+    columns: dict[str, np.ndarray], cfg: TrainConfig, split: tuple[np.ndarray, np.ndarray]
+) -> dict[tuple[str, int], TrainedNetwork | net.TrainingDiverged]:
+    """Every stage-one and stage-two variant, keyed ("ubdf" | "bdp", id).
+
+    Variants of one exact layer shape, from either stage, train as one stack;
+    each group's inputs are built only when that group trains.
+    """
+    spec_of = {"ubdf": _ubdf_spec, "bdp": _bdp_spec}
+    job_of = {"ubdf": _ubdf_job, "bdp": _bdp_job}
+    variants = [("ubdf", u) for u in sorted(UBDF_VARIANTS)]
+    variants += [("bdp", b) for b in sorted(BDP_VARIANTS)]
+    groups: dict[NetworkSpec, list[tuple[str, int]]] = {}
+    for stage, v in variants:
+        groups.setdefault(spec_of[stage](v), []).append((stage, v))
+    fitted: dict[tuple[str, int], TrainedNetwork | net.TrainingDiverged] = {}
+    for members in groups.values():
+        stack = net.train_stack(job_of[stage](columns, v, cfg, split) for stage, v in members)
+        fitted.update(zip(members, stack))
+    return fitted
+
+
 def select_best_combination(
     dataset: AgingDataset, cfg: TrainConfig
 ) -> tuple[DegradationModel, SelectionReport]:
@@ -414,36 +457,39 @@ def select_best_combination(
     split, and returns the pair with the highest accuracy at 15% tolerance;
     ties break by 10% accuracy, then by lower variant ids. Variants whose
     training diverges are recorded and excluded.
+
+    Variants of one layer shape train as one stack (net.train_stack), each
+    bit-identical to training it alone with train_ubdf_variant or
+    train_bdp_variant.
     """
     columns = dataset_columns(dataset)
     split = net.split_indices(len(dataset), cfg.train_fraction, cfg.seed)
     _, val_idx = split
     x_val = np.column_stack([columns[n] for n in BDF_FEATURES])[val_idx]
     report = SelectionReport()
+    fitted = _train_search_networks(columns, cfg, split)
 
     ubdf_nets: dict[int, TrainedNetwork] = {}
     for u in sorted(UBDF_VARIANTS):
-        try:
-            ubdf_nets[u] = train_ubdf_variant(columns, u, cfg, split)
-        except net.TrainingDiverged as exc:
-            report.failures.append(f"ubdf-{u}: {exc}")
+        result = fitted[("ubdf", u)]
+        if isinstance(result, net.TrainingDiverged):
+            report.failures.append(f"ubdf-{u}: {result}")
             continue
+        ubdf_nets[u] = result
         target = np.column_stack([columns[n] for n in UBDF_VARIANTS[u]])[val_idx]
-        pred = np.atleast_2d(ubdf_nets[u].predict(x_val))
+        pred = np.atleast_2d(result.predict(x_val))
         report.ubdf_table.append(_multi_output_accuracy_row(pred, target, u))
 
     bdp_nets: dict[int, TrainedNetwork] = {}
     deg_val = columns["degradation"][val_idx]
     for b in sorted(BDP_VARIANTS):
-        try:
-            bdp_nets[b] = train_bdp_variant(columns, b, cfg, split)
-        except net.TrainingDiverged as exc:
-            report.failures.append(f"bdp-{b}: {exc}")
+        result = fitted[("bdp", b)]
+        if isinstance(result, net.TrainingDiverged):
+            report.failures.append(f"bdp-{b}: {result}")
             continue
+        bdp_nets[b] = result
         x_bdp = np.column_stack([columns[n] for n in BDP_VARIANTS[b]])[val_idx]
-        report.bdp_table.append(
-            accuracy_row(bdp_nets[b].predict(x_bdp).ravel(), deg_val, b)
-        )
+        report.bdp_table.append(accuracy_row(result.predict(x_bdp).ravel(), deg_val, b))
 
     best_key = None
     best_pair = None
@@ -474,14 +520,14 @@ def train_benchmarks(
     """
     columns = dataset_columns(dataset)
     split = net.split_indices(len(dataset), cfg.train_fraction, cfg.seed)
-    nnbd = _train_degradation_net(
+    nnbd = net.train(*_degradation_job(
         columns, BDF_FEATURES, NetworkSpec((5, 20, 10, 1)),
         _derived_config(cfg, 301), split,
-    )
-    nnbd2 = _train_degradation_net(
+    ))
+    nnbd2 = net.train(*_degradation_job(
         columns, BDF_FEATURES, NetworkSpec((5, 20, 10, 10, 1)),
         _derived_config(cfg, 302), split,
-    )
+    ))
     return {"nnbd": nnbd, "nnbd2": nnbd2}
 
 

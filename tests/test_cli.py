@@ -129,6 +129,26 @@ class TestTrain:
         assert table[0] == "model_id,tol05,tol10,tol15,tol20"
         assert {line.split(",")[0] for line in table[1:]} == {"hdl-bdq", "nnbd", "nnbd2"}
 
+    @pytest.mark.parametrize("mode, phase", [
+        (["--variant-search"], "search_seconds"),
+        (["--ubdf", "3", "--bdp", "4"], "pair_seconds"),
+    ])
+    def test_manifest_times_each_phase(self, workdir, tmp_path, mode, phase):
+        out = tmp_path / "model.json"
+        result = runner.invoke(
+            main,
+            ["train", "--dataset", str(workdir / "aging.csv"), "--out", str(out),
+             *mode, "--with-benchmarks", "--epochs", "2", "--seed", "3",
+             "--report-dir", str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((tmp_path / "model.json.manifest.json").read_text())
+        timings = manifest["timings"]
+        phases = ("read_seconds", phase, "benchmarks_seconds")
+        assert set(timings) == {"wall_seconds", *phases}
+        assert all(timings[k] >= 0 for k in phases)
+        assert sum(timings[k] for k in phases) <= timings["wall_seconds"]
+
 
 class TestSchedule:
     def test_traditional_writes_schedule_and_summary(self, workdir, tmp_path):

@@ -108,6 +108,21 @@ def reference_train(x, y, spec, cfg):
     return history, best_params, best_epoch
 
 
+def assert_same_network(got, want):
+    """Bit-for-bit equality of two fitted networks and their records."""
+    assert got.spec == want.spec
+    assert got.config == want.config
+    assert got.log_target == want.log_target
+    assert got.history == want.history
+    assert got.best_epoch == want.best_epoch
+    for norm, ref in ((got.x_norm, want.x_norm), (got.y_norm, want.y_norm)):
+        assert np.array_equal(norm.lo, ref.lo) and np.array_equal(norm.hi, ref.hi)
+        assert np.array_equal(norm.mask, ref.mask)
+    assert len(got.params) == len(want.params)
+    for (w, b), (w_ref, b_ref) in zip(got.params, want.params):
+        assert np.array_equal(w, w_ref) and np.array_equal(b, b_ref)
+
+
 def gradient_relative_error(params, x, y):
     analytic = loss_gradients(params, x, y)
     numeric = numeric_gradients(params, x, y)
@@ -333,3 +348,54 @@ class TestTrain:
         y = np.linspace(0, 1, 20)[:, None]
         with pytest.raises(ValueError, match="positive"):
             train(x, y, NetworkSpec((1, 4, 2, 1)), TrainConfig(epochs=1), log_target=True)
+
+
+class TestTrainStack:
+    SPEC = NetworkSpec((4, 12, 8, 2))
+
+    def job(self, seed, log_target=False, y_scale=1.0):
+        # Each job has its own data, scaling and log target; 490 training
+        # rows leave a partial last batch.
+        rng = np.random.default_rng(100 + seed)
+        x = rng.uniform(-1, 2, size=(612, 4))
+        y = y_scale * np.exp(np.sin(x @ rng.normal(size=(4, 2))))
+        cfg = TrainConfig(epochs=7, decay_every_epochs=3, seed=seed)
+        return net.TrainJob(
+            x, y, self.SPEC, cfg, y_mask=np.array([True, log_target]),
+            log_target=log_target,
+        )
+
+    def test_matches_separate_training_exactly(self):
+        jobs = [self.job(4), self.job(5, log_target=True), self.job(6)]
+        stacked = net.train_stack(iter(jobs))
+        assert len(stacked) == 3
+        for job, got in zip(jobs, stacked):
+            assert_same_network(got, train(*job))
+
+    def test_diverging_member_leaves_the_stack(self):
+        # Unscaled targets near 1e200 overflow the loss; the stack-mates
+        # must come out as if trained alone.
+        jobs = [self.job(4), self.job(5, y_scale=1e200), self.job(6)]
+        jobs[1] = jobs[1]._replace(y_mask=None)
+        stacked = net.train_stack(jobs)
+        with pytest.raises(net.TrainingDiverged) as alone:
+            train(*jobs[1])
+        assert isinstance(stacked[1], net.TrainingDiverged)
+        assert stacked[1].epoch == alone.value.epoch
+        for k in (0, 2):
+            assert_same_network(stacked[k], train(*jobs[k]))
+
+    def test_every_member_diverging(self):
+        jobs = [self.job(seed, y_scale=1e200)._replace(y_mask=None) for seed in (1, 2)]
+        assert all(isinstance(r, net.TrainingDiverged) for r in net.train_stack(jobs))
+
+    def test_rejects_mixed_shapes_and_configs(self):
+        job = self.job(4)
+        other_cfg = job._replace(cfg=TrainConfig(epochs=6, seed=5))
+        with pytest.raises(ValueError, match="but the seed"):
+            net.train_stack([job, other_cfg])
+        other_spec = job._replace(spec=NetworkSpec((4, 12, 6, 2)))
+        with pytest.raises(ValueError, match="layer sizes"):
+            net.train_stack([job, other_spec])
+        with pytest.raises(ValueError, match="at least one"):
+            net.train_stack([])

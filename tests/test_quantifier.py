@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from degradesched import aging, net
+from degradesched import aging, net, quantifier
 from degradesched.quantifier import (
     BDF_FEATURES,
     BDP_VARIANTS,
@@ -14,12 +14,16 @@ from degradesched.quantifier import (
     bdp_required_unobtainables,
     cbup,
     compatible_pairs,
+    dataset_columns,
     make_ubdf_features,
     predict_degradation,
     predict_ubdf,
     select_best_combination,
+    train_bdp_variant,
+    train_ubdf_variant,
 )
 from test_lod import constant_model, constant_network
+from test_net import assert_same_network
 
 
 class TestVariantTables:
@@ -220,6 +224,26 @@ class TestSelection:
         for table in (report.ubdf_table, report.bdp_table, report.composed_table):
             for row in table:
                 assert row["tol05"] <= row["tol10"] <= row["tol15"] <= row["tol20"]
+
+
+class TestSearchMatchesPairTraining:
+    def test_every_search_network_equals_its_own_fit(self):
+        # The search trains same-shape variants as stacks; each must equal
+        # what train_pair's per-variant fit gives, parameter by parameter.
+        ds = subsampled_dataset()
+        cfg = net.TrainConfig(epochs=4, seed=2)
+        columns = dataset_columns(ds)
+        split = net.split_indices(len(ds), cfg.train_fraction, cfg.seed)
+        fitted = quantifier._train_search_networks(columns, cfg, split)
+        assert sorted(fitted) == sorted(
+            [("ubdf", u) for u in UBDF_VARIANTS] + [("bdp", b) for b in BDP_VARIANTS]
+        )
+        solo = {"ubdf": train_ubdf_variant, "bdp": train_bdp_variant}
+        for (stage, variant), network in fitted.items():
+            assert_same_network(network, solo[stage](columns, variant, cfg, split))
+        model, _ = select_best_combination(ds, cfg)
+        assert_same_network(model.ubdf, fitted[("ubdf", model.ubdf_id)])
+        assert_same_network(model.bdp, fitted[("bdp", model.bdp_id)])
 
 
 class TestTrainingCurve:
