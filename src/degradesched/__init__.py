@@ -1,8 +1,8 @@
 """Battery-degradation-aware microgrid look-ahead scheduling.
 
 Synthetic aging data, a hierarchical two-stage neural degradation
-quantifier, an exact 24-interval scheduling MILP, and the iterative loop
-that ties them together.
+quantifier, an exact scheduling MILP over a horizon of any length, and the
+iterative loop that ties them together.
 """
 
 __version__ = "0.1.0"

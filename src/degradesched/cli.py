@@ -14,7 +14,6 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__, storage
 from .aging import CycleConditions, default_grid, generate_dataset
@@ -39,16 +38,22 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _apply_config(config_path: str | None, values: dict) -> dict:
-    """Merge a JSON config over the flag values; config wins."""
+def _apply_config(params: dict) -> dict:
+    """Option values by name with the --config JSON object merged over them.
+
+    `params` are the command's keyword arguments; the `config` option itself
+    is dropped, and a config key wins over the flag of the same name.
+    """
+    values = dict(params)
+    config_path = values.pop("config")
     if config_path is None:
         return values
     try:
-        doc = json.loads(Path(config_path).read_text())
+        doc = storage.read_json(config_path)
     except FileNotFoundError:
         _fail(EXIT_VALIDATION, f"config file not found: {config_path}")
-    except json.JSONDecodeError as exc:
-        _fail(EXIT_VALIDATION, f"config file {config_path} is not valid JSON: {exc}")
+    except FileFormatError as exc:
+        _fail(EXIT_VALIDATION, f"config file {exc}")
     unknown = set(doc) - set(values)
     if unknown:
         _fail(EXIT_VALIDATION, f"unknown config keys: {sorted(unknown)}")
@@ -85,20 +90,18 @@ def main() -> None:
 
 
 @main.command("simulate-aging")
-@click.option("--grid", "grid_path", type=click.Path(), default=None,
+@click.option("--grid", type=click.Path(), default=None,
               help="JSON list of cycle-condition objects; defaults to the 35-group grid.")
-@click.option("--out", "out_path", type=click.Path(), required=True,
+@click.option("--out", type=click.Path(), required=True,
               help="Output dataset CSV; a .meta.json sidecar is written next to it.")
 @click.option("--noise", type=float, default=0.02, show_default=True,
               help="Relative sigma of the multiplicative degradation noise.")
 @click.option("--seed", type=int, default=0, envvar="DEGRADESCHED_SEED", show_default=True)
-@click.option("--config", "config_path", type=click.Path(), default=None,
+@click.option("--config", type=click.Path(), default=None,
               help="JSON file overriding any flag.")
-def cmd_simulate_aging(grid_path, out_path, noise, seed, config_path) -> None:
+def cmd_simulate_aging(**params) -> None:
     """Generate a synthetic battery-aging dataset."""
-    values = _apply_config(
-        config_path, {"grid": grid_path, "out": out_path, "noise": noise, "seed": seed}
-    )
+    values = _apply_config(params)
     t0 = time.perf_counter()
     inputs = []
     try:
@@ -109,9 +112,7 @@ def cmd_simulate_aging(grid_path, out_path, noise, seed, config_path) -> None:
             grid = [CycleConditions(**entry) for entry in doc]
             inputs.append(values["grid"])
         dataset = generate_dataset(grid, noise_sigma=values["noise"], seed=values["seed"])
-    except FileNotFoundError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    except (ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, ValueError, TypeError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
 
     out = Path(values["out"])
@@ -121,7 +122,7 @@ def cmd_simulate_aging(grid_path, out_path, noise, seed, config_path) -> None:
         storage.write_manifest(
             manifest_path,
             command="simulate-aging",
-            config={k: values[k] for k in ("grid", "noise", "seed")},
+            config={k: v for k, v in values.items() if k != "out"},
             inputs=inputs,
             seed=values["seed"],
             timings={"wall_seconds": time.perf_counter() - t0},
@@ -132,9 +133,8 @@ def cmd_simulate_aging(grid_path, out_path, noise, seed, config_path) -> None:
 
 
 @main.command("train")
-@click.option("--dataset", "dataset_path", type=click.Path(), required=True)
-@click.option("--out", "out_path", type=click.Path(), required=True,
-              help="Model artifact JSON path.")
+@click.option("--dataset", type=click.Path(), required=True)
+@click.option("--out", type=click.Path(), required=True, help="Model artifact JSON path.")
 @click.option("--variant-search", is_flag=True, default=False,
               help="Train every variant and keep the best composed pair.")
 @click.option("--ubdf", type=int, default=None, help="Stage-one variant id (1-6).")
@@ -150,27 +150,17 @@ def cmd_simulate_aging(grid_path, out_path, noise, seed, config_path) -> None:
 @click.option("--decay-every", type=int, default=TrainConfig.decay_every_epochs, show_default=True)
 @click.option("--train-fraction", type=float, default=TrainConfig.train_fraction, show_default=True)
 @click.option("--seed", type=int, default=0, envvar="DEGRADESCHED_SEED", show_default=True)
-@click.option("--config", "config_path", type=click.Path(), default=None)
-def cmd_train(dataset_path, out_path, variant_search, ubdf, bdp, with_benchmarks,
-              report_dir, epochs, batch_size, lr, lr_decay, decay_every,
-              train_fraction, seed, config_path) -> None:
+@click.option("--config", type=click.Path(), default=None)
+def cmd_train(**params) -> None:
     """Train the two-stage quantifier (one pair or a full variant search)."""
-    values = _apply_config(config_path, {
-        "dataset": dataset_path, "out": out_path, "variant_search": variant_search,
-        "ubdf": ubdf, "bdp": bdp, "with_benchmarks": with_benchmarks,
-        "report_dir": report_dir, "epochs": epochs, "batch_size": batch_size,
-        "lr": lr, "lr_decay": lr_decay, "decay_every": decay_every,
-        "train_fraction": train_fraction, "seed": seed,
-    })
+    values = _apply_config(params)
     t0 = time.perf_counter()
     timings: dict = {}
     try:
         with _timed(timings, "read_seconds"):
             dataset = storage.read_dataset(values["dataset"])
         cfg = _train_config(values)
-    except FileNotFoundError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    except (FileFormatError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
 
     out = Path(values["out"])
@@ -229,34 +219,27 @@ def cmd_train(dataset_path, out_path, variant_search, ubdf, bdp, with_benchmarks
 
 
 @main.command("schedule")
-@click.option("--case", "case_path", type=str, required=True,
+@click.option("--case", type=str, required=True,
               help="Case JSON path, or 'example-day' for the bundled day.")
 @click.option("--mode", type=click.Choice(["traditional", "linear-bdc", "lod"]),
               required=True)
-@click.option("--model", "model_path", type=click.Path(), required=True,
+@click.option("--model", type=click.Path(), required=True,
               help="Trained model artifact (used for degradation costing).")
 @click.option("--out-dir", type=click.Path(), required=True)
 @click.option("--capital-cost", type=float, default=120_000.0, show_default=True)
-@click.option("--salvage-value", type=float, default=0.0, show_default=True)
-@click.option("--soh-eol", type=float, default=0.8, show_default=True)
-@click.option("--linear-rate", type=float, default=0.05, show_default=True,
+@click.option("--salvage-value", type=float, default=EconParams.salvage_value, show_default=True)
+@click.option("--soh-eol", type=float, default=EconParams.soh_eol, show_default=True)
+@click.option("--linear-rate", type=float, default=EconParams.linear_bdc_rate, show_default=True,
               help="$/kWh rate for the linear-bdc benchmark.")
-@click.option("--alpha", type=float, default=0.03, show_default=True)
-@click.option("--max-iterations", type=int, default=200, show_default=True)
-@click.option("--patience", type=int, default=10, show_default=True)
+@click.option("--alpha", type=float, default=LodConfig.alpha, show_default=True)
+@click.option("--max-iterations", type=int, default=LodConfig.max_iterations, show_default=True)
+@click.option("--patience", type=int, default=LodConfig.patience, show_default=True)
 @click.option("--soh", type=float, default=1.0, show_default=True,
               help="Day-start battery state of health.")
-@click.option("--config", "config_path", type=click.Path(), default=None)
-def cmd_schedule(case_path, mode, model_path, out_dir, capital_cost, salvage_value,
-                 soh_eol, linear_rate, alpha, max_iterations, patience, soh,
-                 config_path) -> None:
-    """Solve the day-ahead schedule under one of the three strategies."""
-    values = _apply_config(config_path, {
-        "case": case_path, "mode": mode, "model": model_path, "out_dir": out_dir,
-        "capital_cost": capital_cost, "salvage_value": salvage_value,
-        "soh_eol": soh_eol, "linear_rate": linear_rate, "alpha": alpha,
-        "max_iterations": max_iterations, "patience": patience, "soh": soh,
-    })
+@click.option("--config", type=click.Path(), default=None)
+def cmd_schedule(**params) -> None:
+    """Solve the look-ahead schedule under one of the three strategies."""
+    values = _apply_config(params)
     t0 = time.perf_counter()
     inputs = []
     try:
@@ -265,6 +248,7 @@ def cmd_schedule(case_path, mode, model_path, out_dir, capital_cost, salvage_val
         else:
             case = storage.read_case(values["case"])
             inputs.append(values["case"])
+        storage.check_schedule_layout(case)
         model = storage.read_model_artifact(values["model"])
         inputs.append(values["model"])
         econ = EconParams(
@@ -278,9 +262,7 @@ def cmd_schedule(case_path, mode, model_path, out_dir, capital_cost, salvage_val
             max_iterations=values["max_iterations"],
             patience=values["patience"],
         )
-    except FileNotFoundError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    except (FileFormatError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
 
     out = Path(values["out_dir"])
@@ -319,10 +301,9 @@ def cmd_schedule(case_path, mode, model_path, out_dir, capital_cost, salvage_val
     except InfeasibleCaseError as exc:
         for line in exc.report:
             click.echo(f"infeasible: {line}", err=True)
-        report = json.dumps({"mode": values["mode"], "report": exc.report},
-                            indent=2, sort_keys=True)
         try:
-            (out / "infeasible.json").write_text(report + "\n")
+            storage.write_json(out / "infeasible.json",
+                               {"mode": values["mode"], "report": exc.report})
         except OSError as err:
             _fail(EXIT_VALIDATION, f"cannot write output: {err}")
         sys.exit(EXIT_RUNTIME)

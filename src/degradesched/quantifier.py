@@ -389,28 +389,23 @@ def composed_predictions(model: DegradationModel, x_bdf: np.ndarray) -> np.ndarr
 
 
 def accuracy_row(predictions: np.ndarray, targets: np.ndarray, model_id) -> dict:
-    """One report-table row: accuracies at the four shared tolerances."""
+    """One report-table row: accuracies at the four shared tolerances.
+
+    Accuracy is taken per column and averaged over the columns, so a
+    multi-output network gets the macro-average; 1-D input is one column.
+    """
+    pred = np.asarray(predictions, dtype=float)
+    target = np.asarray(targets, dtype=float)
+    pred = pred.reshape(len(pred), -1)
+    target = target.reshape(len(target), -1)
     row = {"model_id": model_id}
     for tol in REPORT_TOLERANCES:
         key = f"tol{int(round(tol * 100)):02d}"
-        row[key] = net.accuracy_at_tolerance(predictions, targets, tol)
-    return row
-
-
-def _multi_output_accuracy_row(
-    pred: np.ndarray, target: np.ndarray, model_id
-) -> dict:
-    """Macro-average of per-feature accuracies for multi-output networks."""
-    pred = np.atleast_2d(pred)
-    target = np.atleast_2d(target)
-    row = {"model_id": model_id}
-    for tol in REPORT_TOLERANCES:
-        key = f"tol{int(round(tol * 100)):02d}"
-        per_feature = [
+        per_column = [
             net.accuracy_at_tolerance(pred[:, j], target[:, j], tol)
             for j in range(target.shape[1])
         ]
-        row[key] = float(np.mean(per_feature))
+        row[key] = float(np.mean(per_column))
     return row
 
 
@@ -477,8 +472,7 @@ def select_best_combination(
             continue
         ubdf_nets[u] = result
         target = np.column_stack([columns[n] for n in UBDF_VARIANTS[u]])[val_idx]
-        pred = np.atleast_2d(result.predict(x_val))
-        report.ubdf_table.append(_multi_output_accuracy_row(pred, target, u))
+        report.ubdf_table.append(accuracy_row(result.predict(x_val), target, u))
 
     bdp_nets: dict[int, TrainedNetwork] = {}
     deg_val = columns["degradation"][val_idx]
@@ -489,7 +483,7 @@ def select_best_combination(
             continue
         bdp_nets[b] = result
         x_bdp = np.column_stack([columns[n] for n in BDP_VARIANTS[b]])[val_idx]
-        report.bdp_table.append(accuracy_row(result.predict(x_bdp).ravel(), deg_val, b))
+        report.bdp_table.append(accuracy_row(result.predict(x_bdp), deg_val, b))
 
     best_key = None
     best_pair = None
@@ -544,7 +538,5 @@ def performance_comparison(
     x_val = np.column_stack([columns[n] for n in BDF_FEATURES])[val_idx]
     rows = [accuracy_row(composed_predictions(model, x_val), deg_val, "hdl-bdq")]
     for name in ("nnbd", "nnbd2"):
-        rows.append(
-            accuracy_row(benchmarks[name].predict(x_val).ravel(), deg_val, name)
-        )
+        rows.append(accuracy_row(benchmarks[name].predict(x_val), deg_val, name))
     return rows

@@ -2,10 +2,13 @@
 
 CSV and JSON readers/writers for aging datasets, trained model artifacts,
 scheduling cases, dispatch schedules, iteration traces, report tables and
-run manifests. Every numeric CSV that is read back (datasets, case series,
-schedules, traces) goes through one header-checked table reader that
-rejects wrong column counts and non-numeric or non-finite cells, naming the
-file and the row. Everything else in the package is pure; filesystem side
+run manifests. Every CSV is written by one table writer and every numeric
+CSV that is read back (datasets, case series, schedules, traces) goes
+through one header-checked table reader that rejects wrong column counts
+and non-numeric or non-finite cells, naming the file and the row. Every
+JSON document is written by `write_json` and read by `read_json`, which
+turns undecodable text or a top level that is not an object into a
+`FileFormatError`. Everything else in the package is pure; filesystem side
 effects live here and in the CLI.
 """
 
@@ -29,6 +32,9 @@ from .quantifier import BDP_VARIANTS, UBDF_VARIANTS, DegradationModel
 
 MODEL_FORMAT = "degradesched-model-v1"
 SERIES_HEADER = ("hour", "load_kw", "wind_kw", "solar_kw", "buy_price", "sell_price", "temp_c")
+# The MicrogridCase field behind each series column after "hour"; inline
+# series in a case document use the column names as keys.
+SERIES_FIELDS = ("load", "wind", "solar", "price_buy", "price_sell", "temps")
 SCHEDULE_HEADER = (
     "hour",
     "gen_kw",
@@ -49,16 +55,45 @@ TRACE_HEADER = (
     "degradation_cost",
     "total_cost",
 )
-REQUIRED_HORIZON = 24
 
 
 class FileFormatError(ValueError):
     """An input file does not match its required format."""
 
 
-def _fmt(value: float) -> str:
-    """Shortest round-trip decimal representation; deterministic."""
-    return repr(float(value))
+def _write_table(path: str | Path, header: tuple[str, ...], columns) -> Path:
+    """Write a CSV: the header row, then row i holds element i of each column.
+
+    Array columns go through `.tolist()`, so floats print as their shortest
+    round-trip repr and integer arrays as integers; `None` prints as an
+    empty cell, which `_read_table(blank=...)` reads back.
+    """
+    path = Path(path)
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*cells))
+    return path
+
+
+def write_json(path: str | Path, doc: dict) -> Path:
+    """Write a JSON document: two-space indent, sorted keys, final newline."""
+    path = Path(path)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+def read_json(path: str | Path) -> dict:
+    """Parse a JSON document whose top level must be an object."""
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _read_table(path: Path, header: tuple[str, ...], blank: str | None = None) -> np.ndarray:
@@ -112,16 +147,11 @@ def file_digest(path: str | Path) -> str:
 
 def write_dataset(path: str | Path, dataset: AgingDataset, manifest: str | None = None) -> Path:
     """Write the dataset CSV plus its `.meta.json` sidecar; returns the CSV path."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DATASET_COLUMNS)
-        writer.writerows(dataset.data.tolist())  # floats print as repr, like _fmt
+    path = _write_table(path, DATASET_COLUMNS, dataset.data.T)
     meta = dict(dataset.meta)
     if manifest is not None:
         meta["manifest"] = manifest
-    meta_path = path.with_suffix(path.suffix + ".meta.json")
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(path.with_suffix(path.suffix + ".meta.json"), meta)
     return path
 
 
@@ -131,7 +161,7 @@ def read_dataset(path: str | Path) -> AgingDataset:
     if not len(data):
         raise FileFormatError(f"{path}: dataset has no rows")
     meta_path = path.with_suffix(path.suffix + ".meta.json")
-    meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
+    meta = read_json(meta_path) if meta_path.exists() else {}
     return AgingDataset.from_array(data, meta)
 
 
@@ -144,15 +174,9 @@ def _network_to_dict(network: TrainedNetwork) -> dict:
         "layer_sizes": list(network.spec.layer_sizes),
         "weights": [w.ravel().tolist() for w, _ in network.params],
         "biases": [b.tolist() for _, b in network.params],
-        "x_norm": {
-            "lo": network.x_norm.lo.tolist(),
-            "hi": network.x_norm.hi.tolist(),
-            "mask": network.x_norm.mask.astype(int).tolist(),
-        },
-        "y_norm": {
-            "lo": network.y_norm.lo.tolist(),
-            "hi": network.y_norm.hi.tolist(),
-            "mask": network.y_norm.mask.astype(int).tolist(),
+        **{
+            side: {"lo": n.lo.tolist(), "hi": n.hi.tolist(), "mask": n.mask.astype(int).tolist()}
+            for side, n in (("x_norm", network.x_norm), ("y_norm", network.y_norm))
         },
         "config": asdict(network.config),
         "best_epoch": network.best_epoch,
@@ -217,7 +241,6 @@ def write_model_artifact(
     metrics: dict | None = None,
     manifest: str | None = None,
 ) -> Path:
-    path = Path(path)
     doc = {
         "format": MODEL_FORMAT,
         "ubdf_variant": model.ubdf_id,
@@ -229,27 +252,28 @@ def write_model_artifact(
     }
     if manifest is not None:
         doc["manifest"] = manifest
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_json(path, doc)
 
 
 def read_model_artifact(path: str | Path) -> DegradationModel:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
+    doc = read_json(path)
     if doc.get("format") != MODEL_FORMAT:
         raise FileFormatError(f"{path}: unknown format {doc.get('format')!r}")
-    ubdf_id = int(doc["ubdf_variant"])
-    bdp_id = int(doc["bdp_variant"])
+    try:
+        ubdf_id = int(doc["ubdf_variant"])
+        bdp_id = int(doc["bdp_variant"])
+        ubdf_doc, bdp_doc = doc["ubdf"], doc["bdp"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"{path}: malformed model artifact: {exc!r}") from exc
+    if ubdf_id not in UBDF_VARIANTS or bdp_id not in BDP_VARIANTS:
+        raise FileFormatError(f"{path}: unknown variant pair {ubdf_id}-{bdp_id}")
     if doc.get("closure_checksum") != closure_checksum(ubdf_id, bdp_id):
         raise FileFormatError(f"{path}: composition-closure checksum mismatch")
     model = DegradationModel(
         ubdf_id=ubdf_id,
         bdp_id=bdp_id,
-        ubdf=_network_from_dict(doc["ubdf"], f"{path}#ubdf"),
-        bdp=_network_from_dict(doc["bdp"], f"{path}#bdp"),
+        ubdf=_network_from_dict(ubdf_doc, f"{path}#ubdf"),
+        bdp=_network_from_dict(bdp_doc, f"{path}#bdp"),
     )
     expected = (len(UBDF_VARIANTS[ubdf_id]), len(BDP_VARIANTS[bdp_id]))
     if model.ubdf.spec.n_outputs != expected[0] or model.bdp.spec.n_inputs != expected[1]:
@@ -262,33 +286,8 @@ def read_model_artifact(path: str | Path) -> DegradationModel:
 # ----------------------------------------------------------------------
 
 def write_series_csv(path: str | Path, case: MicrogridCase) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SERIES_HEADER)
-        for t in range(case.horizon):
-            writer.writerow(
-                [
-                    t,
-                    _fmt(case.load[t]),
-                    _fmt(case.wind[t]),
-                    _fmt(case.solar[t]),
-                    _fmt(case.price_buy[t]),
-                    _fmt(case.price_sell[t]),
-                    _fmt(case.temps[t]),
-                ]
-            )
-    return path
-
-
-def _read_series_csv(path: Path) -> dict[str, np.ndarray]:
-    data = _read_table(path, SERIES_HEADER)
-    if len(data) != REQUIRED_HORIZON:
-        raise FileFormatError(
-            f"{path}: expected {REQUIRED_HORIZON} hourly rows, got {len(data)}"
-        )
-    names = ("load", "wind", "solar", "price_buy", "price_sell", "temps")
-    return {name: data[:, j] for j, name in enumerate(names, 1)}
+    columns = [getattr(case, field) for field in SERIES_FIELDS]
+    return _write_table(path, SERIES_HEADER, [np.arange(case.horizon), *columns])
 
 
 def write_case(path: str | Path, case: MicrogridCase, series_csv: str | None = None) -> Path:
@@ -303,51 +302,31 @@ def write_case(path: str | Path, case: MicrogridCase, series_csv: str | None = N
     }
     if series_csv is None:
         doc["series"] = {
-            "load_kw": case.load.tolist(),
-            "wind_kw": case.wind.tolist(),
-            "solar_kw": case.solar.tolist(),
-            "buy_price": case.price_buy.tolist(),
-            "sell_price": case.price_sell.tolist(),
-            "temp_c": case.temps.tolist(),
+            key: getattr(case, field).tolist()
+            for key, field in zip(SERIES_HEADER[1:], SERIES_FIELDS)
         }
     else:
         write_series_csv(path.parent / series_csv, case)
         doc["series"] = {"csv": series_csv}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_json(path, doc)
 
 
 def read_case(path: str | Path) -> MicrogridCase:
-    """Parse and validate a case document (24-interval horizon required)."""
+    """Parse a case document into a validated `MicrogridCase`.
+
+    The series come inline or from the CSV file the document names; any
+    horizon is accepted. `MicrogridCase` rejects series that are empty, not
+    1-D, non-finite or of unequal length, and every such rejection, like a
+    missing key, raises `FileFormatError` naming the file.
+    """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
+    doc = read_json(path)
     try:
         series = doc["series"]
         if "csv" in series:
-            values = _read_series_csv(path.parent / series["csv"])
-        else:
-            inline = {
-                "load": "load_kw",
-                "wind": "wind_kw",
-                "solar": "solar_kw",
-                "price_buy": "buy_price",
-                "price_sell": "sell_price",
-                "temps": "temp_c",
-            }
-            values = {}
-            for field, key in inline.items():
-                arr = np.asarray(series[key], dtype=float)
-                if arr.size != REQUIRED_HORIZON:
-                    raise FileFormatError(
-                        f"{path}: series {key} has {arr.size} entries, "
-                        f"expected {REQUIRED_HORIZON}"
-                    )
-                if not np.isfinite(arr).all():
-                    raise FileFormatError(f"{path}: series {key} has non-finite values")
-                values[field] = arr
+            data = _read_table(path.parent / series["csv"], SERIES_HEADER)
+            series = dict(zip(SERIES_HEADER, data.T))
+        values = {field: series[key] for key, field in zip(SERIES_HEADER[1:], SERIES_FIELDS)}
         case = MicrogridCase(
             generators=[Generator(**g) for g in doc["generators"]],
             bess=[Bess(**b) for b in doc["bess"]],
@@ -367,34 +346,30 @@ def read_case(path: str | Path) -> MicrogridCase:
 # Schedules, traces, summaries, reports
 # ----------------------------------------------------------------------
 
-def write_schedule(path: str | Path, sched: DispatchSchedule, case: MicrogridCase) -> Path:
-    """Hourly dispatch CSV; defined for single-generator, single-battery cases."""
+def check_schedule_layout(case: MicrogridCase) -> None:
+    """Raise ValueError unless the case fits the schedule CSV: 1 generator, 1 battery."""
     if len(case.generators) != 1 or len(case.bess) != 1:
         raise ValueError(
             "schedule CSV format covers exactly 1 generator and 1 battery, "
             f"case has {len(case.generators)} and {len(case.bess)}"
         )
-    path = Path(path)
-    soc = sched.soc_trajectory(case, 0)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCHEDULE_HEADER)
-        for t in range(case.horizon):
-            writer.writerow(
-                [
-                    t,
-                    _fmt(sched.p_gen[0, t]),
-                    int(sched.u_gen[0, t]),
-                    int(sched.v_gen[0, t]),
-                    _fmt(sched.p_buy[t]),
-                    _fmt(sched.p_sell[t]),
-                    _fmt(sched.p_char[0, t]),
-                    _fmt(sched.p_disc[0, t]),
-                    _fmt(soc[t + 1]),
-                    _fmt(sched.energy[0, t]),
-                ]
-            )
-    return path
+
+
+def write_schedule(path: str | Path, sched: DispatchSchedule, case: MicrogridCase) -> Path:
+    """Hourly dispatch CSV; defined for single-generator, single-battery cases."""
+    check_schedule_layout(case)
+    return _write_table(path, SCHEDULE_HEADER, [
+        np.arange(case.horizon),
+        sched.p_gen[0],
+        sched.u_gen[0].astype(int),
+        sched.v_gen[0].astype(int),
+        sched.p_buy,
+        sched.p_sell,
+        sched.p_char[0],
+        sched.p_disc[0],
+        sched.soc_trajectory(case, 0)[1:],
+        sched.energy[0],
+    ])
 
 
 def read_schedule(path: str | Path) -> dict[str, np.ndarray]:
@@ -403,22 +378,14 @@ def read_schedule(path: str | Path) -> dict[str, np.ndarray]:
 
 
 def write_trace(path: str | Path, trace: LodTrace) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for it in trace.iterations:
-            writer.writerow(
-                [
-                    it.index,
-                    "" if it.usage_cap_kwh is None else _fmt(it.usage_cap_kwh),
-                    _fmt(it.bess_throughput_kwh),
-                    _fmt(it.operation_cost),
-                    _fmt(it.degradation_cost),
-                    _fmt(it.total_cost),
-                ]
-            )
-    return path
+    """One row per LOD pass; the uncapped pass has an empty usage cap."""
+    its = trace.iterations
+    costs = ("bess_throughput_kwh", "operation_cost", "degradation_cost", "total_cost")
+    return _write_table(path, TRACE_HEADER, [
+        [it.index for it in its],
+        [None if it.usage_cap_kwh is None else float(it.usage_cap_kwh) for it in its],
+        *(np.array([getattr(it, name) for it in its], dtype=float) for name in costs),
+    ])
 
 
 def read_trace(path: str | Path) -> list[dict]:
@@ -451,40 +418,22 @@ def summary_from_iteration(it: LodIteration, solve_seconds: float, iterations: i
 
 
 def write_summary(path: str | Path, summary: dict, manifest: str | None = None) -> Path:
-    path = Path(path)
     doc = dict(summary)
     if manifest is not None:
         doc["manifest"] = manifest
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_json(path, doc)
 
 
 def write_report_table(path: str | Path, rows: list[dict]) -> Path:
     """Accuracy table CSV in the shared `model_id,tol05,...` layout."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("model_id", "tol05", "tol10", "tol15", "tol20"))
-        for row in rows:
-            writer.writerow(
-                [row["model_id"]]
-                + [_fmt(row[k]) for k in ("tol05", "tol10", "tol15", "tol20")]
-            )
-    return path
+    header = ("model_id", "tol05", "tol10", "tol15", "tol20")
+    return _write_table(path, header, [[row[k] for row in rows] for k in header])
 
 
 def write_cost_series(path: str | Path, rows: list[dict]) -> Path:
     """Cost-vs-iteration series echoed from a trace."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("iteration", "operation_cost", "degradation_cost", "total_cost"))
-        for row in rows:
-            writer.writerow(
-                [row["iteration"]]
-                + [_fmt(row[k]) for k in ("operation_cost", "degradation_cost", "total_cost")]
-            )
-    return path
+    header = ("iteration", "operation_cost", "degradation_cost", "total_cost")
+    return _write_table(path, header, [[row[k] for row in rows] for k in header])
 
 
 def write_bess_comparison(
@@ -497,19 +446,12 @@ def write_bess_comparison(
     horizons = {len(s["hour"]) for s in (traditional, linear, lod_best)}
     if len(horizons) != 1:
         raise FileFormatError(f"schedules have mismatched horizons: {sorted(horizons)}")
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("hour", "p_bess_traditional", "p_bess_linear", "p_bess_lod"))
-        for t in range(horizons.pop()):
-            writer.writerow(
-                [t]
-                + [
-                    _fmt(s["p_disc"][t] - s["p_char"][t])
-                    for s in (traditional, linear, lod_best)
-                ]
-            )
-    return path
+    net = [s["p_disc"] - s["p_char"] for s in (traditional, linear, lod_best)]
+    return _write_table(
+        path,
+        ("hour", "p_bess_traditional", "p_bess_linear", "p_bess_lod"),
+        [np.arange(horizons.pop()), *net],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -524,7 +466,6 @@ def write_manifest(
     seed: int | None,
     timings: dict[str, float],
 ) -> Path:
-    path = Path(path)
     doc = {
         "command": command,
         "config": config,
@@ -534,5 +475,4 @@ def write_manifest(
         "timings": timings,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_json(path, doc)

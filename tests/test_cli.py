@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import time
 from pathlib import Path
 
@@ -9,11 +10,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from degradesched import storage
+from degradesched import cli, storage
 from degradesched.cli import main
 from degradesched.exampleday import load_example_day
+from degradesched.lod import EconParams, LodConfig
 from test_lod import constant_model
 from test_milp import day_case
+from test_storage import MALFORMED_ARTIFACTS
 
 runner = CliRunner()
 
@@ -204,6 +207,78 @@ class TestSchedule:
              "--model", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path / "x")],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("damage", MALFORMED_ARTIFACTS.values(), ids=MALFORMED_ARTIFACTS)
+    def test_malformed_model_is_validation_error(self, workdir, tmp_path, damage):
+        doc = json.loads((workdir / "stub_model.json").read_text())
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(damage(doc)))
+        result = runner.invoke(
+            main,
+            ["schedule", "--case", str(workdir / "case.json"), "--mode", "traditional",
+             "--model", str(model), "--out-dir", str(tmp_path / "x")],
+        )
+        assert result.exit_code == 2, result.output
+        assert "model.json" in result.output
+
+    def test_non_object_config_is_validation_error(self, workdir, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text("5")
+        result = runner.invoke(
+            main,
+            ["schedule", "--case", str(workdir / "case.json"), "--mode", "traditional",
+             "--model", str(workdir / "stub_model.json"), "--out-dir", str(tmp_path / "x"),
+             "--config", str(config)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "expected a JSON object" in result.output
+
+    def test_two_battery_case_rejected_before_solving(self, workdir, tmp_path, monkeypatch):
+        day = load_example_day()
+        storage.write_case(tmp_path / "two.json", dataclasses.replace(day, bess=day.bess * 2))
+        solved = []
+        monkeypatch.setattr(cli, "run_traditional", lambda *a, **k: solved.append(a))
+        out = tmp_path / "two"
+        result = runner.invoke(
+            main,
+            ["schedule", "--case", str(tmp_path / "two.json"), "--mode", "traditional",
+             "--model", str(workdir / "stub_model.json"), "--out-dir", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "1 generator and 1 battery" in result.output
+        assert not solved
+        assert not out.exists()
+
+    def test_lod_schedules_two_day_case(self, workdir, tmp_path):
+        day = load_example_day()
+        two_days = dataclasses.replace(
+            day, **{field: np.tile(getattr(day, field), 2) for field in storage.SERIES_FIELDS}
+        )
+        storage.write_case(tmp_path / "two_days.json", two_days, series_csv="series.csv")
+        out = tmp_path / "lod48"
+        result = runner.invoke(
+            main,
+            ["schedule", "--case", str(tmp_path / "two_days.json"), "--mode", "lod",
+             "--model", str(workdir / "stub_model.json"), "--out-dir", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        assert storage.read_schedule(out / "schedule.csv")["hour"].tolist() == list(range(48))
+
+    def test_help_shows_library_defaults(self):
+        result = runner.invoke(main, ["schedule", "--help"])
+        assert result.exit_code == 0, result.output
+        text = " ".join(result.output.split())
+        defaults = {
+            "--salvage-value": EconParams.salvage_value,
+            "--soh-eol": EconParams.soh_eol,
+            "--linear-rate": EconParams.linear_bdc_rate,
+            "--alpha": LodConfig.alpha,
+            "--max-iterations": LodConfig.max_iterations,
+            "--patience": LodConfig.patience,
+        }
+        for option, value in defaults.items():
+            pattern = rf"{option} [A-Z]+ [^[]*\[default: {re.escape(str(value))}\]"
+            assert re.search(pattern, text), option
 
     def test_engine_config_key_rejected(self, workdir, tmp_path):
         config = tmp_path / "config.json"

@@ -78,6 +78,14 @@ class TestDatasetFiles(NumericTableChecks):
 
 
 
+# Ways to break a model artifact document that a reader must reject.
+MALFORMED_ARTIFACTS = {
+    "missing_variant": lambda doc: {k: v for k, v in doc.items() if k != "ubdf_variant"},
+    "unknown_variant": lambda doc: {**doc, "ubdf_variant": 99},
+    "top_level_list": lambda doc: [doc],
+}
+
+
 class TestModelArtifacts:
     def test_round_trip_bit_identical_predictions(self, tmp_path):
         model = constant_model(2e-4)
@@ -143,6 +151,13 @@ class TestModelArtifacts:
         with pytest.raises(FileFormatError, match="checksum"):
             storage.read_model_artifact(path)
 
+    @pytest.mark.parametrize("damage", MALFORMED_ARTIFACTS.values(), ids=MALFORMED_ARTIFACTS)
+    def test_malformed_document_rejected(self, tmp_path, damage):
+        path = storage.write_model_artifact(tmp_path / "model.json", constant_model(2e-4))
+        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+        with pytest.raises(FileFormatError, match="variant|JSON object"):
+            storage.read_model_artifact(path)
+
     def test_shape_mismatch_rejected(self, tmp_path):
         model = constant_model(2e-4)
         path = storage.write_model_artifact(tmp_path / "model.json", model)
@@ -185,10 +200,30 @@ class TestCaseFiles(NumericTableChecks):
         header = (tmp_path / "series.csv").read_text().splitlines()[0]
         assert header == "hour,load_kw,wind_kw,solar_kw,buy_price,sell_price,temp_c"
 
-    def test_wrong_horizon_rejected(self, tmp_path):
+    @pytest.mark.parametrize("series_csv", [None, "series.csv"])
+    def test_six_interval_round_trip(self, tmp_path, series_csv):
         case = arbitrage_case()  # 6 intervals
-        path = storage.write_case(tmp_path / "case.json", case)
-        with pytest.raises(FileFormatError, match="24"):
+        path = storage.write_case(tmp_path / "case.json", case, series_csv=series_csv)
+        back = storage.read_case(path)
+        assert back.horizon == 6
+        for field in storage.SERIES_FIELDS:
+            assert np.array_equal(getattr(back, field), getattr(case, field))
+
+    def test_inline_unequal_lengths_rejected(self, tmp_path):
+        path = storage.write_case(tmp_path / "case.json", self.day24())
+        doc = json.loads(path.read_text())
+        doc["series"]["wind_kw"] = doc["series"]["wind_kw"][:23]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match="lengths differ"):
+            storage.read_case(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_inline_non_finite_rejected(self, tmp_path, value):
+        path = storage.write_case(tmp_path / "case.json", self.day24())
+        doc = json.loads(path.read_text())
+        doc["series"]["load_kw"][5] = value
+        path.write_text(json.dumps(doc))  # NaN and Infinity tokens
+        with pytest.raises(FileFormatError, match="load contains non-finite"):
             storage.read_case(path)
 
     def test_sell_above_buy_rejected(self, tmp_path):
