@@ -234,7 +234,8 @@ def cmd_train(**params) -> None:
 @click.option("--alpha", type=float, default=LodConfig.alpha, show_default=True)
 @click.option("--max-iterations", type=int, default=LodConfig.max_iterations, show_default=True)
 @click.option("--patience", type=int, default=LodConfig.patience, show_default=True)
-@click.option("--soh", type=float, default=1.0, show_default=True,
+@click.option("--soh", type=click.FloatRange(0.8, 1.0, min_open=True), default=1.0,
+              show_default=True,
               help="Day-start battery state of health.")
 @click.option("--config", type=click.Path(), default=None)
 def cmd_schedule(**params) -> None:
@@ -272,8 +273,6 @@ def cmd_schedule(**params) -> None:
     try:
         if values["mode"] == "lod":
             trace = run_lod(case, model, econ, lod_cfg, soh=values["soh"])
-            if trace.termination_reason == "infeasible":
-                _fail(EXIT_RUNTIME, "scheduling became infeasible during the loop")
             solve_seconds = time.perf_counter() - t_solve
             best = trace.best
             storage.write_trace(out / "trace.csv", trace)
@@ -283,6 +282,9 @@ def cmd_schedule(**params) -> None:
             )
             summary["best_index"] = trace.best_index
             summary["termination_reason"] = trace.termination_reason
+            if trace.infeasible_report:
+                storage.write_json(out / "infeasible.json",
+                                   {"mode": "lod", "report": trace.infeasible_report})
         else:
             runner = run_traditional if values["mode"] == "traditional" else run_linear_bdc
             result = runner(case, model, econ, soh=values["soh"])

@@ -88,11 +88,16 @@ class LodIteration:
 
 @dataclass
 class LodTrace:
-    """Ordered iterations plus which one won and why the loop stopped."""
+    """Ordered iterations plus which one won and why the loop stopped.
+
+    `infeasible_report` is the diagnosis of the pass that ended the loop as
+    "infeasible", and empty for any other stop.
+    """
 
     iterations: list[LodIteration]
     best_index: int
     termination_reason: str  # converged | cap_exhausted | max_iterations | infeasible
+    infeasible_report: list[str]
 
     @property
     def best(self) -> LodIteration:
@@ -193,7 +198,8 @@ def run_lod(
     iterations fail to improve the best combined cost, when the battery goes
     idle, or at the iteration bound; the best iteration is the answer. An
     infeasible first pass raises InfeasibleCaseError with the solver's
-    diagnosis; an infeasible later pass ends the loop as "infeasible".
+    diagnosis; an infeasible later pass ends the loop as "infeasible" and
+    its diagnosis is kept on the trace.
     """
     cfg = cfg or LodConfig()
     problem = build_model(case)
@@ -203,14 +209,15 @@ def run_lod(
     stall = 0
     cap: UsageCap | None = None
     reason = "max_iterations"
+    report: list[str] = []
 
     for index in range(cfg.max_iterations + 1):
         try:
             sched = solve(problem, cap)
-        except InfeasibleCaseError:
+        except InfeasibleCaseError as exc:
             if not iterations:
                 raise
-            reason = "infeasible"
+            reason, report = "infeasible", exc.report
             break
         it = _evaluate(case, sched, model, econ, soh, index, cap)
         iterations.append(it)
@@ -231,5 +238,8 @@ def run_lod(
         cap = UsageCap((1.0 - cfg.alpha) * it.bess_throughput_kwh)
 
     return LodTrace(
-        iterations=iterations, best_index=best_index, termination_reason=reason
+        iterations=iterations,
+        best_index=best_index,
+        termination_reason=reason,
+        infeasible_report=report,
     )

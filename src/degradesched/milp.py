@@ -10,13 +10,14 @@ a usage cap there, so a loop that tightens the cap builds the model once.
 
 The constraint matrix is held sparse, as each family's (row, column,
 coefficient) terms; it is never densified on the way to the solver. The model
-is solved to proven optimality by HiGHS through scipy.
+is solved to proven optimality by HiGHS through scipy; an infeasible model is
+diagnosed by an elastic solve over its own constraint rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize, sparse
@@ -25,7 +26,8 @@ FEASIBILITY_TOL = 1e-6
 
 
 class InfeasibleCaseError(RuntimeError):
-    """The scheduling problem has no feasible dispatch."""
+    """The scheduling problem has no feasible dispatch; `report` has one line,
+    "<family>: [unit s, ]interval t short by x", per row at fault."""
 
     def __init__(self, report: list[str]):
         super().__init__("; ".join(report) if report else "model infeasible")
@@ -181,7 +183,9 @@ class MilpProblem:
     inequality row is the usage cap on total battery charge+discharge energy;
     b_ub holds a default for it that never binds, and `solve` sets a cap
     there on a copy. `index` maps each DispatchSchedule field name to its
-    columns, shaped as that field.
+    columns, shaped as that field. `families` maps each constraint family to
+    its rows, shaped ([units,] intervals) with the last interval at the
+    horizon's end, or () for the usage cap; they cover every row once.
     """
 
     case: MicrogridCase
@@ -192,7 +196,8 @@ class MilpProblem:
     lb: np.ndarray
     ub: np.ndarray
     is_int: np.ndarray
-    index: dict = field(default_factory=dict)
+    index: dict
+    families: dict
 
     @property
     def a_ub(self) -> np.ndarray:
@@ -215,23 +220,6 @@ class MilpProblem:
 
 # DispatchSchedule fields that hold binary decisions.
 _BINARY_FIELDS = ("u_gen", "v_gen", "u_buy", "u_sell", "u_char", "u_disc")
-
-
-def _precheck(case: MicrogridCase) -> None:
-    """Cheap necessary feasibility conditions, reported before any solve."""
-    supply_max = (
-        case.p_grid_max
-        + sum(g.p_max for g in case.generators)
-        + sum(b.p_max for b in case.bess)
-    )
-    available = supply_max + case.wind + case.solar
-    short = np.flatnonzero(case.load > available + FEASIBILITY_TOL)
-    if short.size:
-        raise InfeasibleCaseError([
-            f"power_balance: load {case.load[t]:.3f} kW at interval {t} "
-            f"exceeds maximum supply {available[t]:.3f} kW"
-            for t in short
-        ])
 
 
 def _blocks(
@@ -277,7 +265,6 @@ def build_model(case: MicrogridCase, linear_bdc_rate: float | None = None) -> Mi
     usage cap there, so one model serves every cap. With a linear rate, that
     energy is also priced in the objective.
     """
-    _precheck(case)
     T, dt = case.horizon, case.dt_hours
     gens, bess = case.generators, case.bess
     G, S = len(gens), len(bess)
@@ -324,17 +311,17 @@ def build_model(case: MicrogridCase, linear_bdc_rate: float | None = None) -> Mi
         "bess_excl": (S, T), "char_max": (S, T), "char_min": (S, T),
         "disc_max": (S, T), "disc_min": (S, T),
         "ramp_up": (G, T - 1), "ramp_down": (G, T - 1), "startup": (G, T),
-        "cap": (1,),
+        "usage_cap": (),
     })
     eq_row, n_rows = _blocks(
-        {"balance": (T,), "recursion": (S, T), "terminal": (S,)}, start=n_ub
+        {"power_balance": (T,), "recursion": (S, T), "terminal": (S, 1)}, start=n_ub
     )
     terms: list = []
     b = np.zeros(n_rows)
     e_initial = _per_unit(bess, "e_initial")
 
     # Power balance: buy + gen + renewables + discharge = sell + load + charge.
-    rows = eq_row["balance"]
+    rows = eq_row["power_balance"]
     _place(terms, rows, (col["p_buy"], 1.0), (col["p_sell"], -1.0), (p_gen, 1.0),
            (p_disc, 1.0), (p_char, -1.0))
     b[rows] = case.load - case.wind - case.solar
@@ -367,8 +354,8 @@ def build_model(case: MicrogridCase, linear_bdc_rate: float | None = None) -> Mi
            (p_char, -dt * _per_unit(bess, "eta_charge")))
     _place(terms, rows[:, 1:], (energy[:, :-1], -1.0))
     b[rows[:, :1]] = e_initial
-    _place(terms, eq_row["terminal"], (energy[:, -1], 1.0))
-    b[eq_row["terminal"]] = e_initial[:, 0]
+    _place(terms, eq_row["terminal"], (energy[:, -1:], 1.0))
+    b[eq_row["terminal"]] = e_initial
 
     # Ramping between consecutive intervals.
     _place(terms, row["ramp_up"], (p_gen[:, 1:], 1.0), (p_gen[:, :-1], -1.0))
@@ -382,8 +369,8 @@ def build_model(case: MicrogridCase, linear_bdc_rate: float | None = None) -> Mi
     b[rows[:, :1]] = _per_unit(gens, "initially_on")
 
     # Usage cap: total charge+discharge energy.
-    _place(terms, row["cap"], (p_char.ravel(), dt), (p_disc.ravel(), dt))
-    b[row["cap"]] = 2 * T * dt * sum(unit.p_max for unit in bess)
+    _place(terms, row["usage_cap"], (p_char.ravel(), dt), (p_disc.ravel(), dt))
+    b[row["usage_cap"]] = 2 * T * dt * sum(unit.p_max for unit in bess)
 
     r, k, v = (np.concatenate(parts) for parts in zip(*terms))
     # 32-bit indices, as scipy derives for a matrix of this size from dense rows.
@@ -401,6 +388,7 @@ def build_model(case: MicrogridCase, linear_bdc_rate: float | None = None) -> Mi
         ub=ub,
         is_int=is_int,
         index=col,
+        families={**row, **eq_row},
     )
 
 
@@ -465,7 +453,8 @@ def solve(problem: MilpProblem, cap: UsageCap | None = None) -> DispatchSchedule
     can carry 3.9e-5 kW on a power limit row. The binaries are therefore
     rounded, and if the rounded point violates any row by more than
     FEASIBILITY_TOL, the LP with every binary fixed at its rounded value is
-    solved and the schedule is taken from that LP.
+    solved and the schedule is taken from that LP. An infeasible model raises
+    InfeasibleCaseError with the rows an elastic solve names (`_diagnose`).
     """
     if cap is not None:
         b_ub = problem.b_ub.copy()
@@ -473,7 +462,7 @@ def solve(problem: MilpProblem, cap: UsageCap | None = None) -> DispatchSchedule
         problem = replace(problem, b_ub=b_ub)
     res = _milp(problem, problem.lb, problem.ub, problem.is_int.astype(int))
     if res.status == 2:
-        raise InfeasibleCaseError(_diagnose(problem.case, cap))
+        raise InfeasibleCaseError(_diagnose(problem))
     if res.status == 3:
         raise RuntimeError("model unbounded; case invariants violated")
     if res.status != 0 or res.x is None:
@@ -489,43 +478,39 @@ def solve(problem: MilpProblem, cap: UsageCap | None = None) -> DispatchSchedule
     return _extract_schedule(problem, x, objective)
 
 
-def _diagnose(case: MicrogridCase, cap: UsageCap | None) -> list[str]:
-    """Name the constraint family that makes the model infeasible, if obvious.
+def _diagnose(problem: MilpProblem) -> list[str]:
+    """One report line per row that an elastic copy of the problem must relax.
 
-    Runs only after an infeasible solve. Per interval it checks the renewable
-    surplus against export plus charging, and the power-balance and reserve
-    rows jointly: subtracting one from the other cancels grid trade and
-    generation, so the net load minus the most the batteries can discharge
-    must fit under the tie-line plus generator capacity less the reserve.
-    Under a usage cap the batteries move at most cap/dt in one interval. A
-    cap alone never conflicts with a battery's minimum power, since the
-    battery may idle.
+    The copy's rows read a x - s <= b_ub and a x - s + s' == b_eq with every
+    slack s, s' >= 0, and it minimizes the weighted slack sum under the
+    problem's own bounds and integrality. Rows are named from `families`.
     """
+    n, n_ub, n_rows = problem.n_variables, problem.b_ub.size, problem.a.shape[0]
+    # Equality slack costs double: at equal weights a shortfall that a limit row
+    # (reserve, tie-line) could absorb kW for kW ties with, and lands on, power balance.
+    weights = np.repeat([1.0, 2.0], [n_ub, 2 * (n_rows - n_ub)])
+    eye = sparse.eye_array(n_rows, format="csc")
+    a = sparse.hstack([problem.a, -eye, eye[:, n_ub:]], format="csc")
+    res = _milp(
+        replace(problem, c=np.pad(weights, (n, 0)), a=a),
+        np.pad(problem.lb, (0, weights.size)),
+        np.pad(problem.ub, (0, weights.size), constant_values=np.inf),
+        np.pad(problem.is_int.astype(int), (0, weights.size)),
+    )
+    if res.x is None:
+        return [f"elastic diagnosis failed: {res.message}"]
+    slack = res.x[n : n + n_rows]
+    slack[n_ub:] += res.x[n + n_rows :]
     report = []
-    battery_max = sum(b.p_max for b in case.bess)
-    if cap is not None:
-        battery_max = min(battery_max, cap.cap_kwh / case.dt_hours)
-    supply_max = case.p_grid_max + sum(g.p_max for g in case.generators)
-    absorb = case.p_grid_max + battery_max - sum(g.p_min for g in case.generators)
-    for t in range(case.horizon):
-        surplus = case.wind[t] + case.solar[t] - case.load[t]
-        if surplus > absorb + FEASIBILITY_TOL:
-            report.append(
-                f"power_balance: renewable surplus {surplus:.3f} kW at interval {t} "
-                f"cannot be absorbed (max export+charge {absorb:.3f} kW)"
-            )
-        net_load = -surplus
-        reserve_need = case.reserve_fraction * case.load[t]
-        if net_load - battery_max > supply_max - reserve_need + FEASIBILITY_TOL:
-            report.append(
-                f"reserve: net load {net_load:.3f} kW at interval {t} exceeds "
-                f"{supply_max - reserve_need:.3f} kW of tie-line and generator "
-                f"supply left after the {reserve_need:.3f} kW reserve plus "
-                f"{battery_max:.3f} kW of battery discharge"
-            )
-    if not report:
-        report.append("infeasible; no single constraint family identified")
-    return report
+    for family, rows in problem.families.items():
+        for pos in np.argwhere(slack[rows] > FEASIBILITY_TOL):
+            where = "horizon"
+            if pos.size:
+                where = f"interval {pos[-1] + problem.case.horizon - rows.shape[-1]}"
+            if pos.size == 2:
+                where = f"unit {pos[0]}, {where}"
+            report.append(f"{family}: {where} short by {slack[rows[tuple(pos)]]:.3f}")
+    return report or ["infeasible; no constraint row needs slack"]
 
 
 def operation_cost(sched: DispatchSchedule, case: MicrogridCase) -> dict[str, float]:

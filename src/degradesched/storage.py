@@ -315,16 +315,22 @@ def read_case(path: str | Path) -> MicrogridCase:
     """Parse a case document into a validated `MicrogridCase`.
 
     The series come inline or from the CSV file the document names; any
-    horizon is accepted. `MicrogridCase` rejects series that are empty, not
-    1-D, non-finite or of unequal length, and every such rejection, like a
-    missing key, raises `FileFormatError` naming the file.
+    horizon is accepted, and a CSV's hour column must read 0, 1, ..., T-1 in
+    row order. `MicrogridCase` rejects series that are empty, not 1-D,
+    non-finite or of unequal length, and every such rejection, like a missing
+    key or a misnumbered hour, raises `FileFormatError` naming the file.
     """
     path = Path(path)
     doc = read_json(path)
     try:
         series = doc["series"]
         if "csv" in series:
-            data = _read_table(path.parent / series["csv"], SERIES_HEADER)
+            table = path.parent / series["csv"]
+            data = _read_table(table, SERIES_HEADER)
+            bad = np.flatnonzero(data[:, 0] != np.arange(len(data)))
+            if bad.size:
+                i = bad[0]
+                raise FileFormatError(f"{table}: row {i + 1}: hour {data[i, 0]:g}, expected {i}")
             series = dict(zip(SERIES_HEADER, data.T))
         values = {field: series[key] for key, field in zip(SERIES_HEADER[1:], SERIES_FIELDS)}
         case = MicrogridCase(

@@ -320,6 +320,44 @@ class TestSchedule:
         assert f"infeasible: {reserve[0]}" in result.output
         assert not (out / "schedule.csv").exists()
 
+    def test_lod_ending_infeasible_writes_the_best_iteration(self, workdir, tmp_path):
+        # At 900 kW hour 19 needs 68 kWh of discharge, about 152 kWh of
+        # throughput with its recharge; at alpha 0.3 pass 6 caps throughput
+        # at 128 kWh and is infeasible, after six solved passes.
+        case = dataclasses.replace(load_example_day(), p_grid_max=900.0)
+        storage.write_case(tmp_path / "c900.json", case, series_csv="series.csv")
+        out = tmp_path / "lod"
+        result = runner.invoke(
+            main,
+            ["schedule", "--case", str(tmp_path / "c900.json"), "--mode", "lod",
+             "--model", str(workdir / "stub_model.json"), "--out-dir", str(out),
+             "--alpha", "0.3"],
+        )
+        assert result.exit_code == 0, result.output
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["termination_reason"] == "infeasible"
+        assert summary["iterations"] == len(storage.read_trace(out / "trace.csv")) == 6
+        best = storage.read_schedule(out / "schedule.csv")
+        assert best["p_disc"].sum() + best["p_char"].sum() == pytest.approx(
+            summary["bess_throughput_kwh"]
+        )
+        doc = json.loads((out / "infeasible.json").read_text())
+        assert doc["mode"] == "lod"
+        assert any(line.startswith("reserve: interval 19 ") for line in doc["report"])
+
+    @pytest.mark.parametrize("soh", ["0.5", "0.8", "1.5"])
+    def test_soh_outside_range_is_validation_error(self, workdir, tmp_path, soh):
+        out = tmp_path / "x"
+        result = runner.invoke(
+            main,
+            ["schedule", "--case", str(workdir / "case.json"), "--mode", "traditional",
+             "--model", str(workdir / "stub_model.json"), "--out-dir", str(out),
+             "--soh", soh],
+        )
+        assert result.exit_code == 2
+        assert "Invalid value for '--soh'" in result.output
+        assert not out.exists()
+
 
 class TestReport:
     def test_merges_three_schedules(self, workdir, tmp_path):

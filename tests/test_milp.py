@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -88,9 +89,26 @@ class TestBuildModel:
         zero_rate = solve(build_model(case, linear_bdc_rate=0.0))
         assert zero_rate.objective == pytest.approx(plain.objective, abs=1e-6)
 
-    def test_overload_reported_before_solve(self):
+    def test_overload_reported_by_solve(self):
+        # Tie-line and generator limits are variable bounds, so only the
+        # power-balance row can take the 9,670 kW shortfall.
         with pytest.raises(InfeasibleCaseError, match="power_balance"):
-            build_model(single_interval_case(load=10_000.0))
+            solve(build_model(single_interval_case(load=10_000.0)))
+
+    def test_families_cover_every_row_once(self):
+        base = day_case()
+        case = day_case(generators=base.generators * 2, bess=base.bess * 2)
+        problem = build_model(case)
+        rows = np.concatenate([r.ravel() for r in problem.families.values()])
+        assert np.array_equal(np.sort(rows), np.arange(problem.a.shape[0]))
+
+    def test_unabsorbable_surplus_reports_power_balance(self):
+        # Hour 3's 750 kW surplus meets 500 kW of export and 150 kW of charging.
+        wind = np.full(24, 150.0)
+        wind[3] = 1350.0
+        with pytest.raises(InfeasibleCaseError) as exc:
+            solve(build_model(day_case(wind=wind)))
+        assert exc.value.report == ["power_balance: interval 3 short by 100.000"]
 
     def test_sell_above_buy_rejected(self):
         with pytest.raises(ValueError, match="sell price"):
@@ -128,6 +146,12 @@ class TestSolveToyCases:
         assert a.objective == b.objective
 
 
+def reported_shortfalls(report, family):
+    """{interval: shortfall} from the report lines of one constraint family."""
+    found = (re.match(rf"{family}: interval (\d+) short by (\S+)$", line) for line in report)
+    return {int(m.group(1)): float(m.group(2)) for m in found if m}
+
+
 class TestExampleDay:
     def test_solves_with_idle_battery_and_validates(self):
         case = load_example_day()
@@ -152,6 +176,32 @@ class TestExampleDay:
         assert len(reserve) == 1
         assert "interval 19 " in reserve[0]
         assert not any("no single constraint family" in line for line in exc.value.report)
+
+    def test_narrower_tie_line_reports_the_battery_running_out(self):
+        # At 700 kW, hours 18-20 need 158.4, 268 and 62 kW of discharge to keep
+        # the reserve. Hour 20's need fits the battery's 150 kW, but the battery
+        # delivers at most 0.9 * (300 - 30) = 243 kWh over the three hours, so
+        # together they are 245.4 kWh short. Which hours carry that shortfall
+        # is a tie; the elastic solve names all three.
+        case = dataclasses.replace(load_example_day(), p_grid_max=700.0)
+        with pytest.raises(InfeasibleCaseError) as exc:
+            solve(build_model(case))
+        short = reported_shortfalls(exc.value.report, "reserve")
+        assert sorted(short) == [18, 19, 20]
+        assert sum(short.values()) == pytest.approx(158.4 + 268 + 62 - 243, abs=1e-3)
+
+    def test_small_battery_reports_the_hour_before_the_peak(self):
+        # At 800 kW, hours 18 and 19 need 58.4 and 168 kW of discharge. Hour
+        # 18's need fits the battery's power, but a 120 kWh battery delivers at
+        # most 0.9 * 120 = 108 kWh over both hours, 118.4 kWh short of the sum.
+        day = load_example_day()
+        bess = [dataclasses.replace(day.bess[0], e_max=120.0, e_initial=100.0, e_min=0.0)]
+        case = dataclasses.replace(day, p_grid_max=800.0, bess=bess)
+        with pytest.raises(InfeasibleCaseError) as exc:
+            solve(build_model(case))
+        short = reported_shortfalls(exc.value.report, "reserve")
+        assert sorted(short) == [18, 19]
+        assert sum(short.values()) == pytest.approx(58.4 + 168 - 108, abs=1e-3)
 
     def test_zero_cap_reports_reserve_at_the_peak(self):
         # With a 900 kW tie-line, hour 19 needs 1,020 - (900 + 180 - 128) = 68 kW

@@ -209,6 +209,24 @@ class TestCaseFiles(NumericTableChecks):
         for field in storage.SERIES_FIELDS:
             assert np.array_equal(getattr(back, field), getattr(case, field))
 
+    @pytest.mark.parametrize(
+        "hours, message",
+        [
+            ({0: "1", 1: "0"}, "row 1: hour 1, expected 0"),
+            ({5: "99.5"}, "row 6: hour 99.5, expected 5"),
+        ],
+        ids=["swapped", "fractional"],
+    )
+    def test_csv_misnumbered_hour_rejected(self, tmp_path, hours, message):
+        path = storage.write_case(tmp_path / "case.json", self.day24(), series_csv="series.csv")
+        lines = (tmp_path / "series.csv").read_text().splitlines()
+        for row, hour in hours.items():
+            line = lines[row + 1]  # after the header
+            lines[row + 1] = hour + line[line.index(","):]
+        (tmp_path / "series.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match=f"series.csv: {message}"):
+            storage.read_case(path)
+
     def test_inline_unequal_lengths_rejected(self, tmp_path):
         path = storage.write_case(tmp_path / "case.json", self.day24())
         doc = json.loads(path.read_text())
