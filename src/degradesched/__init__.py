@@ -24,7 +24,6 @@ from .lod import (
     LodIteration,
     LodTrace,
     degradation_cost,
-    linear_bdc_cost,
     run_linear_bdc,
     run_lod,
     run_traditional,
@@ -52,14 +51,11 @@ from .net import (
     train,
 )
 from .quantifier import (
-    AggregatedCycle,
     BDP_VARIANTS,
     UBDF_VARIANTS,
     DegradationModel,
     cbup,
-    make_ubdf_features,
     predict_degradation,
-    predict_ubdf,
     select_best_combination,
     train_benchmarks,
     train_pair,

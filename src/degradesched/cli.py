@@ -1,8 +1,8 @@
 """Command-line front door: dataset generation, training, scheduling, reports.
 
 Exit codes: 0 success, 1 runtime/solver failure, 2 input validation failure.
-A JSON file passed with --config overrides any flag of the same name, and
-DEGRADESCHED_SEED provides the default seed.
+A --config JSON file overrides flags of the same name and is checked like
+them; DEGRADESCHED_SEED provides the default seed.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ def _fail(code: int, message: str) -> None:
 def _apply_config(params: dict) -> dict:
     """Option values by name with the --config JSON object merged over them.
 
-    `params` are the command's keyword arguments; the `config` option itself
-    is dropped, and a config key wins over the flag of the same name.
+    `params` are the command's keyword arguments, less `config`. A config key
+    wins over the flag of the same name and passes through that flag's type.
     """
     values = dict(params)
     config_path = values.pop("config")
@@ -57,7 +57,15 @@ def _apply_config(params: dict) -> dict:
     unknown = set(doc) - set(values)
     if unknown:
         _fail(EXIT_VALIDATION, f"unknown config keys: {sorted(unknown)}")
-    values.update(doc)
+    ctx = click.get_current_context()
+    options = {param.name: param for param in ctx.command.params}
+    for key, value in doc.items():
+        # Cast the text, as a flag's: int takes 7.5 as 7 but rejects "7.5".
+        text = None if value is None else str(value)
+        try:
+            values[key] = options[key].type_cast_value(ctx, text)
+        except click.BadParameter as exc:
+            _fail(EXIT_VALIDATION, f"config key {key!r}: {exc.message}")
     return values
 
 

@@ -113,23 +113,16 @@ def degradation_cost(degradation: float, econ: EconParams) -> float:
     )
 
 
-def linear_bdc_cost(
-    sched: DispatchSchedule, case: MicrogridCase, econ: EconParams
-) -> float:
-    """Flat-rate benchmark cost: $/kWh times total battery throughput."""
-    return econ.linear_bdc_rate * sched.bess_throughput_kwh(case)
-
-
 def schedule_degradation(
     case: MicrogridCase,
     sched: DispatchSchedule,
     model: DegradationModel,
     soh: float,
 ) -> float:
-    """Predicted degradation of a dispatch: half cycles from every battery."""
+    """Predicted degradation of a dispatch: each battery's cbup rows, priced at soh."""
     total = 0.0
     for s in range(len(case.bess)):
-        cycles = cbup(sched.soc_trajectory(case, s), case.temps, soh, case.dt_hours)
+        cycles = cbup(sched.soc_trajectory(case, s), case.temps, case.dt_hours)
         total += predict_degradation(model, cycles, soh)
     return total
 

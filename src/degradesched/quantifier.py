@@ -4,8 +4,8 @@ Stage one predicts internal cell features that cannot be observed ahead of
 time (internal temperature, internal resistance, equivalent life cycles) from
 the observable stress conditions of a cycle; stage two predicts per-cycle
 degradation from the observables plus the stage-one outputs. Scheduled
-storage profiles are reduced to half cycles first, so the fixed-cycle
-networks can score an arbitrary hourly usage profile.
+storage profiles are reduced to half cycles first, one stage-one input row
+each, so the fixed-cycle networks can score any hourly usage profile.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from .net import NetworkSpec, TrainConfig, TrainedNetwork
 
 # Observable per-cycle stress features, in network input order.
 BDF_FEATURES = ("soc", "dod", "temp", "c_rate", "soh")
+
+# The columns cbup fills from a storage profile; soh comes from the battery.
+CYCLE_FEATURES = BDF_FEATURES[:4]
 
 # Features only available from stage one at scheduling time.
 UNOBTAINABLE_FEATURES = ("it", "ir", "elcn")
@@ -59,6 +62,9 @@ REPORT_TOLERANCES = (0.05, 0.10, 0.15, 0.20)
 
 # SOC moves smaller than this (in SOC fraction) count as an idle interval.
 FLAT_SOC_EPS = 1e-9
+
+# A half cycle counts as half of one of the fixed cycles the networks learned.
+HALF_CYCLE_WEIGHT = 0.5
 
 # Inputs may extrapolate this far beyond the fitted range (as a fraction of
 # the range width) before a warning is recorded.
@@ -99,44 +105,19 @@ def compatible_pairs() -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-@dataclass(frozen=True)
-class AggregatedCycle:
-    """One half cycle aggregated from a scheduled storage profile."""
-
-    soc_top: float
-    dod: float
-    c_rate: float
-    temp_amb: float
-    soh: float
-    weight: float = 0.5
-    direction: str = "discharge"
-
-    def __post_init__(self) -> None:
-        if self.dod <= 0:
-            raise ValueError(f"half cycle needs dod > 0, got {self.dod}")
-        if self.weight != 0.5:
-            raise ValueError(f"half cycles carry weight 0.5, got {self.weight}")
-        if self.soc_top - self.dod < -1e-9:
-            raise ValueError(
-                f"cycle drops below SOC 0: top {self.soc_top}, dod {self.dod}"
-            )
-        if self.direction not in ("charge", "discharge"):
-            raise ValueError(f"unknown direction {self.direction!r}")
-
-
 def cbup(
     soc_trajectory: np.ndarray,
     temps: np.ndarray,
-    soh: float,
     dt_hours: float = 1.0,
-) -> list[AggregatedCycle]:
-    """Aggregate an SOC trajectory into fixed half cycles.
+) -> np.ndarray:
+    """Aggregate an SOC trajectory into half cycles, one row each.
 
     The trajectory (T+1 points) is partitioned into maximal runs of strictly
     decreasing SOC (discharge), strictly increasing SOC (charge) and flat
-    intervals (dropped). Each non-flat run becomes one half cycle with
-    dod = |SOC change over the run|, soc_top = the run's highest SOC,
-    c_rate = dod / (run hours) and the mean ambient temperature over the run.
+    intervals (dropped). Each non-flat run becomes one row of CYCLE_FEATURES:
+    the run's highest SOC, dod = |SOC change over the run|, the mean ambient
+    temperature over the run and c_rate = dod / (run hours). A run that dips
+    below SOC 0 raises ValueError.
     """
     soc = np.asarray(soc_trajectory, dtype=float)
     temps = np.asarray(temps, dtype=float)
@@ -150,35 +131,19 @@ def cbup(
 
     deltas = np.diff(soc)
     directions = np.where(np.abs(deltas) <= FLAT_SOC_EPS, 0, np.sign(deltas))
+    changes = np.flatnonzero(np.diff(directions)) + 1
+    bounds = np.concatenate(([0], changes, [directions.size]))
+    moving = directions[bounds[:-1]] != 0
+    starts, ends = bounds[:-1][moving], bounds[1:][moving]
 
-    cycles: list[AggregatedCycle] = []
-    start = 0
-    while start < len(directions):
-        d = directions[start]
-        end = start + 1
-        while end < len(directions) and directions[end] == d:
-            end += 1
-        if d != 0:
-            dod = abs(soc[end] - soc[start])
-            cycles.append(
-                AggregatedCycle(
-                    soc_top=max(soc[start], soc[end]),
-                    dod=dod,
-                    c_rate=dod / ((end - start) * dt_hours),
-                    temp_amb=float(np.mean(temps[start:end])),
-                    soh=soh,
-                    direction="discharge" if d < 0 else "charge",
-                )
-            )
-        start = end
-    return cycles
-
-
-def make_ubdf_features(cycle: AggregatedCycle) -> np.ndarray:
-    """Stage-one input vector (SOC, DOD, Temp, C rate, SOH) for one cycle."""
-    return np.array(
-        [cycle.soc_top, cycle.dod, cycle.temp_amb, cycle.c_rate, cycle.soh]
-    )
+    soc_top = np.maximum(soc[starts], soc[ends])
+    dod = np.abs(soc[ends] - soc[starts])
+    low = soc_top - dod
+    if (low < -FLAT_SOC_EPS).any():
+        raise ValueError(f"half cycle drops below SOC 0: lowest SOC {low.min()}")
+    temp = [np.mean(temps[s:e]) for s, e in zip(starts, ends)]
+    c_rate = dod / ((ends - starts) * dt_hours)
+    return np.column_stack([soc_top, dod, temp, c_rate])
 
 
 @dataclass
@@ -219,18 +184,6 @@ def _check_guard_band(norm: net.Normalizer, x: np.ndarray, names: tuple[str, ...
         )
 
 
-def predict_ubdf(
-    model: DegradationModel, cycles: list[AggregatedCycle]
-) -> dict[str, np.ndarray]:
-    """Per-cycle stage-one predictions, denormalized to physical units."""
-    if not cycles:
-        return {name: np.empty(0) for name in model.ubdf_outputs}
-    x = np.vstack([make_ubdf_features(c) for c in cycles])
-    _check_guard_band(model.ubdf.x_norm, x, BDF_FEATURES)
-    pred = np.atleast_2d(model.ubdf.predict(x))
-    return {name: pred[:, j] for j, name in enumerate(model.ubdf_outputs)}
-
-
 def stage_two_inputs(model: DegradationModel, x_bdf: np.ndarray) -> np.ndarray:
     """Stage-two input matrix for cycles whose observables are the rows of x_bdf.
 
@@ -243,25 +196,25 @@ def stage_two_inputs(model: DegradationModel, x_bdf: np.ndarray) -> np.ndarray:
 
 
 def predict_degradation(
-    model: DegradationModel, cycles: list[AggregatedCycle], soh: float
+    model: DegradationModel, cycles: np.ndarray, soh: float
 ) -> float:
-    """Total degradation (SOH fraction) of a list of aggregated half cycles.
+    """Total degradation (SOH fraction) of cbup's half cycles, one per row.
 
-    Per-cycle stage-two outputs are clipped below at zero, weighted by the
-    half-cycle weight, scaled by the battery's current soh and summed.
-    Inputs beyond either network's guard band raise FeatureRangeWarning.
+    The battery's current soh completes each row's stage-one input. Per-cycle
+    stage-two outputs are clipped below at zero, weighted by HALF_CYCLE_WEIGHT,
+    summed and scaled by soh. Inputs beyond either network's guard band raise
+    FeatureRangeWarning.
     """
     if not 0.8 < soh <= 1.0:
         raise ValueError(f"soh out of (0.8, 1.0]: {soh}")
-    if not cycles:
+    if len(cycles) == 0:
         return 0.0
-    x_bdf = np.vstack([make_ubdf_features(c) for c in cycles])
+    x_bdf = np.column_stack([cycles, np.full(len(cycles), soh)])
     _check_guard_band(model.ubdf.x_norm, x_bdf, BDF_FEATURES)
     x = stage_two_inputs(model, x_bdf)
     _check_guard_band(model.bdp.x_norm, x, model.bdp_inputs)
     per_cycle = np.maximum(model.bdp.predict(x).ravel(), 0.0)
-    weights = np.array([c.weight for c in cycles])
-    return float(np.sum(weights * per_cycle) * soh)
+    return float(np.sum(HALF_CYCLE_WEIGHT * per_cycle) * soh)
 
 
 # ----------------------------------------------------------------------

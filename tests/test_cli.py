@@ -280,6 +280,27 @@ class TestSchedule:
             pattern = rf"{option} [A-Z]+ [^[]*\[default: {re.escape(str(value))}\]"
             assert re.search(pattern, text), option
 
+    @pytest.mark.parametrize("key, value", [
+        ("mode", "foo"), ("soh", 0.5), ("alpha", "abc"), ("patience", 2.5),
+    ])
+    def test_bad_config_value_is_validation_error(
+        self, workdir, tmp_path, monkeypatch, key, value
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        solved = []
+        for runner_name in ("run_traditional", "run_linear_bdc", "run_lod"):
+            monkeypatch.setattr(cli, runner_name, lambda *a, **k: solved.append(a))
+        result = runner.invoke(
+            main,
+            ["schedule", "--case", "example-day", "--mode", "lod",
+             "--model", str(workdir / "stub_model.json"), "--out-dir", str(tmp_path / "x"),
+             "--config", str(config)],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"config key '{key}'" in result.output
+        assert not solved
+
     def test_engine_config_key_rejected(self, workdir, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"engine": "highs"}))

@@ -94,28 +94,6 @@ class TestDegradationCost:
         assert lod.degradation_cost(1.6533e-5, ECON) == pytest.approx(9.92, abs=0.005)
 
 
-class TestLinearBdcCost:
-    def test_idle_battery_is_free(self):
-        case = arbitrage_case()
-        sched = solve(build_model(case), UsageCap(0.0))
-        assert lod.linear_bdc_cost(sched, case, ECON) == pytest.approx(0.0, abs=1e-9)
-
-    def test_rate_times_throughput(self):
-        case = arbitrage_case()
-        sched = solve(build_model(case))
-        tau = sched.bess_throughput_kwh(case)
-        assert tau > 0
-        assert lod.linear_bdc_cost(sched, case, ECON) == pytest.approx(0.05 * tau)
-
-    def test_linear_in_rate(self):
-        case = arbitrage_case()
-        sched = solve(build_model(case))
-        double = EconParams(capital_cost=120_000.0, linear_bdc_rate=0.10)
-        assert lod.linear_bdc_cost(sched, case, double) == pytest.approx(
-            2 * lod.linear_bdc_cost(sched, case, ECON)
-        )
-
-
 class TestBenchmarkRuns:
     def test_traditional_has_lowest_operation_cost(self):
         case = arbitrage_case()

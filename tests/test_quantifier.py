@@ -2,22 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from degradesched import aging, net, quantifier
 from degradesched.quantifier import (
-    BDF_FEATURES,
     BDP_VARIANTS,
+    CYCLE_FEATURES,
+    FLAT_SOC_EPS,
     UBDF_VARIANTS,
-    AggregatedCycle,
     DegradationModel,
     FeatureRangeWarning,
     bdp_required_unobtainables,
     cbup,
     compatible_pairs,
     dataset_columns,
-    make_ubdf_features,
     predict_degradation,
-    predict_ubdf,
     select_best_combination,
     train_bdp_variant,
     train_ubdf_variant,
@@ -59,46 +59,87 @@ class TestVariantTables:
             )
 
 
+def reference_cbup(soc, temps, dt_hours=1.0):
+    """Half cycles as (soc_top, dod, temp_amb, c_rate) tuples, one run at a time."""
+    soc = np.asarray(soc, dtype=float)
+    deltas = np.diff(soc)
+    directions = np.where(np.abs(deltas) <= FLAT_SOC_EPS, 0, np.sign(deltas))
+    cycles = []
+    start = 0
+    while start < len(directions):
+        d = directions[start]
+        end = start + 1
+        while end < len(directions) and directions[end] == d:
+            end += 1
+        if d != 0:
+            dod = abs(soc[end] - soc[start])
+            cycles.append((
+                max(soc[start], soc[end]),
+                dod,
+                float(np.mean(temps[start:end])),
+                dod / ((end - start) * dt_hours),
+            ))
+        start = end
+    return cycles
+
+
+# SOC levels whose differences are exact: steps of exactly +-FLAT_SOC_EPS
+# (flat) and 2 * FLAT_SOC_EPS (moving) sit on either side of the threshold.
+EXACT_LEVELS = (0.0, FLAT_SOC_EPS, 2 * FLAT_SOC_EPS)
+
+
+@st.composite
+def trajectories(draw):
+    """SOC trajectories with flat runs, +-FLAT_SOC_EPS steps and 1-point runs."""
+    n = draw(st.integers(2, 30))
+    level = st.sampled_from(EXACT_LEVELS) | st.floats(0.0, 1.0)
+    soc = [draw(level)]
+    for _ in range(n - 1):
+        soc.append(draw(st.just(soc[-1]) | level))
+    temps = draw(st.lists(st.floats(-20.0, 50.0), min_size=n - 1, max_size=n - 1))
+    dt_hours = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    return np.array(soc), np.array(temps), dt_hours
+
+
 class TestCbup:
     def test_discharge_then_charge(self):
         soc = [0.5, 0.5, 0.3, 0.3, 0.5]
-        cycles = cbup(np.array(soc), np.full(4, 25.0), soh=1.0)
-        assert len(cycles) == 2
-        disc, char = cycles
-        assert disc.dod == pytest.approx(0.2)
-        assert disc.c_rate == pytest.approx(0.2)
-        assert disc.soc_top == pytest.approx(0.5)
-        assert char.dod == pytest.approx(0.2)
-        assert char.c_rate == pytest.approx(0.2)
-        assert char.soc_top == pytest.approx(0.5)
-        assert all(c.weight == 0.5 for c in cycles)
+        cycles = cbup(np.array(soc), np.full(4, 25.0))
+        assert cycles.shape == (2, len(CYCLE_FEATURES))
+        soc_top, dod, _, c_rate = cycles.T
+        assert dod == pytest.approx([0.2, 0.2])
+        assert c_rate == pytest.approx([0.2, 0.2])
+        assert soc_top == pytest.approx([0.5, 0.5])
 
     def test_flat_trajectory_gives_nothing(self):
-        assert cbup(np.full(25, 0.4), np.full(24, 25.0), soh=1.0) == []
+        cycles = cbup(np.full(25, 0.4), np.full(24, 25.0))
+        assert cycles.shape == (0, len(CYCLE_FEATURES))
 
     def test_monotone_discharge_aggregates(self):
         soc = [0.8, 0.7, 0.6, 0.5]
-        cycles = cbup(np.array(soc), np.full(3, 25.0), soh=1.0)
-        assert len(cycles) == 1
-        assert cycles[0].dod == pytest.approx(0.3)
-        assert cycles[0].c_rate == pytest.approx(0.1)
-        assert cycles[0].soc_top == pytest.approx(0.8)
+        cycles = cbup(np.array(soc), np.full(3, 25.0))
+        assert cycles.shape == (1, len(CYCLE_FEATURES))
+        soc_top, dod, _, c_rate = cycles[0]
+        assert dod == pytest.approx(0.3)
+        assert c_rate == pytest.approx(0.1)
+        assert soc_top == pytest.approx(0.8)
 
     def test_dod_from_soc_difference(self):
-        cycles = cbup(np.array([0.8, 0.3]), np.array([25.0]), soh=1.0)
-        assert cycles[0].dod == pytest.approx(0.5)
-        assert cycles[0].c_rate == pytest.approx(0.5)
+        _, dod, _, c_rate = cbup(np.array([0.8, 0.3]), np.array([25.0]))[0]
+        assert dod == pytest.approx(0.5)
+        assert c_rate == pytest.approx(0.5)
 
     def test_run_mean_temperature(self):
         soc = [0.9, 0.6, 0.3, 0.3]
         temps = np.array([10.0, 30.0, 99.0])
-        cycles = cbup(np.array(soc), temps, soh=1.0)
-        assert len(cycles) == 1
-        assert cycles[0].temp_amb == pytest.approx(20.0)
+        cycles = cbup(np.array(soc), temps)
+        assert cycles.shape == (1, len(CYCLE_FEATURES))
+        assert cycles[0, CYCLE_FEATURES.index("temp")] == pytest.approx(20.0)
 
     def test_conservation_on_closed_trajectories(self):
         # Schedules that end where they started (the energy-neutral terminal
-        # constraint) must show equal total discharge and charge depth.
+        # constraint) go down as far as they come up, so the half cycles'
+        # depths add up to twice the discharge depth.
         rng = np.random.default_rng(11)
         for _ in range(100):
             steps = rng.normal(size=24)
@@ -107,47 +148,59 @@ class TestCbup:
             span = max(walk.max(), 1e-6)
             soc = 0.1 + 0.8 * walk / span
             soc[-1] = soc[0]
-            cycles = cbup(soc, np.full(24, 25.0), soh=1.0)
-            disc = sum(c.dod for c in cycles if c.direction == "discharge")
-            char = sum(c.dod for c in cycles if c.direction == "charge")
-            assert disc == pytest.approx(char, abs=1e-9)
+            dod = cbup(soc, np.full(24, 25.0))[:, CYCLE_FEATURES.index("dod")]
             deltas = np.diff(soc)
-            assert disc == pytest.approx(-deltas[deltas < 0].sum(), abs=1e-9)
+            moving = np.abs(deltas[np.abs(deltas) > FLAT_SOC_EPS])
+            assert dod.sum() == pytest.approx(moving.sum(), abs=1e-9)
+            assert dod.sum() == pytest.approx(-2 * deltas[deltas < 0].sum(), abs=1e-9)
+
+    def test_below_zero_soc_rejected(self):
+        with pytest.raises(ValueError, match="below SOC 0"):
+            cbup(np.array([0.2, -0.1, 0.3]), np.full(2, 25.0))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            cbup(np.array([0.5]), np.array([]), soh=1.0)
+            cbup(np.array([0.5]), np.array([]))
         with pytest.raises(ValueError):
-            cbup(np.array([0.5, 0.4]), np.array([25.0, 25.0]), soh=1.0)
+            cbup(np.array([0.5, 0.4]), np.array([25.0, 25.0]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(trajectories())
+    @example((np.array([0.0, FLAT_SOC_EPS, 0.0, 0.0, 2 * FLAT_SOC_EPS, 0.5, 0.3, 0.4]),
+              np.arange(7.0), 1.0))
+    def test_matches_reference_loop_exactly(self, trajectory):
+        soc, temps, dt_hours = trajectory
+        cycles = cbup(soc, temps, dt_hours)
+        expected = reference_cbup(soc, temps, dt_hours)
+        assert cycles.shape == (len(expected), len(CYCLE_FEATURES))
+        assert cycles.tolist() == [[float(v) for v in row] for row in expected]
 
 
 class TestFeatures:
     def test_ubdf_feature_order(self):
-        cycle = AggregatedCycle(soc_top=0.8, dod=0.3, c_rate=0.3, temp_amb=22.0, soh=0.95)
-        vec = make_ubdf_features(cycle)
-        assert vec.tolist() == [0.8, 0.3, 22.0, 0.3, 0.95]
+        # Fit stage one's input range tightly around one row in
+        # (soc, dod, temp, c_rate, soh) order. Any warning fails a test, so
+        # the first call shows every column in place; the second moves soh
+        # alone out of its band.
+        model = constant_model(1e-4)
+        row = np.array([0.75, 0.5, 25.0, 0.25, 0.9])
+        model.ubdf.x_norm.lo[:] = row - 1e-3
+        model.ubdf.x_norm.hi[:] = row + 1e-3
+        cycles = row[None, :len(CYCLE_FEATURES)]
+        predict_degradation(model, cycles, soh=0.9)
+        with pytest.warns(FeatureRangeWarning, match=r"\['soh'\]"):
+            predict_degradation(model, cycles, soh=0.95)
 
 
 class TestPredict:
     def cycles(self, n=2):
-        return [
-            AggregatedCycle(soc_top=0.75, dod=0.5, c_rate=0.5, temp_amb=25.0, soh=1.0)
-            for _ in range(n)
-        ]
+        # soc 0.75, dod 0.5, temp 25, c_rate 0.5 per half cycle
+        return np.tile([0.75, 0.5, 25.0, 0.5], (n, 1))
 
     def test_empty_cycle_list(self):
         model = constant_model(1e-4)
-        out = predict_ubdf(model, [])
-        assert all(v.size == 0 for v in out.values())
-        assert predict_degradation(model, [], soh=1.0) == 0.0
-
-    def test_duplicated_cycles_duplicate_outputs(self):
-        model = constant_model(1e-4)
-        one = predict_ubdf(model, self.cycles(1))
-        two = predict_ubdf(model, self.cycles(2))
-        for name in one:
-            assert two[name].shape == (2,)
-            assert np.allclose(two[name], one[name][0])
+        empty = np.empty((0, len(CYCLE_FEATURES)))
+        assert predict_degradation(model, empty, soh=1.0) == 0.0
 
     def test_doubling_cycles_doubles_prediction(self):
         model = constant_model(1e-4)
@@ -176,7 +229,7 @@ class TestPredict:
         model.ubdf.x_norm.lo[:] = 0.0
         model.ubdf.x_norm.hi[:] = 0.1
         with pytest.warns(FeatureRangeWarning):
-            predict_ubdf(model, self.cycles(1))
+            predict_degradation(model, self.cycles(1), soh=1.0)
 
     def test_soh_domain(self):
         model = constant_model(1e-4)
