@@ -230,7 +230,11 @@ def default_grid(n_groups: int = 35) -> list[CycleConditions]:
 
     Cross product of soc_high in {0.6, 0.8, 1.0}, dod in {0.2, 0.5, 0.8}
     (clipped to soc_high), temperature in {5, 25, 45} degC and C rate in
-    {0.5, 1, 2} 1/h, trimmed to the first n_groups combinations.
+    {0.5, 1, 2} 1/h, in that loop order, trimmed to the first n_groups
+    combinations. The default 35 are the 27 groups at soc_high 0.6 (dod 0.2,
+    0.5 and 0.6 after clipping) and 8 at soc_high 0.8, all with dod 0.2,
+    where 45 degC appears only at C rates 0.5 and 1; soc_high 1.0 never
+    appears.
     """
     grid = []
     for soc in (0.6, 0.8, 1.0):

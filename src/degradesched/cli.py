@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import __version__, storage
-from .aging import CycleConditions, default_grid, generate_dataset
+from .aging import END_OF_LIFE_SOH, CycleConditions, default_grid, generate_dataset
 from .exampleday import load_example_day
 from .lod import EconParams, LodConfig, run_linear_bdc, run_lod, run_traditional
 from .milp import InfeasibleCaseError
@@ -163,6 +163,11 @@ def cmd_train(**params) -> None:
     """Train the two-stage quantifier (one pair or a full variant search)."""
     values = _apply_config(params)
     t0 = time.perf_counter()
+    named = (values["ubdf"], values["bdp"])
+    if values["variant_search"] and named != (None, None):
+        _fail(EXIT_VALIDATION, "--variant-search excludes --ubdf/--bdp")
+    if not values["variant_search"] and None in named:
+        _fail(EXIT_VALIDATION, "provide --ubdf and --bdp, or --variant-search")
     timings: dict = {}
     try:
         with _timed(timings, "read_seconds"):
@@ -178,8 +183,6 @@ def cmd_train(**params) -> None:
 
     try:
         if values["variant_search"]:
-            if values["ubdf"] is not None or values["bdp"] is not None:
-                _fail(EXIT_VALIDATION, "--variant-search excludes --ubdf/--bdp")
             with _timed(timings, "search_seconds"):
                 model, report = select_best_combination(dataset, cfg)
             storage.write_report_table(report_to / "ubdf_models.csv", report.ubdf_table)
@@ -193,8 +196,6 @@ def cmd_train(**params) -> None:
                 f"stage-two variant {model.bdp_id}"
             )
         else:
-            if values["ubdf"] is None or values["bdp"] is None:
-                _fail(EXIT_VALIDATION, "provide --ubdf and --bdp, or --variant-search")
             try:
                 with _timed(timings, "pair_seconds"):
                     model = train_pair(dataset, values["ubdf"], values["bdp"], cfg)
@@ -242,9 +243,8 @@ def cmd_train(**params) -> None:
 @click.option("--alpha", type=float, default=LodConfig.alpha, show_default=True)
 @click.option("--max-iterations", type=int, default=LodConfig.max_iterations, show_default=True)
 @click.option("--patience", type=int, default=LodConfig.patience, show_default=True)
-@click.option("--soh", type=click.FloatRange(0.8, 1.0, min_open=True), default=1.0,
-              show_default=True,
-              help="Day-start battery state of health.")
+@click.option("--soh", type=click.FloatRange(END_OF_LIFE_SOH, 1.0, min_open=True),
+              default=1.0, show_default=True, help="Day-start battery state of health.")
 @click.option("--config", type=click.Path(), default=None)
 def cmd_schedule(**params) -> None:
     """Solve the look-ahead schedule under one of the three strategies."""

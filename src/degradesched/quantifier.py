@@ -6,17 +6,22 @@ the observable stress conditions of a cycle; stage two predicts per-cycle
 degradation from the observables plus the stage-one outputs. Scheduled
 storage profiles are reduced to half cycles first, one stage-one input row
 each, so the fixed-cycle networks can score any hourly usage profile.
+
+Every network the train command fits, the variants of both stages and the
+single-stage benchmarks, is one row of NETWORKS, and `fit_networks` trains
+any set of rows, those of one layer shape as one stack.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import net
-from .aging import DATASET_COLUMNS, AgingDataset
+from .aging import DATASET_COLUMNS, END_OF_LIFE_SOH, AgingDataset
 from .net import NetworkSpec, TrainConfig, TrainedNetwork
 
 # Observable per-cycle stress features, in network input order.
@@ -28,8 +33,12 @@ CYCLE_FEATURES = BDF_FEATURES[:4]
 # Features only available from stage one at scheduling time.
 UNOBTAINABLE_FEATURES = ("it", "ir", "elcn")
 
-# Columns that get min-max scaled; c_rate and soh pass through.
-NORMALIZED_FEATURES = frozenset({"soc", "dod", "temp", "it", "ir", "elcn"})
+# Columns that get min-max scaled; c_rate and soh pass through. A
+# degradation target is scaled after its log is taken (see network_job).
+NORMALIZED_FEATURES = frozenset({"soc", "dod", "temp", "it", "ir", "elcn", "degradation"})
+
+# The target of stage two and of the single-stage benchmarks.
+DEGRADATION = ("degradation",)
 
 # Hidden widths shared by every variant (input and output widths vary).
 HIDDEN_LAYERS = (20, 10)
@@ -56,6 +65,32 @@ BDP_VARIANTS: dict[int, tuple[str, ...]] = {
     8: ("soc", "dod", "temp", "c_rate", "ir", "soh"),
     9: ("soc", "dod", "temp", "c_rate", "it", "soh", "elcn"),
     10: ("soc", "dod", "temp", "c_rate", "ir", "soh", "elcn"),
+}
+
+
+class NetworkRow(NamedTuple):
+    """One network the train command can fit, by dataset column names."""
+
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    hidden: tuple[int, ...]
+    tag: int  # mixed with TrainConfig.seed into the network's own seed
+
+    @property
+    def spec(self) -> NetworkSpec:
+        return NetworkSpec((len(self.inputs), *self.hidden, len(self.outputs)))
+
+
+# Every network the train command can fit: the stage-one and stage-two
+# variants, and the single-stage benchmarks nnbd (the observables straight to
+# degradation) and nnbd2 (the same with a third hidden layer).
+NETWORKS: dict[tuple[str, int], NetworkRow] = {
+    **{("ubdf", u): NetworkRow(BDF_FEATURES, outputs, HIDDEN_LAYERS, 100 + u)
+       for u, outputs in UBDF_VARIANTS.items()},
+    **{("bdp", b): NetworkRow(inputs, DEGRADATION, HIDDEN_LAYERS, 200 + b)
+       for b, inputs in BDP_VARIANTS.items()},
+    ("nnbd", 0): NetworkRow(BDF_FEATURES, DEGRADATION, HIDDEN_LAYERS, 301),
+    ("nnbd2", 0): NetworkRow(BDF_FEATURES, DEGRADATION, (*HIDDEN_LAYERS, 10), 302),
 }
 
 REPORT_TOLERANCES = (0.05, 0.10, 0.15, 0.20)
@@ -192,7 +227,7 @@ def stage_two_inputs(model: DegradationModel, x_bdf: np.ndarray) -> np.ndarray:
     """
     columns = dict(zip(BDF_FEATURES, x_bdf.T))
     columns.update(zip(model.ubdf_outputs, np.atleast_2d(model.ubdf.predict(x_bdf)).T))
-    return np.column_stack([columns[name] for name in model.bdp_inputs])
+    return _column_matrix(columns, model.bdp_inputs)
 
 
 def predict_degradation(
@@ -205,8 +240,8 @@ def predict_degradation(
     summed and scaled by soh. Inputs beyond either network's guard band raise
     FeatureRangeWarning.
     """
-    if not 0.8 < soh <= 1.0:
-        raise ValueError(f"soh out of (0.8, 1.0]: {soh}")
+    if not END_OF_LIFE_SOH < soh <= 1.0:
+        raise ValueError(f"soh out of ({END_OF_LIFE_SOH}, 1.0]: {soh}")
     if len(cycles) == 0:
         return 0.0
     x_bdf = np.column_stack([cycles, np.full(len(cycles), soh)])
@@ -235,93 +270,70 @@ def _derived_config(cfg: TrainConfig, tag: int) -> TrainConfig:
     return replace(cfg, seed=seed)
 
 
-def _ubdf_spec(variant: int) -> NetworkSpec:
-    return NetworkSpec((len(BDF_FEATURES), *HIDDEN_LAYERS, len(UBDF_VARIANTS[variant])))
+def _column_matrix(columns: dict[str, np.ndarray], names: tuple[str, ...]) -> np.ndarray:
+    return np.column_stack([columns[n] for n in names])
 
 
-def _bdp_spec(variant: int) -> NetworkSpec:
-    return NetworkSpec((len(BDP_VARIANTS[variant]), *HIDDEN_LAYERS, 1))
-
-
-def _ubdf_job(
+def network_job(
     columns: dict[str, np.ndarray],
-    variant: int,
+    key: tuple[str, int],
     cfg: TrainConfig,
     split: tuple[np.ndarray, np.ndarray],
 ) -> net.TrainJob:
-    outputs = UBDF_VARIANTS[variant]
-    return net.TrainJob(
-        np.column_stack([columns[n] for n in BDF_FEATURES]),
-        np.column_stack([columns[n] for n in outputs]),
-        _ubdf_spec(variant),
-        _derived_config(cfg, 100 + variant),
-        x_mask=_mask_for(BDF_FEATURES),
-        y_mask=_mask_for(outputs),
-        split=split,
-    )
+    """The training job of the NETWORKS row `key` on the dataset's columns.
 
-
-def _degradation_job(
-    columns: dict[str, np.ndarray],
-    inputs: tuple[str, ...],
-    spec: NetworkSpec,
-    cfg: TrainConfig,
-    split: tuple[np.ndarray, np.ndarray],
-) -> net.TrainJob:
-    """A network whose target is per-cycle degradation.
-
-    The oracle's degradation is a product of stress factors and spans orders
-    of magnitude, while accuracy is judged relative to the target; so the
-    network is fitted to log(degradation), min-max scaled, where the factors
-    add up. Predictions come back exponentiated, in SOH fractions. Every
-    degradation target must be positive.
+    Its seed derives from cfg.seed and the row's tag. A degradation target
+    is fitted as log(degradation), min-max scaled: the oracle's degradation
+    is a product of stress factors and spans orders of magnitude, while
+    accuracy is judged relative to the target, so the factors should add up.
+    Predictions come back exponentiated, in SOH fractions, and every
+    degradation target must be positive. Stage one's internal-feature
+    targets are min-max scaled as they are.
     """
+    row = NETWORKS[key]
     return net.TrainJob(
-        np.column_stack([columns[n] for n in inputs]),
-        columns["degradation"][:, None],
-        spec,
-        cfg,
-        x_mask=_mask_for(inputs),
-        y_mask=np.array([True]),
+        _column_matrix(columns, row.inputs),
+        _column_matrix(columns, row.outputs),
+        row.spec,
+        _derived_config(cfg, row.tag),
+        x_mask=_mask_for(row.inputs),
+        y_mask=_mask_for(row.outputs),
         split=split,
-        log_target=True,
+        log_target=row.outputs == DEGRADATION,
     )
 
 
-def _bdp_job(
+def fit_networks(
     columns: dict[str, np.ndarray],
-    variant: int,
+    keys: list[tuple[str, int]],
     cfg: TrainConfig,
     split: tuple[np.ndarray, np.ndarray],
-) -> net.TrainJob:
-    return _degradation_job(
-        columns, BDP_VARIANTS[variant], _bdp_spec(variant),
-        _derived_config(cfg, 200 + variant), split,
-    )
+) -> dict[tuple[str, int], TrainedNetwork | net.TrainingDiverged]:
+    """Fit the NETWORKS rows `keys`, each keyed as given.
 
-
-def train_ubdf_variant(
-    columns: dict[str, np.ndarray],
-    variant: int,
-    cfg: TrainConfig,
-    split: tuple[np.ndarray, np.ndarray],
-) -> TrainedNetwork:
-    """Fit one stage-one variant; targets are min-max scaled internal features."""
-    return net.train(*_ubdf_job(columns, variant, cfg, split))
-
-
-def train_bdp_variant(
-    columns: dict[str, np.ndarray],
-    variant: int,
-    cfg: TrainConfig,
-    split: tuple[np.ndarray, np.ndarray],
-) -> TrainedNetwork:
-    """Fit one stage-two variant on ground-truth inputs.
-
-    The target is log(degradation), min-max scaled (see
-    _degradation_job); predictions are in SOH fractions.
+    Rows of one exact layer shape train as one stack (net.train_stack), each
+    bit-identical to fitting its job alone with net.train; a group's inputs
+    are built only when that group trains. A network whose loss became
+    non-finite maps to its TrainingDiverged.
     """
-    return net.train(*_bdp_job(columns, variant, cfg, split))
+    groups: dict[NetworkSpec, list[tuple[str, int]]] = {}
+    for key in keys:
+        groups.setdefault(NETWORKS[key].spec, []).append(key)
+    fitted: dict[tuple[str, int], TrainedNetwork | net.TrainingDiverged] = {}
+    for members in groups.values():
+        stack = net.train_stack(network_job(columns, key, cfg, split) for key in members)
+        fitted.update(zip(members, stack))
+    return fitted
+
+
+def _fit_all(dataset: AgingDataset, keys: list, cfg: TrainConfig) -> list[TrainedNetwork]:
+    """The fitted networks of `keys`, in order; raises the first divergence."""
+    split = net.split_indices(len(dataset), cfg.train_fraction, cfg.seed)
+    fitted = fit_networks(dataset_columns(dataset), keys, cfg, split)
+    for key in keys:
+        if isinstance(fitted[key], net.TrainingDiverged):
+            raise fitted[key]
+    return [fitted[key] for key in keys]
 
 
 def train_pair(
@@ -329,10 +341,7 @@ def train_pair(
 ) -> DegradationModel:
     """Train one closure-compatible (stage-one, stage-two) pair."""
     check_closure(ubdf_id, bdp_id)  # before paying for training
-    columns = dataset_columns(dataset)
-    split = net.split_indices(len(dataset), cfg.train_fraction, cfg.seed)
-    ubdf = train_ubdf_variant(columns, ubdf_id, cfg, split)
-    bdp = train_bdp_variant(columns, bdp_id, cfg, split)
+    ubdf, bdp = _fit_all(dataset, [("ubdf", ubdf_id), ("bdp", bdp_id)], cfg)
     return DegradationModel(ubdf_id=ubdf_id, bdp_id=bdp_id, ubdf=ubdf, bdp=bdp)
 
 
@@ -372,109 +381,60 @@ class SelectionReport:
     failures: list[str] = field(default_factory=list)
 
 
-def _train_search_networks(
-    columns: dict[str, np.ndarray], cfg: TrainConfig, split: tuple[np.ndarray, np.ndarray]
-) -> dict[tuple[str, int], TrainedNetwork | net.TrainingDiverged]:
-    """Every stage-one and stage-two variant, keyed ("ubdf" | "bdp", id).
-
-    Variants of one exact layer shape, from either stage, train as one stack;
-    each group's inputs are built only when that group trains.
-    """
-    spec_of = {"ubdf": _ubdf_spec, "bdp": _bdp_spec}
-    job_of = {"ubdf": _ubdf_job, "bdp": _bdp_job}
-    variants = [("ubdf", u) for u in sorted(UBDF_VARIANTS)]
-    variants += [("bdp", b) for b in sorted(BDP_VARIANTS)]
-    groups: dict[NetworkSpec, list[tuple[str, int]]] = {}
-    for stage, v in variants:
-        groups.setdefault(spec_of[stage](v), []).append((stage, v))
-    fitted: dict[tuple[str, int], TrainedNetwork | net.TrainingDiverged] = {}
-    for members in groups.values():
-        stack = net.train_stack(job_of[stage](columns, v, cfg, split) for stage, v in members)
-        fitted.update(zip(members, stack))
-    return fitted
-
-
 def select_best_combination(
     dataset: AgingDataset, cfg: TrainConfig
 ) -> tuple[DegradationModel, SelectionReport]:
     """Train every variant and pick the best composed pair.
 
-    Trains all six stage-one and all ten stage-two variants on a shared
-    train/validation split, evaluates every closure-compatible pair composed
-    (stage two fed stage-one predictions, not ground truth) on the validation
-    split, and returns the pair with the highest accuracy at 15% tolerance;
-    ties break by 10% accuracy, then by lower variant ids. Variants whose
-    training diverges are recorded and excluded.
-
-    Variants of one layer shape train as one stack (net.train_stack), each
-    bit-identical to training it alone with train_ubdf_variant or
-    train_bdp_variant.
+    Trains all six stage-one and all ten stage-two variants with
+    fit_networks on a shared train/validation split, evaluates every
+    closure-compatible pair composed (stage two fed stage-one predictions,
+    not ground truth) on the validation split, and returns the pair with the
+    highest accuracy at 15% tolerance; ties break by 10% accuracy, then by
+    lower variant ids. Variants whose training diverges are recorded and
+    excluded.
     """
     columns = dataset_columns(dataset)
     split = net.split_indices(len(dataset), cfg.train_fraction, cfg.seed)
     _, val_idx = split
-    x_val = np.column_stack([columns[n] for n in BDF_FEATURES])[val_idx]
+    keys = [key for key in NETWORKS if key[0] in ("ubdf", "bdp")]
+    fitted = fit_networks(columns, keys, cfg, split)
+
     report = SelectionReport()
-    fitted = _train_search_networks(columns, cfg, split)
-
-    ubdf_nets: dict[int, TrainedNetwork] = {}
-    for u in sorted(UBDF_VARIANTS):
-        result = fitted[("ubdf", u)]
+    nets: dict[tuple[str, int], TrainedNetwork] = {}
+    for key in keys:
+        kind, variant = key
+        result = fitted[key]
         if isinstance(result, net.TrainingDiverged):
-            report.failures.append(f"ubdf-{u}: {result}")
+            report.failures.append(f"{kind}-{variant}: {result}")
             continue
-        ubdf_nets[u] = result
-        target = np.column_stack([columns[n] for n in UBDF_VARIANTS[u]])[val_idx]
-        report.ubdf_table.append(accuracy_row(result.predict(x_val), target, u))
+        nets[key] = result
+        row = NETWORKS[key]
+        x = _column_matrix(columns, row.inputs)[val_idx]
+        target = _column_matrix(columns, row.outputs)[val_idx]
+        table = getattr(report, f"{kind}_table")
+        table.append(accuracy_row(result.predict(x), target, variant))
 
-    bdp_nets: dict[int, TrainedNetwork] = {}
+    x_val = _column_matrix(columns, BDF_FEATURES)[val_idx]
     deg_val = columns["degradation"][val_idx]
-    for b in sorted(BDP_VARIANTS):
-        result = fitted[("bdp", b)]
-        if isinstance(result, net.TrainingDiverged):
-            report.failures.append(f"bdp-{b}: {result}")
-            continue
-        bdp_nets[b] = result
-        x_bdp = np.column_stack([columns[n] for n in BDP_VARIANTS[b]])[val_idx]
-        report.bdp_table.append(accuracy_row(result.predict(x_bdp), deg_val, b))
-
-    best_key = None
-    best_pair = None
+    ranked: dict[tuple, DegradationModel] = {}
     for u, b in compatible_pairs():
-        if u not in ubdf_nets or b not in bdp_nets:
-            continue
-        pair = DegradationModel(ubdf_id=u, bdp_id=b, ubdf=ubdf_nets[u], bdp=bdp_nets[b])
-        row = accuracy_row(composed_predictions(pair, x_val), deg_val, f"{u}-{b}")
-        report.composed_table.append(row)
-        key = (row["tol15"], row["tol10"], -u, -b)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_pair = pair
-
-    if best_pair is None:
+        if ("ubdf", u) in nets and ("bdp", b) in nets:
+            pair = DegradationModel(u, b, nets[("ubdf", u)], nets[("bdp", b)])
+            row = accuracy_row(composed_predictions(pair, x_val), deg_val, f"{u}-{b}")
+            report.composed_table.append(row)
+            ranked[(row["tol15"], row["tol10"], -u, -b)] = pair
+    if not ranked:
         raise RuntimeError("every variant pair failed to train")
-    return best_pair, report
+    return ranked[max(ranked)], report
 
 
-def train_benchmarks(
-    dataset: AgingDataset, cfg: TrainConfig
-) -> dict[str, TrainedNetwork]:
-    """Train the two single-stage benchmark nets.
+def train_benchmarks(dataset: AgingDataset, cfg: TrainConfig) -> dict[str, TrainedNetwork]:
+    """Train the two single-stage benchmark nets, nnbd and nnbd2 (see NETWORKS).
 
-    nnbd maps the five observable features straight to degradation through
-    the same 20-10 hidden stack; nnbd2 adds a third 10-neuron hidden layer.
     Both fit the same log target as stage two.
     """
-    columns = dataset_columns(dataset)
-    split = net.split_indices(len(dataset), cfg.train_fraction, cfg.seed)
-    nnbd = net.train(*_degradation_job(
-        columns, BDF_FEATURES, NetworkSpec((5, 20, 10, 1)),
-        _derived_config(cfg, 301), split,
-    ))
-    nnbd2 = net.train(*_degradation_job(
-        columns, BDF_FEATURES, NetworkSpec((5, 20, 10, 10, 1)),
-        _derived_config(cfg, 302), split,
-    ))
+    nnbd, nnbd2 = _fit_all(dataset, [("nnbd", 0), ("nnbd2", 0)], cfg)
     return {"nnbd": nnbd, "nnbd2": nnbd2}
 
 
@@ -488,7 +448,7 @@ def performance_comparison(
     columns = dataset_columns(dataset)
     _, val_idx = net.split_indices(len(dataset), cfg.train_fraction, cfg.seed)
     deg_val = columns["degradation"][val_idx]
-    x_val = np.column_stack([columns[n] for n in BDF_FEATURES])[val_idx]
+    x_val = _column_matrix(columns, BDF_FEATURES)[val_idx]
     rows = [accuracy_row(composed_predictions(model, x_val), deg_val, "hdl-bdq")]
     for name in ("nnbd", "nnbd2"):
         rows.append(accuracy_row(benchmarks[name].predict(x_val), deg_val, name))

@@ -220,7 +220,10 @@ def _network_from_dict(doc: dict, where: str) -> TrainedNetwork:
             best_epoch=int(doc.get("best_epoch", -1)),
             log_target=log_target,
         )
-    except (KeyError, IndexError, TypeError) as exc:
+    except FileFormatError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        # ValueError: a bad number, layer size, normalizer range or config.
         raise FileFormatError(f"{where}: malformed network artifact: {exc}") from exc
 
 

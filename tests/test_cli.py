@@ -119,6 +119,19 @@ class TestTrain:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--variant-search", "--bdp", "3"], "--variant-search excludes --ubdf/--bdp"),
+        (["--ubdf", "1"], "provide --ubdf and --bdp"),
+    ])
+    def test_flags_checked_before_reading_dataset(self, tmp_path, flags, message):
+        result = runner.invoke(
+            main,
+            ["train", "--dataset", str(tmp_path / "missing.csv"),
+             "--out", str(tmp_path / "m.json"), *flags],
+        )
+        assert result.exit_code == 2
+        assert message in result.output
+
     def test_benchmarks_write_comparison_table(self, workdir, tmp_path):
         out = tmp_path / "model.json"
         result = runner.invoke(

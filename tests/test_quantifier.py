@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from degradesched import aging, net, quantifier
+from degradesched import aging, net
 from degradesched.quantifier import (
     BDP_VARIANTS,
     CYCLE_FEATURES,
     FLAT_SOC_EPS,
+    NETWORKS,
     UBDF_VARIANTS,
     DegradationModel,
     FeatureRangeWarning,
@@ -17,10 +18,12 @@ from degradesched.quantifier import (
     cbup,
     compatible_pairs,
     dataset_columns,
+    fit_networks,
+    network_job,
     predict_degradation,
     select_best_combination,
-    train_bdp_variant,
-    train_ubdf_variant,
+    train_benchmarks,
+    train_pair,
 )
 from test_lod import constant_model, constant_network
 from test_net import assert_same_network
@@ -48,6 +51,15 @@ class TestVariantTables:
         assert (1, 1) not in pairs  # variant 1 lacks elcn
         assert (5, 10) in pairs
         assert (1, 10) not in pairs  # lacks ir and elcn
+
+    def test_network_table(self):
+        assert len(NETWORKS) == len(UBDF_VARIANTS) + len(BDP_VARIANTS) + 2
+        assert NETWORKS[("ubdf", 6)].spec.layer_sizes == (5, 20, 10, 3)
+        assert NETWORKS[("bdp", 10)].spec.layer_sizes == (7, 20, 10, 1)
+        assert NETWORKS[("nnbd", 0)].spec.layer_sizes == (5, 20, 10, 1)
+        assert NETWORKS[("nnbd2", 0)].spec.layer_sizes == (5, 20, 10, 10, 1)
+        # Each network draws its own seed from the run's seed and its tag.
+        assert len({row.tag for row in NETWORKS.values()}) == len(NETWORKS)
 
     def test_incompatible_model_rejected(self):
         with pytest.raises(ValueError, match="does not produce"):
@@ -281,35 +293,62 @@ class TestSelection:
 
 class TestSearchMatchesPairTraining:
     def test_every_search_network_equals_its_own_fit(self):
-        # The search trains same-shape variants as stacks; each must equal
-        # what train_pair's per-variant fit gives, parameter by parameter.
+        # fit_networks trains same-shape networks as stacks; each must equal
+        # what net.train gives its job alone, parameter by parameter, and the
+        # search, train_pair (1-3 is one same-shape stack) and
+        # train_benchmarks must hand out those networks.
         ds = subsampled_dataset()
         cfg = net.TrainConfig(epochs=4, seed=2)
         columns = dataset_columns(ds)
         split = net.split_indices(len(ds), cfg.train_fraction, cfg.seed)
-        fitted = quantifier._train_search_networks(columns, cfg, split)
+        fitted = fit_networks(columns, list(NETWORKS), cfg, split)
         assert sorted(fitted) == sorted(
             [("ubdf", u) for u in UBDF_VARIANTS] + [("bdp", b) for b in BDP_VARIANTS]
+            + [("nnbd", 0), ("nnbd2", 0)]
         )
-        solo = {"ubdf": train_ubdf_variant, "bdp": train_bdp_variant}
-        for (stage, variant), network in fitted.items():
-            assert_same_network(network, solo[stage](columns, variant, cfg, split))
+        for key, network in fitted.items():
+            assert_same_network(network, net.train(*network_job(columns, key, cfg, split)))
         model, _ = select_best_combination(ds, cfg)
         assert_same_network(model.ubdf, fitted[("ubdf", model.ubdf_id)])
         assert_same_network(model.bdp, fitted[("bdp", model.bdp_id)])
+        pair = train_pair(ds, 1, 3, cfg)
+        assert_same_network(pair.ubdf, fitted[("ubdf", 1)])
+        assert_same_network(pair.bdp, fitted[("bdp", 3)])
+        benchmarks = train_benchmarks(ds, cfg)
+        for name in ("nnbd", "nnbd2"):
+            assert_same_network(benchmarks[name], fitted[(name, 0)])
+
+
+class TestDivergence:
+    # A learning rate this large makes every network's loss non-finite.
+    cfg = net.TrainConfig(initial_lr=1e4, epochs=3)
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        return subsampled_dataset()
+
+    def test_train_pair_raises(self, ds):
+        with pytest.raises(net.TrainingDiverged, match="epoch 0"):
+            train_pair(ds, 1, 3, self.cfg)
+
+    def test_train_benchmarks_raises(self, ds):
+        with pytest.raises(net.TrainingDiverged):
+            train_benchmarks(ds, self.cfg)
+
+    def test_search_with_no_pair_left_raises(self, ds):
+        with pytest.raises(RuntimeError, match="every variant pair failed"):
+            select_best_combination(ds, self.cfg)
 
 
 class TestTrainingCurve:
     def test_loss_flattens_after_200_epochs(self):
         # Stage-two training settles once the decayed learning rate is small:
         # the mean loss over epochs 200-250 sits within 10% of the final mean.
-        from degradesched.quantifier import dataset_columns, train_bdp_variant
-
         ds = subsampled_dataset(n_rows=6000, seed=7)
         cols = dataset_columns(ds)
         split = net.split_indices(len(ds), 0.8, 7)
         cfg = net.TrainConfig(epochs=300, seed=7)
-        model = train_bdp_variant(cols, 10, cfg, split)
+        model = net.train(*network_job(cols, ("bdp", 10), cfg, split))
         h = model.history["train_mse"]
         early = float(np.mean(h[200:250]))
         late = float(np.mean(h[-50:]))

@@ -86,6 +86,16 @@ MALFORMED_ARTIFACTS = {
 }
 
 
+# Damage to one network's values that its own checks reject: the network it
+# hits and the change, made in place.
+DAMAGED_NETWORKS = {
+    "negative_lr": ("bdp", lambda n: n["config"].update(initial_lr=-1)),
+    "non_numeric_weight": ("ubdf", lambda n: n["weights"][0].__setitem__(0, "abc")),
+    "degenerate_range": ("ubdf", lambda n: n["x_norm"].update(hi=n["x_norm"]["lo"])),
+    "zero_width_layer": ("bdp", lambda n: n.update(layer_sizes=[7, 0, 1])),
+}
+
+
 class TestModelArtifacts:
     def test_round_trip_bit_identical_predictions(self, tmp_path):
         model = constant_model(2e-4)
@@ -157,6 +167,15 @@ class TestModelArtifacts:
         path.write_text(json.dumps(damage(json.loads(path.read_text()))))
         with pytest.raises(FileFormatError, match="variant|JSON object"):
             storage.read_model_artifact(path)
+
+    @pytest.mark.parametrize("side, damage", DAMAGED_NETWORKS.values(), ids=DAMAGED_NETWORKS)
+    def test_damaged_network_names_file(self, tmp_path, side, damage):
+        file = storage.write_model_artifact(tmp_path / "model.json", constant_model(2e-4))
+        doc = json.loads(file.read_text())
+        damage(doc[side])
+        file.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=f"model.json#{side}: malformed network"):
+            storage.read_model_artifact(file)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         model = constant_model(2e-4)
