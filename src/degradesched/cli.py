@@ -22,6 +22,7 @@ from .lod import EconParams, LodConfig, run_linear_bdc, run_lod, run_traditional
 from .milp import InfeasibleCaseError
 from .net import TrainConfig
 from .quantifier import (
+    check_closure,
     performance_comparison,
     select_best_combination,
     train_benchmarks,
@@ -164,10 +165,16 @@ def cmd_train(**params) -> None:
     values = _apply_config(params)
     t0 = time.perf_counter()
     named = (values["ubdf"], values["bdp"])
-    if values["variant_search"] and named != (None, None):
-        _fail(EXIT_VALIDATION, "--variant-search excludes --ubdf/--bdp")
-    if not values["variant_search"] and None in named:
+    if values["variant_search"]:
+        if named != (None, None):
+            _fail(EXIT_VALIDATION, "--variant-search excludes --ubdf/--bdp")
+    elif None in named:
         _fail(EXIT_VALIDATION, "provide --ubdf and --bdp, or --variant-search")
+    else:
+        try:
+            check_closure(*named)
+        except ValueError as exc:
+            _fail(EXIT_VALIDATION, str(exc))
     timings: dict = {}
     try:
         with _timed(timings, "read_seconds"):
@@ -196,11 +203,8 @@ def cmd_train(**params) -> None:
                 f"stage-two variant {model.bdp_id}"
             )
         else:
-            try:
-                with _timed(timings, "pair_seconds"):
-                    model = train_pair(dataset, values["ubdf"], values["bdp"], cfg)
-            except ValueError as exc:
-                _fail(EXIT_VALIDATION, str(exc))
+            with _timed(timings, "pair_seconds"):
+                model = train_pair(dataset, *named, cfg)
         if values["with_benchmarks"]:
             with _timed(timings, "benchmarks_seconds"):
                 benchmarks = train_benchmarks(dataset, cfg)

@@ -557,121 +557,69 @@ def validate_schedule(
 ) -> list[Violation]:
     """Re-evaluate every constraint arithmetically, independent of any solver.
 
+    Reads only the case, the schedule and the cap, never a built model.
     Returns an empty list iff the schedule is feasible within tol (absolute,
     kW/kWh units). Constraint families are named after the printed model:
-    power balance, generator limits and ramps, trade exclusivity and tie-line
-    limits, battery exclusivity and power limits, the energy recursion,
-    capacity window and terminal state, the reserve requirement, and the
-    optional usage cap.
+    power balance, generator limits, ramps and startup linking, trade
+    exclusivity and tie-line limits, battery exclusivity and power limits,
+    the energy recursion, capacity window and terminal state, the reserve
+    requirement, and the optional usage cap.
+
+    Violations come in this order: one `binary_integrality` entry per binary
+    field holding a value other than 0 or 1 (its amount is the largest
+    distance to {0, 1}), then each family in the order above, one entry per
+    residual above tol, located as t=, g=..,t=, s=..,t=, s= or horizon.
     """
-    v: list[Violation] = []
-    T = case.horizon
     dt = case.dt_hours
+    gens, bess = case.generators, case.bess
+    p_gen, p_char, p_disc, energy = sched.p_gen, sched.p_char, sched.p_disc, sched.energy
+    u_char, u_disc = sched.u_char, sched.u_disc
+    g_min, g_max = _per_unit(gens, "p_min"), _per_unit(gens, "p_max")
+    b_min, b_max = _per_unit(bess, "p_min"), _per_unit(bess, "p_max")
+    e_min, e_max = _per_unit(bess, "e_min"), _per_unit(bess, "e_max")
+    e_initial = _per_unit(bess, "e_initial")
+    ramp = dt * _per_unit(gens, "ramp")
+    step = np.diff(p_gen, axis=1)
+    u_prev = np.hstack([_per_unit(gens, "initially_on"), sched.u_gen[:, :-1]])
+    e_prev = np.hstack([e_initial, energy[:, :-1]])
 
-    def check(family: str, where: str, amount: float) -> None:
-        if amount > tol:
-            v.append(Violation(family=family, where=where, amount=float(amount)))
-
-    for name in ("u_gen", "v_gen", "u_buy", "u_sell", "u_char", "u_disc"):
-        arr = getattr(sched, name)
-        if arr.size and not np.isin(arr, (0, 1)).all():
-            v.append(Violation("binary_integrality", name, float(np.abs(arr).max())))
-
-    for t in range(T):
-        supply = (
-            sched.p_buy[t]
-            + sched.p_gen[:, t].sum()
-            + case.wind[t]
-            + case.solar[t]
-            + sched.p_disc[:, t].sum()
-        )
-        demand = sched.p_sell[t] + case.load[t] + sched.p_char[:, t].sum()
-        check("eq5_power_balance", f"t={t}", abs(supply - demand))
-
-        check("eq9_trade_exclusivity", f"t={t}", sched.u_buy[t] + sched.u_sell[t] - 1)
-        check("eq10_buy_limit", f"t={t}", sched.p_buy[t] - sched.u_buy[t] * case.p_grid_max)
-        check("eq10_buy_limit", f"t={t}", -sched.p_buy[t])
-        check("eq11_sell_limit", f"t={t}", sched.p_sell[t] - sched.u_sell[t] * case.p_grid_max)
-        check("eq11_sell_limit", f"t={t}", -sched.p_sell[t])
-
-        headroom = (
-            case.p_grid_max
-            - sched.p_buy[t]
-            + sched.p_sell[t]
-            + sum(
-                gen.p_max - sched.p_gen[g, t] for g, gen in enumerate(case.generators)
-            )
-        )
-        check(
-            "eq18_reserve",
-            f"t={t}",
-            case.reserve_fraction * case.load[t] - headroom,
-        )
-
-    for g, gen in enumerate(case.generators):
-        for t in range(T):
-            check("eq6_gen_limits", f"g={g},t={t}", gen.p_min - sched.p_gen[g, t])
-            check("eq6_gen_limits", f"g={g},t={t}", sched.p_gen[g, t] - gen.p_max)
-            prev_u = int(gen.initially_on) if t == 0 else sched.u_gen[g, t - 1]
-            check(
-                "startup_linking",
-                f"g={g},t={t}",
-                sched.u_gen[g, t] - prev_u - sched.v_gen[g, t],
-            )
-        for t in range(T - 1):
-            step = sched.p_gen[g, t + 1] - sched.p_gen[g, t]
-            check("eq7_ramp_up", f"g={g},t={t}", step - dt * gen.ramp)
-            check("eq8_ramp_down", f"g={g},t={t}", -step - dt * gen.ramp)
-
-    for s, bess in enumerate(case.bess):
-        e_prev = bess.e_initial
-        for t in range(T):
-            check(
-                "eq12_bess_exclusivity",
-                f"s={s},t={t}",
-                sched.u_char[s, t] + sched.u_disc[s, t] - 1,
-            )
-            check(
-                "eq13_charge_limits",
-                f"s={s},t={t}",
-                sched.p_char[s, t] - sched.u_char[s, t] * bess.p_max,
-            )
-            check(
-                "eq13_charge_limits",
-                f"s={s},t={t}",
-                sched.u_char[s, t] * bess.p_min - sched.p_char[s, t],
-            )
-            check(
-                "eq14_discharge_limits",
-                f"s={s},t={t}",
-                sched.p_disc[s, t] - sched.u_disc[s, t] * bess.p_max,
-            )
-            check(
-                "eq14_discharge_limits",
-                f"s={s},t={t}",
-                sched.u_disc[s, t] * bess.p_min - sched.p_disc[s, t],
-            )
-            recursion = (
-                sched.energy[s, t]
-                - e_prev
-                + dt
-                * (
-                    sched.p_disc[s, t] / bess.eta_discharge
-                    - sched.p_char[s, t] * bess.eta_charge
-                )
-            )
-            check("eq16_energy_recursion", f"s={s},t={t}", abs(recursion))
-            check("energy_capacity", f"s={s},t={t}", bess.e_min - sched.energy[s, t])
-            check("energy_capacity", f"s={s},t={t}", sched.energy[s, t] - bess.e_max)
-            e_prev = sched.energy[s, t]
-        check(
-            "eq17_terminal_energy",
-            f"s={s}",
-            abs(sched.energy[s, T - 1] - bess.e_initial),
-        )
-
+    supply = sched.p_buy + p_gen.sum(0) + case.wind + case.solar + p_disc.sum(0)
+    demand = sched.p_sell + case.load + p_char.sum(0)
+    headroom = case.p_grid_max - sched.p_buy + sched.p_sell + (g_max - p_gen).sum(0)
+    recursion = energy - e_prev + dt * (
+        p_disc / _per_unit(bess, "eta_discharge") - p_char * _per_unit(bess, "eta_charge")
+    )
+    # family: (unit axis, residuals over ([unit,] interval)); > 0 is a violation.
+    table = {
+        "eq5_power_balance": ("", [abs(supply - demand)]),
+        "eq6_gen_limits": ("g", [g_min - p_gen, p_gen - g_max]),
+        "eq7_ramp_up": ("g", [step - ramp]),
+        "eq8_ramp_down": ("g", [-step - ramp]),
+        "startup_linking": ("g", [sched.u_gen - u_prev - sched.v_gen]),
+        "eq9_trade_exclusivity": ("", [sched.u_buy + sched.u_sell - 1]),
+        "eq10_buy_limit": ("", [sched.p_buy - sched.u_buy * case.p_grid_max, -sched.p_buy]),
+        "eq11_sell_limit": ("", [sched.p_sell - sched.u_sell * case.p_grid_max, -sched.p_sell]),
+        "eq12_bess_exclusivity": ("s", [u_char + u_disc - 1]),
+        "eq13_charge_limits": ("s", [p_char - u_char * b_max, u_char * b_min - p_char]),
+        "eq14_discharge_limits": ("s", [p_disc - u_disc * b_max, u_disc * b_min - p_disc]),
+        "eq16_energy_recursion": ("s", [abs(recursion)]),
+        "energy_capacity": ("s", [e_min - energy, energy - e_max]),
+        "eq17_terminal_energy": ("s", [abs(energy[:, -1] - e_initial[:, 0])]),
+        "eq18_reserve": ("", [case.reserve_fraction * case.load - headroom]),
+    }
     if cap is not None:
-        total = (sched.p_char.sum() + sched.p_disc.sum()) * dt
-        check("eq29_usage_cap", "horizon", total - cap.cap_kwh)
+        table["eq29_usage_cap"] = ("", [sched.bess_throughput_kwh(case) - cap.cap_kwh])
 
-    return v
+    violations = []
+    for name in _BINARY_FIELDS:
+        arr = getattr(sched, name)
+        off = np.minimum(np.abs(arr), np.abs(arr - 1))
+        if off.any():
+            violations.append(Violation("binary_integrality", name, float(off.max())))
+    for family, (unit, residuals) in table.items():
+        axes = (unit, "t") if unit else ("t",)
+        for amounts in map(np.asarray, residuals):
+            for pos in np.argwhere(amounts > tol):
+                where = ",".join(f"{axis}={i}" for axis, i in zip(axes, pos)) or "horizon"
+                violations.append(Violation(family, where, float(amounts[tuple(pos)])))
+    return violations

@@ -122,6 +122,7 @@ class TestTrain:
     @pytest.mark.parametrize("flags, message", [
         (["--variant-search", "--bdp", "3"], "--variant-search excludes --ubdf/--bdp"),
         (["--ubdf", "1"], "provide --ubdf and --bdp"),
+        (["--ubdf", "1", "--bdp", "10"], "does not produce"),
     ])
     def test_flags_checked_before_reading_dataset(self, tmp_path, flags, message):
         result = runner.invoke(

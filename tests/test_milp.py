@@ -73,6 +73,16 @@ def day_case(**overrides):
     return MicrogridCase(**fields)
 
 
+def _edited(sched, edits):
+    """The schedule with (field, index, "=" or "+=", value) edits applied to
+    float copies of the fields they touch."""
+    fields = {}
+    for field, index, op, value in edits:
+        arr = fields.setdefault(field, getattr(sched, field).astype(float))
+        arr[index] = value if op == "=" else arr[index] + value
+    return dataclasses.replace(sched, **fields)
+
+
 class TestBuildModel:
     def test_binary_count_one_gen_one_bess(self):
         problem = build_model(day_case())
@@ -352,6 +362,58 @@ class TestValidateSchedule:
         sched.u_gen[0, 0] = 0.5
         families = {v.family for v in validate_schedule(case, sched)}
         assert "binary_integrality" in families
+
+    def test_fractional_binary_amount_is_distance_to_nearest_integer(self):
+        case = day_case()
+        sched = _edited(solve(build_model(case)), [("u_gen", (0, 1), "=", 1),
+                                                   ("u_gen", (0, 0), "=", 0.5)])
+        found = [v for v in validate_schedule(case, sched) if v.family == "binary_integrality"]
+        assert [(v.where, v.amount) for v in found] == [("u_gen", 0.5)]
+
+    @pytest.mark.parametrize("edits, family, where", [
+        ([("p_buy", 4, "+=", 5.0)], "eq5_power_balance", "t=4"),
+        ([("p_gen", (0, 3), "=", 200.0)], "eq6_gen_limits", "g=0,t=3"),
+        ([("p_gen", (0, 3), "=", -1.0)], "eq6_gen_limits", "g=0,t=3"),
+        ([("p_gen", (0, 9), "+=", 500.0)], "eq7_ramp_up", "g=0,t=8"),
+        ([("p_gen", (0, 9), "+=", 500.0)], "eq8_ramp_down", "g=0,t=9"),
+        ([("u_gen", (0, 4), "=", 0), ("u_gen", (0, 5), "=", 1), ("v_gen", (0, 5), "=", 0)],
+         "startup_linking", "g=0,t=5"),
+        ([("u_buy", 3, "=", 1), ("u_sell", 3, "=", 1)], "eq9_trade_exclusivity", "t=3"),
+        ([("p_buy", 6, "=", 600.0)], "eq10_buy_limit", "t=6"),
+        ([("p_buy", 6, "=", -1.0)], "eq10_buy_limit", "t=6"),
+        ([("p_sell", 7, "=", 600.0)], "eq11_sell_limit", "t=7"),
+        ([("u_char", (0, 10), "=", 1), ("u_disc", (0, 10), "=", 1)],
+         "eq12_bess_exclusivity", "s=0,t=10"),
+        ([("p_char", (0, 11), "=", 200.0)], "eq13_charge_limits", "s=0,t=11"),
+        ([("p_disc", (0, 12), "=", 200.0)], "eq14_discharge_limits", "s=0,t=12"),
+        ([("energy", (0, 13), "+=", -1.0)], "eq16_energy_recursion", "s=0,t=13"),
+        ([("energy", (0, 14), "=", 400.0)], "energy_capacity", "s=0,t=14"),
+        ([("energy", (0, 14), "=", 10.0)], "energy_capacity", "s=0,t=14"),
+        ([("energy", (0, 23), "+=", 1.0)], "eq17_terminal_energy", "s=0"),
+        ([("p_gen", (0, 18), "+=", 2000.0)], "eq18_reserve", "t=18"),
+        ([("u_gen", (0, 0), "=", 0.5)], "binary_integrality", "u_gen"),
+    ])
+    def test_each_family_reported_at_its_location(self, edits, family, where):
+        case = day_case()
+        sched = _edited(solve(build_model(case)), edits)
+        found = {(v.family, v.where) for v in validate_schedule(case, sched)}
+        assert (family, where) in found
+
+    def test_usage_cap_reported_over_the_horizon(self):
+        case = day_case()
+        sched = solve(build_model(case))
+        found = {(v.family, v.where) for v in validate_schedule(case, sched, cap=UsageCap(0.0))}
+        assert found == {("eq29_usage_cap", "horizon")}
+
+    def test_second_units_validated_and_named(self):
+        base = day_case()
+        case = day_case(generators=base.generators * 2, bess=base.bess * 2)
+        sched = solve(build_model(case))
+        assert validate_schedule(case, sched) == []
+        sched = _edited(sched, [("p_gen", (1, 3), "=", 200.0), ("energy", (1, 14), "=", 400.0)])
+        found = {(v.family, v.where) for v in validate_schedule(case, sched)}
+        assert {("eq6_gen_limits", "g=1,t=3"), ("energy_capacity", "s=1,t=14")} <= found
+        assert not any(where.startswith(("g=0", "s=0")) for _, where in found)
 
 
 class TestOperationCost:
