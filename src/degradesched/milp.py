@@ -1,12 +1,16 @@
 """Microgrid look-ahead scheduling MILP over any number of intervals.
 
 Minimizes generation, no-load, startup and net power-exchange cost subject to
-power balance, generator capability and ramping, exclusive grid trade with
-tie-line limits, exclusive battery charge/discharge with power and energy
-limits, an energy-neutral end state and a spinning-reserve requirement.
-A linear $/kWh battery-usage cost term is optional when the model is built.
-The last inequality row always bounds total battery throughput; `solve` sets
-a usage cap there, so a loop that tightens the cap builds the model once.
+power balance, generator capability and ramping, tie-line limits, exclusive
+battery charge/discharge with power and energy limits, an energy-neutral end
+state and a spinning-reserve requirement. A linear $/kWh battery-usage cost
+term is optional when the model is built. The last inequality row always
+bounds total battery throughput; `solve` sets a usage cap there, so a loop
+that tightens the cap builds the model once.
+
+Trade exclusivity and integral startups follow from the prices and costs, so
+the model leaves both out and `solve` reads them off the solution: a sell
+price never exceeds the buy price, and a start never costs less than 0.
 
 The constraint matrix is held sparse, as each family's (row, column,
 coefficient) terms; it is never densified on the way to the solver. The model
@@ -17,6 +21,7 @@ diagnosed by an elastic solve over its own constraint rows.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,6 +56,9 @@ class Generator:
             raise ValueError(f"need 0 <= p_min <= p_max, got [{self.p_min}, {self.p_max}]")
         if self.ramp < 0:
             raise ValueError(f"ramp must be >= 0: {self.ramp}")
+        for name in ("cost_no_load", "cost_startup"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0: {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +103,7 @@ class MicrogridCase:
     temps: np.ndarray
 
     def __post_init__(self) -> None:
-        series = {}
+        lengths = {}
         for name in ("load", "wind", "solar", "price_buy", "price_sell", "temps"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.ndim != 1 or arr.size < 1:
@@ -103,8 +111,7 @@ class MicrogridCase:
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite values")
             setattr(self, name, arr)
-            series[name] = arr
-        lengths = {name: arr.size for name, arr in series.items()}
+            lengths[name] = arr.size
         if len(set(lengths.values())) != 1:
             raise ValueError(f"series lengths differ: {lengths}")
         if (self.price_sell > self.price_buy + 1e-12).any():
@@ -144,7 +151,8 @@ class DispatchSchedule:
 
     Shapes: generator arrays are (n_gen, T), battery arrays (n_bess, T),
     trade arrays (T,). energy[s, t] is the stored energy at the END of
-    interval t; the initial energy lives in the case.
+    interval t; the initial energy lives in the case. `solve` reads u_buy,
+    u_sell and v_gen off the solution; the model does not hold them.
     """
 
     p_gen: np.ndarray
@@ -164,9 +172,7 @@ class DispatchSchedule:
     def soc_trajectory(self, case: MicrogridCase, s: int = 0) -> np.ndarray:
         """SOC points (T+1,) for battery s, including the initial state."""
         e_max = case.bess[s].e_max
-        return np.concatenate(
-            ([case.bess[s].e_initial / e_max], self.energy[s] / e_max)
-        )
+        return np.concatenate(([case.bess[s].e_initial / e_max], self.energy[s] / e_max))
 
     def bess_throughput_kwh(self, case: MicrogridCase) -> float:
         """Total charge + discharge energy over the horizon."""
@@ -182,10 +188,11 @@ class MilpProblem:
     a_eq @ x == b_eq. It holds no explicit zeros and sorted indices. The last
     inequality row is the usage cap on total battery charge+discharge energy;
     b_ub holds a default for it that never binds, and `solve` sets a cap
-    there on a copy. `index` maps each DispatchSchedule field name to its
-    columns, shaped as that field. `families` maps each constraint family to
-    its rows, shaped ([units,] intervals) with the last interval at the
-    horizon's end, or () for the usage cap; they cover every row once.
+    there on a copy. `index` maps each DispatchSchedule field but u_buy and
+    u_sell to its columns, shaped as that field; v_gen is continuous in
+    [0, 1], the other statuses binary. `families` maps each constraint
+    family to its rows, shaped ([units,] intervals) with the last interval at
+    the horizon's end, or () for the usage cap; they cover every row once.
     """
 
     case: MicrogridCase
@@ -241,9 +248,7 @@ def _place(triplets: list, rows: np.ndarray, *terms) -> None:
     pair are summed when the matrix is assembled.
     """
     for cols, coef in terms:
-        triplets.append(
-            tuple(arr.ravel() for arr in np.broadcast_arrays(rows, cols, coef))
-        )
+        triplets.append(tuple(arr.ravel() for arr in np.broadcast_arrays(rows, cols, coef)))
 
 
 def _per_unit(units: list, attr: str) -> np.ndarray:
@@ -258,7 +263,8 @@ def build_model(case: MicrogridCase, linear_bdc_rate: float | None = None) -> Mi
     intervals, collected as (row, column, coefficient) terms and assembled
     once into the CSC matrix `a`: inequality rows, then equality rows.
     Startup indicators are linked through v[g,t] >= u[g,t] - u[g,t-1] with
-    the initial commitment taken from the generator data. Battery energy is
+    the initial commitment taken from the generator data; v is continuous.
+    The tie-line limit is the bound on p_buy and p_sell. Battery energy is
     kept inside [e_min, e_max] and returned to its initial value at the end
     of the horizon. The last inequality row bounds total charge+discharge
     energy by 2*T*dt*sum(p_max), which no schedule exceeds; `solve` sets a
@@ -269,12 +275,11 @@ def build_model(case: MicrogridCase, linear_bdc_rate: float | None = None) -> Mi
     gens, bess = case.generators, case.bess
     G, S = len(gens), len(bess)
 
-    # Continuous blocks, then binaries; each shaped as its schedule field.
+    # Blocks shaped as their schedule fields.
     col, n = _blocks({
         "p_gen": (G, T), "p_buy": (T,), "p_sell": (T,),
         "p_char": (S, T), "p_disc": (S, T), "energy": (S, T),
-        "u_gen": (G, T), "v_gen": (G, T), "u_buy": (T,), "u_sell": (T,),
-        "u_char": (S, T), "u_disc": (S, T),
+        "u_gen": (G, T), "v_gen": (G, T), "u_char": (S, T), "u_disc": (S, T),
     })
     p_gen, u_gen = col["p_gen"], col["u_gen"]
     p_char, p_disc, energy = col["p_char"], col["p_disc"], col["energy"]
@@ -284,9 +289,9 @@ def build_model(case: MicrogridCase, linear_bdc_rate: float | None = None) -> Mi
     lb = np.zeros(n)
     ub = np.full(n, np.inf)
     is_int = np.zeros(n, dtype=bool)
-    for name in _BINARY_FIELDS:
+    for name in ("u_gen", "u_char", "u_disc"):
         is_int[col[name]] = True
-    ub[is_int] = 1.0
+    ub[is_int] = ub[col["v_gen"]] = 1.0
 
     # Objective: energy costs carry dt, startup is per event.
     c[p_gen] = _per_unit(gens, "cost_energy") * dt
@@ -307,8 +312,7 @@ def build_model(case: MicrogridCase, linear_bdc_rate: float | None = None) -> Mi
     ub[energy] = _per_unit(bess, "e_max")
 
     row, n_ub = _blocks({
-        "trade": (T,), "buy_limit": (T,), "sell_limit": (T,), "reserve": (T,),
-        "bess_excl": (S, T), "char_max": (S, T), "char_min": (S, T),
+        "reserve": (T,), "bess_excl": (S, T), "char_max": (S, T), "char_min": (S, T),
         "disc_max": (S, T), "disc_min": (S, T),
         "ramp_up": (G, T - 1), "ramp_down": (G, T - 1), "startup": (G, T),
         "usage_cap": (),
@@ -325,12 +329,6 @@ def build_model(case: MicrogridCase, linear_bdc_rate: float | None = None) -> Mi
     _place(terms, rows, (col["p_buy"], 1.0), (col["p_sell"], -1.0), (p_gen, 1.0),
            (p_disc, 1.0), (p_char, -1.0))
     b[rows] = case.load - case.wind - case.solar
-
-    # Exclusive grid trade and tie-line limits.
-    _place(terms, row["trade"], (col["u_buy"], 1.0), (col["u_sell"], 1.0))
-    b[row["trade"]] = 1.0
-    _place(terms, row["buy_limit"], (col["p_buy"], 1.0), (col["u_buy"], -case.p_grid_max))
-    _place(terms, row["sell_limit"], (col["p_sell"], 1.0), (col["u_sell"], -case.p_grid_max))
 
     # Reserve: tie-line headroom plus generator headroom covers a load share.
     rows = row["reserve"]
@@ -379,35 +377,32 @@ def build_model(case: MicrogridCase, linear_bdc_rate: float | None = None) -> Mi
     a.eliminate_zeros()
     a.sort_indices()
     return MilpProblem(
-        case=case,
-        c=c,
-        a=a,
-        b_ub=b[:n_ub].copy(),
-        b_eq=b[n_ub:].copy(),
-        lb=lb,
-        ub=ub,
-        is_int=is_int,
-        index=col,
-        families={**row, **eq_row},
+        case=case, c=c, a=a, b_ub=b[:n_ub].copy(), b_eq=b[n_ub:].copy(), lb=lb, ub=ub,
+        is_int=is_int, index=col, families={**row, **eq_row},
     )
 
 
 def _extract_schedule(problem: MilpProblem, x: np.ndarray, objective: float) -> DispatchSchedule:
-    return DispatchSchedule(
-        **{
-            name: x[cols].astype(int) if name in _BINARY_FIELDS else x[cols]
-            for name, cols in problem.index.items()
-        },
-        objective=float(objective),
-    )
+    """The schedule at a snapped x, with the fields the model leaves out read
+    off it: the exchange is netted to one direction per interval, which u_buy
+    and u_sell mark, and v_gen marks each rise of u_gen from the initial
+    commitment. Netting keeps power balance and reserve and, as no sell price
+    exceeds its buy price, never raises cost."""
+    f = {name: x[cols] for name, cols in problem.index.items()}
+    buy, sell = f["p_buy"], f["p_sell"]
+    f["p_buy"], f["p_sell"] = np.maximum(buy - sell, 0.0), np.maximum(sell - buy, 0.0)
+    f["u_buy"], f["u_sell"] = (f["p_buy"] > 0).astype(int), (f["p_sell"] > 0).astype(int)
+    for name in ("u_gen", "u_char", "u_disc"):
+        f[name] = f[name].astype(int)
+    u_prev = np.hstack([_per_unit(problem.case.generators, "initially_on"), f["u_gen"][:, :-1]])
+    f["v_gen"] = np.maximum(f["u_gen"] - u_prev, 0).astype(int)
+    return DispatchSchedule(**f, objective=float(objective))
 
 
 def _snap(problem: MilpProblem, x: np.ndarray) -> np.ndarray:
-    """Round binaries to 0/1 and lift continuous values onto their lower bounds."""
-    x = np.asarray(x, dtype=float).copy()
-    cont = ~problem.is_int
+    """Lift values onto their lower bounds and round binaries to 0/1."""
+    x = np.maximum(x, problem.lb)
     x[problem.is_int] = np.round(x[problem.is_int])
-    x[cont] = np.maximum(x[cont], problem.lb[cont])
     return x
 
 
@@ -415,30 +410,36 @@ def _row_violation(problem: MilpProblem, x: np.ndarray) -> float:
     """Largest amount by which x violates a constraint row (0 if none)."""
     residual = problem.a @ x - np.concatenate((problem.b_ub, problem.b_eq))
     n_ub = problem.b_ub.size
-    return max(
-        0.0,
-        float(np.max(residual[:n_ub])),
-        float(np.max(np.abs(residual[n_ub:]))),
-    )
+    return max(0.0, float(np.max(residual[:n_ub])), float(np.max(np.abs(residual[n_ub:]))))
+
+
+# scipy's warning that it passes the feasibility-jump option to HiGHS verbatim.
+_FJ_WARNING = r"Unrecognized options detected: \{'mip_heuristic_run_feasibility_jump'\}"
 
 
 def _milp(problem: MilpProblem, lb: np.ndarray, ub: np.ndarray, integrality: np.ndarray):
     """HiGHS on the problem's rows and objective with the given bounds.
 
     The sparse matrix goes to scipy as one constraint, inequality rows bounded
-    below by -inf, so scipy neither converts nor stacks it.
+    below by -inf, so scipy neither converts nor stacks it. HiGHS's
+    feasibility-jump heuristic is off: it takes about 14 ms of a 21 ms call
+    on a 12-binary MILP, and branch and bound proves the optimum anyway.
+    scipy hands that option to HiGHS verbatim and warns that it does; only
+    that warning is silenced.
     """
-    return optimize.milp(
-        c=problem.c,
-        constraints=optimize.LinearConstraint(
-            problem.a,
-            np.concatenate((np.full(problem.b_ub.size, -np.inf), problem.b_eq)),
-            np.concatenate((problem.b_ub, problem.b_eq)),
-        ),
-        integrality=integrality,
-        bounds=optimize.Bounds(lb, ub),
-        options={"mip_rel_gap": 0.0, "presolve": True},
-    )
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", _FJ_WARNING, RuntimeWarning)
+        return optimize.milp(
+            c=problem.c,
+            constraints=optimize.LinearConstraint(
+                problem.a,
+                np.concatenate((np.full(problem.b_ub.size, -np.inf), problem.b_eq)),
+                np.concatenate((problem.b_ub, problem.b_eq)),
+            ),
+            integrality=integrality,
+            bounds=optimize.Bounds(lb, ub),
+            options=dict(mip_rel_gap=0.0, presolve=True, mip_heuristic_run_feasibility_jump=False),
+        )
 
 
 def solve(problem: MilpProblem, cap: UsageCap | None = None) -> DispatchSchedule:
@@ -457,9 +458,7 @@ def solve(problem: MilpProblem, cap: UsageCap | None = None) -> DispatchSchedule
     InfeasibleCaseError with the rows an elastic solve names (`_diagnose`).
     """
     if cap is not None:
-        b_ub = problem.b_ub.copy()
-        b_ub[-1] = cap.cap_kwh
-        problem = replace(problem, b_ub=b_ub)
+        problem = replace(problem, b_ub=np.append(problem.b_ub[:-1], cap.cap_kwh))
     res = _milp(problem, problem.lb, problem.ub, problem.is_int.astype(int))
     if res.status == 2:
         raise InfeasibleCaseError(_diagnose(problem))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -96,45 +97,59 @@ def read_json(path: str | Path) -> dict:
     return doc
 
 
+# Data rows that `_read_table` parses at a time.
+READ_CHUNK_ROWS = 4096
+
+
 def _read_table(path: Path, header: tuple[str, ...], blank: str | None = None) -> np.ndarray:
     """Parse a header-checked CSV of numbers into an (n, len(header)) float array.
 
     The header must equal `header` and every row must have one cell per
     column; every cell must be a finite number, except that the column named
     `blank` may be empty and reads as NaN. Errors name the path and the data
-    row (1-based, header excluded).
+    row (1-based, header excluded). Rows are parsed READ_CHUNK_ROWS at a
+    time, so the whole file is never held as one list of strings.
     """
+    width = len(header)
+    j_blank = None if blank is None else header.index(blank)
+    chunks = [np.empty((0, width))]
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != list(header):
             raise FileFormatError(f"{path}: expected header {','.join(header)}")
-        rows = list(reader)
-    for i, row in enumerate(rows, 1):
-        if len(row) != len(header):
-            raise FileFormatError(f"{path}: row {i} has {len(row)} columns")
-    empty = []
-    if blank is not None:
-        j = header.index(blank)
-        empty = [i for i, row in enumerate(rows) if row[j] == ""]
-        for i in empty:
-            rows[i][j] = "0"
-    try:
-        data = np.array(rows, dtype=float).reshape(len(rows), len(header))
-    except ValueError:
-        for i, row in enumerate(rows, 1):
-            for text in row:
-                try:
-                    float(text)
-                except ValueError:
-                    raise FileFormatError(f"{path}: row {i}: not a number: {text!r}") from None
-        raise
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        i, j = bad[0]
-        raise FileFormatError(f"{path}: row {i + 1}: non-finite value {rows[i][j]!r}")
-    if empty:
-        data[empty, header.index(blank)] = np.nan
-    return data
+        done = 0  # data rows before this chunk
+        while rows := list(itertools.islice(reader, READ_CHUNK_ROWS)):
+            for i, row in enumerate(rows, done + 1):
+                if len(row) != width:
+                    raise FileFormatError(f"{path}: row {i} has {len(row)} columns")
+            empty = []
+            if j_blank is not None:
+                empty = [i for i, row in enumerate(rows) if row[j_blank] == ""]
+                for i in empty:
+                    rows[i][j_blank] = "0"
+            try:
+                data = np.array(rows, dtype=float).reshape(len(rows), width)
+            except ValueError:
+                for i, row in enumerate(rows, done + 1):
+                    for text in row:
+                        try:
+                            float(text)
+                        except ValueError:
+                            raise FileFormatError(
+                                f"{path}: row {i}: not a number: {text!r}"
+                            ) from None
+                raise
+            bad = np.argwhere(~np.isfinite(data))
+            if bad.size:
+                i, j = bad[0]
+                raise FileFormatError(
+                    f"{path}: row {done + i + 1}: non-finite value {rows[i][j]!r}"
+                )
+            if empty:
+                data[empty, j_blank] = np.nan
+            chunks.append(data)
+            done += len(rows)
+    return np.concatenate(chunks)
 
 
 def file_digest(path: str | Path) -> str:

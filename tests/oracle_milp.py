@@ -7,43 +7,48 @@ from scipy.optimize import linprog
 
 
 def brute_force_optimum(problem):
-    """Exact optimum by exhaustive enumeration over all binary assignments.
+    """Exact optimum by exhaustive enumeration over every discrete choice.
 
-    Every pattern of the integer variables is fixed through the variable
-    bounds and the remaining pure LP is solved; the best finite value wins.
-    Patterns that already violate a purely-binary inequality row are skipped
-    (those LPs would be infeasible anyway). Returns (objective, x) or
-    (None, None) when every pattern is infeasible.
+    The choices are enumerated here on their own, including the two that the
+    model leaves to the prices and costs: every integer column, every startup
+    indicator v_gen as 0 or 1, and one trade direction per interval (the
+    other direction's upper bound fixed at 0). Each pattern is fixed through
+    the variable bounds and the remaining pure LP is solved; the best finite
+    value wins. Patterns that already violate an inequality row touching
+    only fixed columns are skipped (those LPs would be infeasible anyway).
+    Returns (objective, x) or (None, None) when every pattern is infeasible.
     """
-    int_idx = np.flatnonzero(problem.is_int)
-    n_bin = int_idx.size
-    if n_bin > 20:
-        raise ValueError(f"oracle limited to 20 binaries, got {n_bin}")
+    fixed = np.union1d(np.flatnonzero(problem.is_int), problem.index["v_gen"].ravel())
+    buy, sell = problem.index["p_buy"], problem.index["p_sell"]
+    n_choices = fixed.size + buy.size
+    if n_choices > 20:
+        raise ValueError(f"oracle limited to 20 choices, got {n_choices}")
 
-    # Inequality rows touching only binary columns can pre-filter patterns.
-    binary_only_rows = []
-    if problem.a_ub.size:
-        int_mask = problem.is_int
-        for row, rhs in zip(problem.a_ub, problem.b_ub):
-            nz = np.flatnonzero(row)
-            if nz.size and np.all(int_mask[nz]):
-                binary_only_rows.append((row[int_idx], rhs))
+    # Inequality rows touching only fixed columns can pre-filter patterns.
+    fixed_only_rows = []
+    fixed_mask = np.zeros(problem.n_variables, dtype=bool)
+    fixed_mask[fixed] = True
+    for row, rhs in zip(problem.a_ub, problem.b_ub):
+        nz = np.flatnonzero(row)
+        if nz.size and np.all(fixed_mask[nz]):
+            fixed_only_rows.append((row[fixed], rhs))
 
     best_obj, best_x = None, None
-    for pattern in itertools.product((0.0, 1.0), repeat=n_bin):
-        pat = np.array(pattern)
-        if any(row @ pat > rhs + 1e-12 for row, rhs in binary_only_rows):
+    for pattern in itertools.product((0.0, 1.0), repeat=n_choices):
+        values, buying = np.array(pattern[: fixed.size]), np.array(pattern[fixed.size :])
+        if any(row @ values > rhs + 1e-12 for row, rhs in fixed_only_rows):
             continue
         lb = problem.lb.copy()
         ub = problem.ub.copy()
-        lb[int_idx] = pat
-        ub[int_idx] = pat
+        lb[fixed] = ub[fixed] = values
+        ub[sell[buying == 1]] = 0.0
+        ub[buy[buying == 0]] = 0.0
         res = linprog(
             problem.c,
-            A_ub=problem.a_ub if problem.a_ub.size else None,
-            b_ub=problem.b_ub if problem.a_ub.size else None,
-            A_eq=problem.a_eq if problem.a_eq.size else None,
-            b_eq=problem.b_eq if problem.a_eq.size else None,
+            A_ub=problem.a_ub,
+            b_ub=problem.b_ub,
+            A_eq=problem.a_eq,
+            b_eq=problem.b_eq,
             bounds=np.column_stack([lb, ub]),
             method="highs",
         )

@@ -327,6 +327,21 @@ class TestSchedule:
         assert result.exit_code == 2
         assert "unknown config keys: ['engine']" in result.output
 
+    def test_negative_startup_cost_is_validation_error(self, workdir, tmp_path):
+        doc = json.loads((workdir / "case.json").read_text())
+        doc["generators"][0]["cost_startup"] = -5.0
+        (tmp_path / "case.json").write_text(json.dumps(doc))
+        (tmp_path / "series.csv").write_bytes((workdir / "series.csv").read_bytes())
+        out = tmp_path / "x"
+        result = runner.invoke(
+            main,
+            ["schedule", "--case", str(tmp_path / "case.json"), "--mode", "traditional",
+             "--model", str(workdir / "stub_model.json"), "--out-dir", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "cost_startup must be >= 0" in result.output
+        assert not out.exists()
+
     def test_example_day_case_loads(self, workdir, tmp_path):
         out = tmp_path / "ex"
         result = runner.invoke(

@@ -85,8 +85,9 @@ def _edited(sched, edits):
 
 class TestBuildModel:
     def test_binary_count_one_gen_one_bess(self):
+        # u_gen, u_char and u_disc; v_gen is continuous and trade has no binaries.
         problem = build_model(day_case())
-        assert problem.n_binaries == 24 * 6
+        assert problem.n_binaries == 24 * 3
 
     def test_zero_cap_forces_idle_battery(self):
         sched = solve(build_model(day_case()), UsageCap(0.0))
@@ -111,6 +112,7 @@ class TestBuildModel:
         problem = build_model(case)
         rows = np.concatenate([r.ravel() for r in problem.families.values()])
         assert np.array_equal(np.sort(rows), np.arange(problem.a.shape[0]))
+        assert not {"trade", "buy_limit", "sell_limit"} & set(problem.families)
 
     def test_unabsorbable_surplus_reports_power_balance(self):
         # Hour 3's 750 kW surplus meets 500 kW of export and 150 kW of charging.
@@ -123,6 +125,50 @@ class TestBuildModel:
     def test_sell_above_buy_rejected(self):
         with pytest.raises(ValueError, match="sell price"):
             single_interval_case(buy=0.10, sell=0.20)
+
+    @pytest.mark.parametrize("cost", ["cost_no_load", "cost_startup"])
+    def test_negative_commitment_cost_rejected(self, cost):
+        # A continuous startup indicator is exact only while a start costs >= 0.
+        with pytest.raises(ValueError, match=cost):
+            Generator(p_min=0, p_max=180, ramp=120, cost_energy=0.3, **{cost: -1.0})
+
+
+class TestReadOffFields:
+    def test_equal_prices_trade_one_way(self):
+        base = day_case()
+        sell = base.price_sell.copy()
+        sell[:12] = base.price_buy[:12]
+        case = day_case(price_sell=sell)
+        problem = build_model(case)
+        free = solve(problem)
+        # Force selling in hour 10, which buys 277 kW at the same price; the
+        # solution then trades both ways there before netting, at no cost.
+        assert 100 < free.p_buy[10] < case.p_grid_max - 100
+        lb = problem.lb.copy()
+        lb[problem.index["p_sell"][10]] = 100.0
+        forced = solve(dataclasses.replace(problem, lb=lb))
+        for sched in (free, forced):
+            assert np.all(sched.p_buy * sched.p_sell == 0)
+            assert np.array_equal(sched.u_buy, (sched.p_buy > 0).astype(int))
+            assert np.array_equal(sched.u_sell, (sched.p_sell > 0).astype(int))
+            assert validate_schedule(case, sched) == []
+            assert sched.objective == pytest.approx(free.objective, abs=1e-6)
+            assert operation_cost(sched, case)["total"] == pytest.approx(sched.objective, abs=1e-6)
+
+    def test_free_startups_are_the_commitment_rises(self):
+        gen = Generator(p_min=0, p_max=180, ramp=120, cost_energy=0.30)
+        case = day_case(generators=[gen, dataclasses.replace(gen, initially_on=True)])
+        problem = build_model(case)
+        # Commit both units in hours 5-9: unit 0 must start at hour 5, unit 1
+        # starts on. A start costs nothing, so the model's continuous v_gen may
+        # sit anywhere above the rises.
+        lb = problem.lb.copy()
+        lb[problem.index["u_gen"][:, 5:10]] = 1.0
+        sched = solve(dataclasses.replace(problem, lb=lb))
+        u = np.hstack([[[0], [1]], sched.u_gen])
+        assert np.array_equal(sched.v_gen, np.maximum(np.diff(u, axis=1), 0))
+        assert sched.v_gen[0, 5] == 1
+        assert validate_schedule(case, sched) == []
 
 
 class TestSolveToyCases:

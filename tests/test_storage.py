@@ -48,6 +48,21 @@ class NumericTableChecks:
             with pytest.raises(FileFormatError, match=f"row 2: not a number: '{text}'"):
                 self.read(path)
 
+    @pytest.mark.parametrize("bad_row, message", [
+        (lambda good: good[:3], "row 5 has 3 columns"),
+        (lambda good: good[:2] + ["inf"] + good[3:], "row 5: non-finite value 'inf'"),
+        (lambda good: good[:2] + ["abc"] + good[3:], "row 5: not a number: 'abc'"),
+    ], ids=["width", "non_finite", "non_numeric"])
+    def test_rows_numbered_across_chunks(self, tmp_path, monkeypatch, bad_row, message):
+        # Two rows per chunk: row 5 is the first row of the third chunk.
+        monkeypatch.setattr(storage, "READ_CHUNK_ROWS", 2)
+        good = ",".join(["1.0"] * len(self.header))
+        bad = ",".join(bad_row(["1.0"] * len(self.header)))
+        path = tmp_path / "table.csv"
+        path.write_text("\n".join([",".join(self.header), *[good] * 4, bad]) + "\n")
+        with pytest.raises(FileFormatError, match=message):
+            self.read(path)
+
 
 @pytest.fixture(scope="module")
 def small_dataset():
@@ -63,6 +78,12 @@ class TestDatasetFiles(NumericTableChecks):
         back = storage.read_dataset(path)
         assert np.array_equal(back.to_array(), small_dataset.to_array())
         assert back.meta["row_count"] == len(small_dataset)
+
+    def test_round_trip_in_uneven_chunks(self, tmp_path, small_dataset, monkeypatch):
+        monkeypatch.setattr(storage, "READ_CHUNK_ROWS", 7)
+        assert len(small_dataset) % 7
+        path = storage.write_dataset(tmp_path / "aging.csv", small_dataset)
+        assert np.array_equal(storage.read_dataset(path).to_array(), small_dataset.to_array())
 
     def test_meta_sidecar(self, tmp_path, small_dataset):
         storage.write_dataset(tmp_path / "aging.csv", small_dataset, manifest="m.json")
@@ -308,6 +329,14 @@ class TestScheduleAndTraceFiles(NumericTableChecks):
             trace.iterations[1].usage_cap_kwh
         )
         assert [r["iteration"] for r in rows] == list(range(len(trace.iterations)))
+
+    def test_trace_empty_cap_read_in_its_own_chunk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(storage, "READ_CHUNK_ROWS", 1)
+        path = tmp_path / "trace.csv"
+        path.write_text(TRACE_TEXT.format(cell="4.5"))
+        rows = storage.read_trace(path)
+        assert [r["usage_cap_kwh"] for r in rows] == [None, 90.0]
+        assert rows[1]["degradation_cost"] == 4.5
 
     @pytest.mark.parametrize("cell", ["abc", "", "nan", "inf"])
     def test_trace_bad_number_rejected(self, tmp_path, cell):
