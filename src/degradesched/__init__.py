@@ -3,6 +3,9 @@
 Synthetic aging data, a hierarchical two-stage neural degradation
 quantifier, an exact scheduling MILP over a horizon of any length, and the
 iterative loop that ties them together.
+
+Importing the package does not load scipy: the MILP layer imports it on the
+first model build, so commands that never solve start without it.
 """
 
 __version__ = "0.1.0"

@@ -22,6 +22,7 @@ from .lod import EconParams, LodConfig, run_linear_bdc, run_lod, run_traditional
 from .milp import InfeasibleCaseError
 from .net import TrainConfig
 from .quantifier import (
+    ConstantFeatureError,
     check_closure,
     performance_comparison,
     select_best_combination,
@@ -211,6 +212,8 @@ def cmd_train(**params) -> None:
                 rows = performance_comparison(model, benchmarks, dataset, cfg)
             storage.write_report_table(report_to / "performance_comparison.csv", rows)
             metrics["performance_comparison"] = rows
+    except ConstantFeatureError as exc:
+        _fail(EXIT_VALIDATION, f"dataset {values['dataset']}: {exc}")
     except Exception as exc:  # training/runtime failures
         _fail(EXIT_RUNTIME, f"training failed: {exc}")
 
@@ -255,15 +258,17 @@ def cmd_schedule(**params) -> None:
     values = _apply_config(params)
     t0 = time.perf_counter()
     inputs = []
+    timings: dict = {}
     try:
-        if values["case"] == "example-day":
-            case = load_example_day()
-        else:
-            case = storage.read_case(values["case"])
-            inputs.append(values["case"])
-        storage.check_schedule_layout(case)
-        model = storage.read_model_artifact(values["model"])
-        inputs.append(values["model"])
+        with _timed(timings, "read_seconds"):
+            if values["case"] == "example-day":
+                case = load_example_day()
+            else:
+                case = storage.read_case(values["case"])
+                inputs.append(values["case"])
+            storage.check_schedule_layout(case)
+            model = storage.read_model_artifact(values["model"])
+            inputs.append(values["model"])
         econ = EconParams(
             capital_cost=values["capital_cost"],
             salvage_value=values["salvage_value"],
@@ -281,36 +286,33 @@ def cmd_schedule(**params) -> None:
     out = Path(values["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     manifest_name = "manifest.json"
-    t_solve = time.perf_counter()
     try:
-        if values["mode"] == "lod":
-            trace = run_lod(case, model, econ, lod_cfg, soh=values["soh"])
-            solve_seconds = time.perf_counter() - t_solve
-            best = trace.best
-            storage.write_trace(out / "trace.csv", trace)
+        with _timed(timings, "solve_seconds"):
+            if values["mode"] == "lod":
+                trace = run_lod(case, model, econ, lod_cfg, soh=values["soh"])
+                best = trace.best
+            else:
+                runner = run_traditional if values["mode"] == "traditional" else run_linear_bdc
+                trace, best = None, runner(case, model, econ, soh=values["soh"])
+        with _timed(timings, "write_seconds"):
             storage.write_schedule(out / "schedule.csv", best.schedule, case)
-            summary = storage.summary_from_iteration(
-                best, solve_seconds, len(trace.iterations)
-            )
-            summary["best_index"] = trace.best_index
-            summary["termination_reason"] = trace.termination_reason
-            if trace.infeasible_report:
-                storage.write_json(out / "infeasible.json",
-                                   {"mode": "lod", "report": trace.infeasible_report})
-        else:
-            runner = run_traditional if values["mode"] == "traditional" else run_linear_bdc
-            result = runner(case, model, econ, soh=values["soh"])
-            solve_seconds = time.perf_counter() - t_solve
-            storage.write_schedule(out / "schedule.csv", result.schedule, case)
-            summary = storage.summary_from_iteration(result, solve_seconds, None)
-        storage.write_summary(out / "summary.json", summary, manifest=manifest_name)
+            iterations = None if trace is None else len(trace.iterations)
+            summary = storage.summary_from_iteration(best, timings["solve_seconds"], iterations)
+            if trace is not None:
+                storage.write_trace(out / "trace.csv", trace)
+                summary["best_index"] = trace.best_index
+                summary["termination_reason"] = trace.termination_reason
+                if trace.infeasible_report:
+                    storage.write_json(out / "infeasible.json",
+                                       {"mode": "lod", "report": trace.infeasible_report})
+            storage.write_summary(out / "summary.json", summary, manifest=manifest_name)
         storage.write_manifest(
             out / manifest_name,
             command=f"schedule --mode {values['mode']}",
             config={k: v for k, v in values.items() if k not in ("out_dir",)},
             inputs=inputs,
             seed=None,
-            timings={"wall_seconds": time.perf_counter() - t0},
+            timings={**timings, "wall_seconds": time.perf_counter() - t0},
         )
     except InfeasibleCaseError as exc:
         for line in exc.report:

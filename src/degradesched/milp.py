@@ -16,6 +16,11 @@ The constraint matrix is held sparse, as each family's (row, column,
 coefficient) terms; it is never densified on the way to the solver. The model
 is solved to proven optimality by HiGHS through scipy; an infeasible model is
 diagnosed by an elastic solve over its own constraint rows.
+
+scipy loads on the first model build, not with this module: build_model
+imports scipy.sparse and the first solve scipy.optimize. Loading the two
+takes most of the package's import time, which the commands that never
+solve (simulate-aging, train, report) would otherwise pay at start-up.
 """
 
 from __future__ import annotations
@@ -23,9 +28,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import optimize, sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 FEASIBILITY_TOL = 1e-6
 
@@ -271,6 +279,8 @@ def build_model(case: MicrogridCase, linear_bdc_rate: float | None = None) -> Mi
     usage cap there, so one model serves every cap. With a linear rate, that
     energy is also priced in the objective.
     """
+    from scipy import sparse
+
     T, dt = case.horizon, case.dt_hours
     gens, bess = case.generators, case.bess
     G, S = len(gens), len(bess)
@@ -426,7 +436,13 @@ def _milp(problem: MilpProblem, lb: np.ndarray, ub: np.ndarray, integrality: np.
     on a 12-binary MILP, and branch and bound proves the optimum anyway.
     scipy hands that option to HiGHS verbatim and warns that it does; only
     that warning is silenced.
+
+    scipy.optimize is imported here, on the first solve, so that importing
+    the package stays cheap for the commands that never solve; later calls
+    find it already loaded.
     """
+    from scipy import optimize
+
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", _FJ_WARNING, RuntimeWarning)
         return optimize.milp(
@@ -484,6 +500,8 @@ def _diagnose(problem: MilpProblem) -> list[str]:
     slack s, s' >= 0, and it minimizes the weighted slack sum under the
     problem's own bounds and integrality. Rows are named from `families`.
     """
+    from scipy import sparse
+
     n, n_ub, n_rows = problem.n_variables, problem.b_ub.size, problem.a.shape[0]
     # Equality slack costs double: at equal weights a shortfall that a limit row
     # (reserve, tie-line) could absorb kW for kW ties with, and lands on, power balance.

@@ -110,6 +110,11 @@ class FeatureRangeWarning(UserWarning):
     """A prediction input fell outside the guard band of the training range."""
 
 
+class ConstantFeatureError(ValueError):
+    """A feature that a network scales takes one value on the training rows,
+    so it has no range to scale by; the dataset cannot train that network."""
+
+
 def bdp_required_unobtainables(bdp_id: int) -> frozenset[str]:
     """Stage-one outputs a given stage-two variant needs as inputs."""
     return frozenset(BDP_VARIANTS[bdp_id]) & frozenset(UNOBTAINABLE_FEATURES)
@@ -314,8 +319,19 @@ def fit_networks(
     Rows of one exact layer shape train as one stack (net.train_stack), each
     bit-identical to fitting its job alone with net.train; a group's inputs
     are built only when that group trains. A network whose loss became
-    non-finite maps to its TrainingDiverged.
+    non-finite maps to its TrainingDiverged. Before any training, a scaled
+    feature that the rows consume but that is constant on the training rows
+    raises ConstantFeatureError.
     """
+    used = {name for key in keys for name in NETWORKS[key].inputs + NETWORKS[key].outputs}
+    scaled = used & NORMALIZED_FEATURES
+    constant = [name for name in DATASET_COLUMNS
+                if name in scaled and np.ptp(columns[name][split[0]]) <= 0]
+    if constant:
+        raise ConstantFeatureError(
+            f"features {', '.join(constant)} take one value on every training row; "
+            f"the dataset needs cycles that vary them"
+        )
     groups: dict[NetworkSpec, list[tuple[str, int]]] = {}
     for key in keys:
         groups.setdefault(NETWORKS[key].spec, []).append(key)

@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -19,6 +22,8 @@ from test_milp import day_case
 from test_storage import MALFORMED_ARTIFACTS
 
 runner = CliRunner()
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +138,24 @@ class TestTrain:
         assert result.exit_code == 2
         assert message in result.output
 
+    def test_constant_feature_is_validation_error(self, tmp_path):
+        grid = [{"soc_high": 0.8, "dod": 0.5, "temp_amb": 25, "c_rate": 1}]
+        (tmp_path / "grid.json").write_text(json.dumps(grid))
+        result = runner.invoke(
+            main,
+            ["simulate-aging", "--grid", str(tmp_path / "grid.json"),
+             "--out", str(tmp_path / "one.csv")],
+        )
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(
+            main,
+            ["train", "--dataset", str(tmp_path / "one.csv"),
+             "--out", str(tmp_path / "m.json"), "--ubdf", "1", "--bdp", "3"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "features soc, dod, temp" in result.output
+        assert not (tmp_path / "m.json").exists()
+
     def test_benchmarks_write_comparison_table(self, workdir, tmp_path):
         out = tmp_path / "model.json"
         result = runner.invoke(
@@ -213,6 +236,24 @@ class TestSchedule:
         assert result.exit_code == 0, result.output
         summary = json.loads((out / "summary.json").read_text())
         assert summary["solve_seconds"] < 0.2
+
+    @pytest.mark.parametrize("mode", ["traditional", "lod"])
+    def test_manifest_times_each_phase(self, workdir, tmp_path, mode):
+        out = tmp_path / mode
+        result = runner.invoke(
+            main,
+            ["schedule", "--case", str(workdir / "case.json"), "--mode", mode,
+             "--model", str(workdir / "stub_model.json"), "--out-dir", str(out),
+             "--max-iterations", "3"],
+        )
+        assert result.exit_code == 0, result.output
+        timings = json.loads((out / "manifest.json").read_text())["timings"]
+        phases = ("read_seconds", "solve_seconds", "write_seconds")
+        assert set(timings) == {"wall_seconds", *phases}
+        assert all(timings[k] >= 0 for k in phases)
+        assert sum(timings[k] for k in phases) <= timings["wall_seconds"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["solve_seconds"] == timings["solve_seconds"]
 
     def test_missing_model_is_validation_error(self, workdir, tmp_path):
         result = runner.invoke(
@@ -479,3 +520,40 @@ class TestReport:
         )
         assert result.exit_code == 2
         assert "a.csv" in result.output
+
+
+def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `code` with `args` in a new interpreter that imports the package from src."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestColdStart:
+    """A fresh interpreter, because pytest itself loads scipy.sparse to
+    resolve the filterwarnings entries of pyproject.toml."""
+
+    def test_import_and_help_leave_scipy_unloaded(self):
+        done = run_fresh(
+            "import sys, degradesched, degradesched.cli\n"
+            "try:\n"
+            "    degradesched.cli.main(['--help'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert "Usage:" in done.stdout
+        assert done.stdout.splitlines()[-1] == "[]"
+
+    def test_schedule_loads_the_solver_itself(self, workdir, tmp_path):
+        done = run_fresh(
+            "import sys\n"
+            "from degradesched.cli import main\n"
+            "assert 'scipy' not in sys.modules, 'scipy loaded before the first solve'\n"
+            "main(sys.argv[1:])\n",
+            "schedule", "--case", "example-day", "--mode", "traditional",
+            "--model", str(workdir / "stub_model.json"), "--out-dir", str(tmp_path),
+        )
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "schedule.csv").exists()
