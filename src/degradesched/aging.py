@@ -267,8 +267,8 @@ def generate_dataset(
     """
     if not grid:
         raise ValueError("grid must contain at least one entry")
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0 <= noise_sigma < math.inf:
+        raise ValueError(f"noise_sigma must be a finite number >= 0, got {noise_sigma}")
     for i, cond in enumerate(grid):
         if not isinstance(cond, CycleConditions):
             raise ValueError(f"grid entry {i} is not a CycleConditions: {cond!r}")

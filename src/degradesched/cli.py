@@ -8,6 +8,7 @@ them; DEGRADESCHED_SEED provides the default seed.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -260,6 +261,8 @@ def cmd_schedule(**params) -> None:
     inputs = []
     timings: dict = {}
     try:
+        if math.isnan(values["soh"]):  # NaN passes the flag's range check
+            raise ValueError("--soh must be a number, got nan")
         with _timed(timings, "read_seconds"):
             if values["case"] == "example-day":
                 case = load_example_day()

@@ -17,6 +17,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
+from . import storage
 from .milp import MicrogridCase
 
 
@@ -27,6 +28,4 @@ def example_day_case_path() -> Path:
 
 def load_example_day() -> MicrogridCase:
     """Parse the bundled example day into a validated case."""
-    from . import storage
-
     return storage.read_case(example_day_case_path())

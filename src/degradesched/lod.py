@@ -11,6 +11,7 @@ $/kWh rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,15 +44,15 @@ class EconParams:
     linear_bdc_rate: float = 0.05  # $/kWh for the flat-rate benchmark
 
     def __post_init__(self) -> None:
-        if not self.capital_cost > self.salvage_value >= 0:
+        if not math.inf > self.capital_cost > self.salvage_value >= 0:
             raise ValueError(
-                f"need capital_cost > salvage_value >= 0, got "
+                f"need a finite capital_cost > salvage_value >= 0, got "
                 f"{self.capital_cost} and {self.salvage_value}"
             )
         if not 0 < self.soh_eol < 1:
             raise ValueError(f"soh_eol out of (0, 1): {self.soh_eol}")
-        if self.linear_bdc_rate < 0:
-            raise ValueError(f"linear_bdc_rate must be >= 0: {self.linear_bdc_rate}")
+        if not 0 <= self.linear_bdc_rate < math.inf:
+            raise ValueError(f"linear_bdc_rate must be finite and >= 0: {self.linear_bdc_rate}")
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -47,6 +48,15 @@ class InfeasibleCaseError(RuntimeError):
         self.report = report
 
 
+def _require_finite(owner, *names: str) -> None:
+    """Raise ValueError naming the first field of owner that is not a finite
+    number; NaN would pass every range check, and a string or bool is no number."""
+    for name in names:
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number: {value!r}")
+
+
 @dataclass(frozen=True)
 class Generator:
     """Controllable unit: power limits (kW), ramp (kW/h) and cost data."""
@@ -60,6 +70,11 @@ class Generator:
     initially_on: bool = False
 
     def __post_init__(self) -> None:
+        _require_finite(
+            self, "p_min", "p_max", "ramp", "cost_energy", "cost_no_load", "cost_startup"
+        )
+        if not isinstance(self.initially_on, bool):
+            raise ValueError(f"initially_on must be true or false: {self.initially_on!r}")
         if not 0 <= self.p_min <= self.p_max:
             raise ValueError(f"need 0 <= p_min <= p_max, got [{self.p_min}, {self.p_max}]")
         if self.ramp < 0:
@@ -82,6 +97,9 @@ class Bess:
     eta_discharge: float
 
     def __post_init__(self) -> None:
+        _require_finite(
+            self, "e_min", "e_max", "e_initial", "p_min", "p_max", "eta_charge", "eta_discharge"
+        )
         if not 0 <= self.e_min <= self.e_initial <= self.e_max:
             raise ValueError(
                 f"need e_min <= e_initial <= e_max, got "
@@ -130,6 +148,7 @@ class MicrogridCase:
             )
         if (self.load < 0).any() or (self.wind < 0).any() or (self.solar < 0).any():
             raise ValueError("load, wind and solar must be non-negative")
+        _require_finite(self, "p_grid_max", "reserve_fraction", "dt_hours")
         if self.p_grid_max < 0:
             raise ValueError(f"p_grid_max must be >= 0: {self.p_grid_max}")
         if self.reserve_fraction < 0:
@@ -570,22 +589,21 @@ def validate_schedule(
     case: MicrogridCase,
     sched: DispatchSchedule,
     cap: UsageCap | None = None,
-    tol: float = FEASIBILITY_TOL,
 ) -> list[Violation]:
     """Re-evaluate every constraint arithmetically, independent of any solver.
 
     Reads only the case, the schedule and the cap, never a built model.
-    Returns an empty list iff the schedule is feasible within tol (absolute,
-    kW/kWh units). Constraint families are named after the printed model:
-    power balance, generator limits, ramps and startup linking, trade
-    exclusivity and tie-line limits, battery exclusivity and power limits,
-    the energy recursion, capacity window and terminal state, the reserve
-    requirement, and the optional usage cap.
+    Returns an empty list iff the schedule is feasible within FEASIBILITY_TOL
+    (absolute, kW/kWh units). Constraint families are named after the
+    printed model: power balance, generator limits, ramps and startup
+    linking, trade exclusivity and tie-line limits, battery exclusivity and
+    power limits, the energy recursion, capacity window and terminal state,
+    the reserve requirement, and the optional usage cap.
 
     Violations come in this order: one `binary_integrality` entry per binary
     field holding a value other than 0 or 1 (its amount is the largest
     distance to {0, 1}), then each family in the order above, one entry per
-    residual above tol, located as t=, g=..,t=, s=..,t=, s= or horizon.
+    residual above FEASIBILITY_TOL, located as t=, g=..,t=, s=..,t=, s= or horizon.
     """
     dt = case.dt_hours
     gens, bess = case.generators, case.bess
@@ -636,7 +654,7 @@ def validate_schedule(
     for family, (unit, residuals) in table.items():
         axes = (unit, "t") if unit else ("t",)
         for amounts in map(np.asarray, residuals):
-            for pos in np.argwhere(amounts > tol):
+            for pos in np.argwhere(amounts > FEASIBILITY_TOL):
                 where = ",".join(f"{axis}={i}" for axis, i in zip(axes, pos)) or "horizon"
                 violations.append(Violation(family, where, float(amounts[tuple(pos)])))
     return violations

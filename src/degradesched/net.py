@@ -12,6 +12,7 @@ comes out bit-identical to training it alone with `train`.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -120,8 +121,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.initial_lr <= 0:
-            raise ValueError(f"initial_lr must be positive: {self.initial_lr}")
+        if not 0 < self.initial_lr < math.inf:
+            raise ValueError(f"initial_lr must be a finite positive number: {self.initial_lr}")
         if not 0 < self.lr_decay_factor <= 1:
             raise ValueError(f"lr_decay_factor out of (0, 1]: {self.lr_decay_factor}")
         if self.decay_every_epochs < 1 or self.batch_size < 1 or self.epochs < 1:

@@ -29,7 +29,7 @@ from .aging import DATASET_COLUMNS, AgingDataset
 from .lod import LodIteration, LodTrace
 from .milp import Bess, DispatchSchedule, Generator, MicrogridCase
 from .net import NetworkSpec, Normalizer, TrainConfig, TrainedNetwork
-from .quantifier import BDP_VARIANTS, UBDF_VARIANTS, DegradationModel
+from .quantifier import BDP_VARIANTS, UBDF_VARIANTS, DegradationModel, check_closure
 
 MODEL_FORMAT = "degradesched-model-v1"
 SERIES_HEADER = ("hour", "load_kw", "wind_kw", "solar_kw", "buy_price", "sell_price", "temp_c")
@@ -283,8 +283,10 @@ def read_model_artifact(path: str | Path) -> DegradationModel:
         ubdf_doc, bdp_doc = doc["ubdf"], doc["bdp"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed model artifact: {exc!r}") from exc
-    if ubdf_id not in UBDF_VARIANTS or bdp_id not in BDP_VARIANTS:
-        raise FileFormatError(f"{path}: unknown variant pair {ubdf_id}-{bdp_id}")
+    try:
+        check_closure(ubdf_id, bdp_id)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
     if doc.get("closure_checksum") != closure_checksum(ubdf_id, bdp_id):
         raise FileFormatError(f"{path}: composition-closure checksum mismatch")
     model = DegradationModel(
@@ -335,8 +337,9 @@ def read_case(path: str | Path) -> MicrogridCase:
     The series come inline or from the CSV file the document names; any
     horizon is accepted, and a CSV's hour column must read 0, 1, ..., T-1 in
     row order. `MicrogridCase` rejects series that are empty, not 1-D,
-    non-finite or of unequal length, and every such rejection, like a missing
-    key or a misnumbered hour, raises `FileFormatError` naming the file.
+    non-finite or of unequal length, and it and its units reject any scalar
+    that is not a finite number. Every such rejection, like a missing key or
+    a misnumbered hour, raises `FileFormatError` naming the file.
     """
     path = Path(path)
     doc = read_json(path)
@@ -354,9 +357,9 @@ def read_case(path: str | Path) -> MicrogridCase:
         case = MicrogridCase(
             generators=[Generator(**g) for g in doc["generators"]],
             bess=[Bess(**b) for b in doc["bess"]],
-            p_grid_max=float(doc["tie_line"]["p_grid_max"]),
-            reserve_fraction=float(doc["reserve_fraction"]),
-            dt_hours=float(doc["dt_hours"]),
+            p_grid_max=doc["tie_line"]["p_grid_max"],
+            reserve_fraction=doc["reserve_fraction"],
+            dt_hours=doc["dt_hours"],
             **values,
         )
     except (KeyError, TypeError) as exc:

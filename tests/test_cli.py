@@ -89,6 +89,24 @@ class TestSimulateAging:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "c.csv").read_text() == (workdir / "aging.csv").read_text()
 
+    def test_environment_seed_is_the_default(self, workdir, tmp_path):
+        def simulate(name, env_seed, *flags):
+            out = tmp_path / name
+            result = runner.invoke(
+                main,
+                ["simulate-aging", "--grid", str(workdir / "grid.json"),
+                 "--out", str(out), "--noise", "0.02", *flags],
+                env={"DEGRADESCHED_SEED": env_seed},
+            )
+            assert result.exit_code == 0, result.output
+            return out.read_text()
+
+        seven = (workdir / "aging.csv").read_text()
+        assert simulate("env7.csv", "7") == seven
+        seed0 = simulate("seed0.csv", None, "--seed", "0")
+        assert seed0 != seven
+        assert simulate("env7_seed0.csv", "7", "--seed", "0") == seed0
+
 
 class TestTrain:
     def test_named_pair_records_variants(self, workdir, tmp_path):
@@ -188,6 +206,25 @@ class TestTrain:
         assert set(timings) == {"wall_seconds", *phases}
         assert all(timings[k] >= 0 for k in phases)
         assert sum(timings[k] for k in phases) <= timings["wall_seconds"]
+
+
+# A case-document value out of range, or not a finite number (NaN passes
+# every range check): where it goes, its key, and the error that names it.
+BAD_CASE_VALUES = [
+    ("generator", "cost_startup", -5.0, "cost_startup must be >= 0"),
+    ("generator", "cost_energy", float("nan"), "cost_energy must be a finite number"),
+    ("generator", "cost_energy", "abc", "cost_energy must be a finite number"),
+    ("generator", "ramp", float("nan"), "ramp must be a finite number"),
+    ("generator", "cost_no_load", float("nan"), "cost_no_load must be a finite number"),
+    ("generator", "cost_startup", float("nan"), "cost_startup must be a finite number"),
+    ("generator", "initially_on", "yes", "initially_on must be true or false"),
+    ("generator", "initially_on", 2, "initially_on must be true or false"),
+    ("bess", "e_max", float("inf"), "e_max must be a finite number"),
+    ("tie_line", "p_grid_max", float("nan"), "p_grid_max must be a finite number"),
+    ("tie_line", "p_grid_max", "abc", "p_grid_max must be a finite number"),
+    ("case", "reserve_fraction", float("nan"), "reserve_fraction must be a finite number"),
+    ("case", "dt_hours", float("nan"), "dt_hours must be a finite number"),
+]
 
 
 class TestSchedule:
@@ -368,9 +405,15 @@ class TestSchedule:
         assert result.exit_code == 2
         assert "unknown config keys: ['engine']" in result.output
 
-    def test_negative_startup_cost_is_validation_error(self, workdir, tmp_path):
+    @pytest.mark.parametrize("where, key, value, message", BAD_CASE_VALUES,
+                             ids=[f"{key}={value}" for _, key, value, _ in BAD_CASE_VALUES])
+    def test_bad_case_value_is_validation_error(
+        self, workdir, tmp_path, where, key, value, message
+    ):
         doc = json.loads((workdir / "case.json").read_text())
-        doc["generators"][0]["cost_startup"] = -5.0
+        target = {"generator": doc["generators"][0], "bess": doc["bess"][0],
+                  "tie_line": doc["tie_line"], "case": doc}
+        target[where][key] = value
         (tmp_path / "case.json").write_text(json.dumps(doc))
         (tmp_path / "series.csv").write_bytes((workdir / "series.csv").read_bytes())
         out = tmp_path / "x"
@@ -380,7 +423,7 @@ class TestSchedule:
              "--model", str(workdir / "stub_model.json"), "--out-dir", str(out)],
         )
         assert result.exit_code == 2, result.output
-        assert "cost_startup must be >= 0" in result.output
+        assert message in result.output
         assert not out.exists()
 
     def test_example_day_case_loads(self, workdir, tmp_path):
@@ -447,6 +490,31 @@ class TestSchedule:
         )
         assert result.exit_code == 2
         assert "Invalid value for '--soh'" in result.output
+        assert not out.exists()
+
+
+class TestNonFiniteFlags:
+    """Every numeric flag is a finite number: NaN passes every range check
+    and would reach the solver or the outputs."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["simulate-aging", "--noise", "nan"], "noise_sigma"),
+        (["train", "--ubdf", "3", "--bdp", "4", "--epochs", "2", "--lr", "nan"], "initial_lr"),
+        (["schedule", "--mode", "linear-bdc", "--linear-rate", "nan"], "linear_bdc_rate"),
+        (["schedule", "--mode", "traditional", "--soh", "nan"], "--soh"),
+        (["schedule", "--mode", "traditional", "--capital-cost", "inf"], "capital_cost"),
+    ], ids=["noise", "lr", "linear_rate", "soh", "capital_cost"])
+    def test_flag_is_validation_error(self, workdir, tmp_path, argv, name):
+        out = tmp_path / "out"
+        files = {
+            "simulate-aging": ["--grid", str(workdir / "grid.json"), "--out", str(out)],
+            "train": ["--dataset", str(workdir / "aging.csv"), "--out", str(out)],
+            "schedule": ["--case", str(workdir / "case.json"),
+                         "--model", str(workdir / "stub_model.json"), "--out-dir", str(out)],
+        }
+        result = runner.invoke(main, [*argv, *files[argv[0]]])
+        assert result.exit_code == 2, result.output
+        assert name in result.output
         assert not out.exists()
 
 
@@ -530,8 +598,16 @@ def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
 
 
 class TestColdStart:
-    """A fresh interpreter, because pytest itself loads scipy.sparse to
-    resolve the filterwarnings entries of pyproject.toml."""
+    """A fresh interpreter, because pytest has imported every module of the
+    package already, and loads scipy.sparse itself to resolve the
+    filterwarnings entries of pyproject.toml."""
+
+    @pytest.mark.parametrize("module", [
+        "aging", "net", "quantifier", "milp", "lod", "storage", "cli", "exampleday",
+    ])
+    def test_each_module_imports_on_its_own(self, module):
+        done = run_fresh(f"import degradesched.{module}")
+        assert done.returncode == 0, done.stderr
 
     def test_import_and_help_leave_scipy_unloaded(self):
         done = run_fresh(

@@ -195,6 +195,18 @@ class TestRunLod:
         assert t1.best_index == t2.best_index
         assert t1.termination_reason == t2.termination_reason
 
+    def test_idle_battery_stops_as_cap_exhausted(self):
+        # Each pass keeps 1% of the last throughput, so the fifth goes idle.
+        trace = lod.run_lod(
+            arbitrage_case(),
+            constant_model(5e-4),
+            ECON,
+            LodConfig(alpha=0.99, max_iterations=50, patience=50),
+        )
+        assert trace.termination_reason == "cap_exhausted"
+        assert len(trace.iterations) == 5
+        assert trace.iterations[-1].bess_throughput_kwh <= lod.IDLE_THROUGHPUT_KWH
+
     def test_max_iterations_bound(self):
         case = arbitrage_case()
         trace = lod.run_lod(

@@ -122,6 +122,26 @@ class TestBuildModel:
             solve(build_model(day_case(wind=wind)))
         assert exc.value.report == ["power_balance: interval 3 short by 100.000"]
 
+    def test_ramp_shortfall_names_the_unit(self):
+        # From 0 kW at hour 2 the unit reaches at most 50 kW at hour 3, and
+        # with no tie-line and no battery that hour is 250 kW short.
+        case = MicrogridCase(
+            generators=[Generator(p_min=0, p_max=400, ramp=50, cost_energy=0.10)],
+            bess=[],
+            p_grid_max=0.0,
+            reserve_fraction=0.0,
+            dt_hours=1.0,
+            load=np.array([0.0, 0.0, 0.0, 300.0, 300.0, 300.0]),
+            wind=np.zeros(6),
+            solar=np.zeros(6),
+            price_buy=np.full(6, 0.20),
+            price_sell=np.full(6, 0.05),
+            temps=np.full(6, 25.0),
+        )
+        with pytest.raises(InfeasibleCaseError) as exc:
+            solve(build_model(case))
+        assert exc.value.report == ["ramp_up: unit 0, interval 3 short by 250.000"]
+
     def test_sell_above_buy_rejected(self):
         with pytest.raises(ValueError, match="sell price"):
             single_interval_case(buy=0.10, sell=0.20)

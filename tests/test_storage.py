@@ -182,6 +182,16 @@ class TestModelArtifacts:
         with pytest.raises(FileFormatError, match="checksum"):
             storage.read_model_artifact(path)
 
+    def test_open_variant_pair_names_file(self, tmp_path):
+        # Stage one of variant 1 does not produce the ir and elcn that 10 reads.
+        path = storage.write_model_artifact(tmp_path / "model.json", constant_model(2e-4))
+        doc = json.loads(path.read_text())
+        doc["ubdf_variant"] = 1
+        doc["closure_checksum"] = storage.closure_checksum(1, 10)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=r"model\.json: stage-two variant 10 needs"):
+            storage.read_model_artifact(path)
+
     @pytest.mark.parametrize("damage", MALFORMED_ARTIFACTS.values(), ids=MALFORMED_ARTIFACTS)
     def test_malformed_document_rejected(self, tmp_path, damage):
         path = storage.write_model_artifact(tmp_path / "model.json", constant_model(2e-4))
