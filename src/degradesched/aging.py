@@ -11,7 +11,8 @@ health down to the end-of-life threshold produces labelled aging-test data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from numbers import Real
 
 import numpy as np
 
@@ -74,6 +75,10 @@ class CycleConditions:
     soh: float = 1.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{f.name} must be a number: {value!r}")
         if not 0.0 < self.dod <= self.soc_high <= 1.0:
             raise ValueError(
                 f"require 0 < dod <= soc_high <= 1, got dod={self.dod}, "
@@ -286,15 +291,7 @@ def generate_dataset(
     data = np.concatenate(tests)
 
     meta = {
-        "grid": [
-            {
-                "soc_high": c.soc_high,
-                "dod": c.dod,
-                "temp_amb": c.temp_amb,
-                "c_rate": c.c_rate,
-            }
-            for c in grid
-        ],
+        "grid": [{k: v for k, v in asdict(c).items() if k != "soh"} for c in grid],
         "noise_sigma": noise_sigma,
         "seed": seed,
         "row_count": len(data),

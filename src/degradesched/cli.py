@@ -7,7 +7,6 @@ them; DEGRADESCHED_SEED provides the default seed.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 import time
@@ -17,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import __version__, storage
-from .aging import END_OF_LIFE_SOH, CycleConditions, default_grid, generate_dataset
+from .aging import END_OF_LIFE_SOH, default_grid, generate_dataset
 from .exampleday import load_example_day
 from .lod import EconParams, LodConfig, run_linear_bdc, run_lod, run_traditional
 from .milp import InfeasibleCaseError
@@ -119,11 +118,10 @@ def cmd_simulate_aging(**params) -> None:
         if values["grid"] is None:
             grid = default_grid()
         else:
-            doc = json.loads(Path(values["grid"]).read_text())
-            grid = [CycleConditions(**entry) for entry in doc]
+            grid = storage.read_grid(values["grid"])
             inputs.append(values["grid"])
         dataset = generate_dataset(grid, noise_sigma=values["noise"], seed=values["seed"])
-    except (FileNotFoundError, ValueError, TypeError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
 
     out = Path(values["out"])

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .milp import (
     DispatchSchedule,
     InfeasibleCaseError,
@@ -199,8 +197,6 @@ def run_lod(
     problem = build_model(case)
     iterations: list[LodIteration] = []
     best_index = 0
-    best_total = np.inf
-    stall = 0
     cap: UsageCap | None = None
     reason = "max_iterations"
     report: list[str] = []
@@ -216,14 +212,9 @@ def run_lod(
         it = _evaluate(case, sched, model, econ, soh, index, cap)
         iterations.append(it)
 
-        if it.total_cost < best_total - IMPROVEMENT_TOL:
-            best_total = it.total_cost
+        if it.total_cost < iterations[best_index].total_cost - IMPROVEMENT_TOL:
             best_index = index
-            stall = 0
-        else:
-            stall += 1
-
-        if stall >= cfg.patience:
+        if index - best_index >= cfg.patience:
             reason = "converged"
             break
         if it.bess_throughput_kwh <= IDLE_THROUGHPUT_KWH:

@@ -1,9 +1,9 @@
 """Minimal fully-connected neural network.
 
 Feature min-max scaling, an optional log-scaled target, relu/linear forward
-pass, analytic backpropagation, mini-batch gradient descent with a
-stepwise-decaying learning rate, MSE loss and the relative-tolerance accuracy
-metric used in the report tables.
+pass, analytic backpropagation (one layer loop serves both), mini-batch
+gradient descent with a stepwise-decaying learning rate, MSE loss and the
+relative-tolerance accuracy metric used in the report tables.
 
 Networks of one layer shape train as one stack (`train_stack`): each
 minibatch step is one batched matmul pass for all of them, and every network
@@ -141,6 +141,22 @@ def init_params(spec: NetworkSpec, rng: np.random.Generator) -> list[tuple[np.nd
     return params
 
 
+def _activations(params: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray):
+    """Yield each layer's output in turn: the relu hiddens, then the linear output.
+
+    Takes one network or a stack of K, shaped as for `loss_gradients`; this is
+    the one layer loop, shared by `forward` and backpropagation.
+    """
+    h = x
+    for w, b in params[:-1]:
+        h = h @ w
+        h += b[..., None, :]
+        np.maximum(0.0, h, out=h)
+        yield h
+    w, b = params[-1]
+    yield h @ w + b[..., None, :]
+
+
 def forward(params: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray) -> np.ndarray:
     """Forward pass; x is (n, d_in) or (d_in,), relu hiddens, linear output."""
     h = np.atleast_2d(np.asarray(x, dtype=float))
@@ -148,12 +164,7 @@ def forward(params: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray) -> np.nd
         raise ValueError(
             f"input has {h.shape[1]} features, network expects {params[0][0].shape[0]}"
         )
-    for w, b in params[:-1]:
-        h = h @ w
-        h += b
-        np.maximum(0.0, h, out=h)
-    w, b = params[-1]
-    out = h @ w + b
+    *_, out = _activations(params, h)
     return out[0] if np.asarray(x).ndim == 1 else out
 
 
@@ -179,17 +190,7 @@ def loss_gradients(
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-
-    # Forward, keeping activations.
-    acts = [x]
-    h = x
-    for w, b in params[:-1]:
-        h = h @ w
-        h += b[..., None, :]
-        np.maximum(0.0, h, out=h)
-        acts.append(h)
-    w, b = params[-1]
-    out = h @ w + b[..., None, :]
+    *acts, out = x, *_activations(params, x)
 
     # d(loss)/d(out) for loss = mean over one network's entries of (out - y)^2.
     delta = 2.0 * (out - y) / (out.shape[-2] * out.shape[-1])
@@ -323,50 +324,20 @@ def _prepare(
     return x_norm, y_norm, scaled
 
 
-class _Member:
-    """One stacked network's own state: data, generator, scaling and record."""
-
-    def __init__(
-        self, job: TrainJob, x_norm: Normalizer, y_norm: Normalizer,
-        data: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    ):
-        self.cfg = job.cfg
-        self.log_target = job.log_target
-        self.x_norm = x_norm
-        self.y_norm = y_norm
-        self.xt, self.yt, self.xv, self.yv = data
-        self.rng = np.random.default_rng(job.cfg.seed)
-        self.history: dict = {"train_mse": [], "val_mse": [], "lr": []}
-        self.best_val = np.inf
-        self.best_params: list[tuple[np.ndarray, np.ndarray]] = []
-        self.best_epoch = -1
-        self.diverged: TrainingDiverged | None = None
-
-    def result(self, spec: NetworkSpec) -> TrainedNetwork | TrainingDiverged:
-        if self.diverged is not None:
-            return self.diverged
-        return TrainedNetwork(
-            spec=spec,
-            params=self.best_params,
-            x_norm=self.x_norm,
-            y_norm=self.y_norm,
-            config=self.cfg,
-            history=self.history,
-            best_epoch=self.best_epoch,
-            log_target=self.log_target,
-        )
-
-
 def train_stack(jobs: Iterable[TrainJob]) -> list[TrainedNetwork | TrainingDiverged]:
     """Fit K networks of one layer shape as one stack.
 
     The jobs must share their spec and every TrainConfig field but the seed,
     and their splits must have equal train and validation sizes. Each weight
     is held as a (K, n_in, n_out) stack and each bias as (K, n_out), so a
-    minibatch step is one batched forward/backward/update for all K. Every
-    network keeps its own data, generator (init draws, then one permutation
-    per epoch), normalizers, log target, history and best-epoch snapshot,
-    and comes out bit-identical to fitting its job alone with `train`.
+    minibatch step is one batched forward/backward/update for all K.
+
+    Each job's TrainedNetwork is built up front and is its only record:
+    params hold the initial draw, then the snapshot of each epoch whose
+    validation MSE is below its best epoch's; history and best_epoch fill in
+    place. Beside it the stack keeps only the network's generator (init
+    draws, then one permutation per epoch) and scaled data. Every network
+    comes out bit-identical to fitting its job alone with `train`.
 
     Jobs are prepared one at a time, so a generator lets the caller build
     each network's inputs only as the stack is assembled.
@@ -375,31 +346,35 @@ def train_stack(jobs: Iterable[TrainJob]) -> list[TrainedNetwork | TrainingDiver
     TrainingDiverged of a network whose loss became non-finite. A diverged
     network leaves the stack and the others train on.
     """
-    members: list[_Member] = []
+    nets: list[TrainedNetwork | TrainingDiverged] = []
+    rngs: list[np.random.Generator] = []
+    data: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
     for job in jobs:
-        if not members:
+        if not nets:
             spec, cfg = job.spec, job.cfg
         elif job.spec != spec or replace(job.cfg, seed=cfg.seed) != cfg:
             raise ValueError(
                 "stacked networks must share their layer sizes and every "
                 "TrainConfig field but the seed"
             )
-        members.append(_Member(job, *_prepare(job)))
-    if not members:
+        x_norm, y_norm, scaled = _prepare(job)
+        rng = np.random.default_rng(job.cfg.seed)
+        history = {"train_mse": [], "val_mse": [], "lr": []}
+        nets.append(TrainedNetwork(spec, init_params(spec, rng), x_norm, y_norm, job.cfg,
+                                   history, log_target=job.log_target))
+        rngs.append(rng)
+        data.append(scaled)
+    if not nets:
         raise ValueError("need at least one network to train")
-    if len({(len(m.xt), len(m.xv)) for m in members}) > 1:
+    if len({(len(xt), len(xv)) for xt, _, xv, _ in data}) > 1:
         raise ValueError("stacked networks need equal train and validation sizes")
 
-    inits = [init_params(spec, m.rng) for m in members]
     params = [
-        (np.stack([p[i][0] for p in inits]), np.stack([p[i][1] for p in inits]))
-        for i in range(len(inits[0]))
+        (np.stack([n.params[i][0] for n in nets]), np.stack([n.params[i][1] for n in nets]))
+        for i in range(len(spec.layer_sizes) - 1)
     ]
-    for k, m in enumerate(members):
-        m.best_params = [(w[k].copy(), b[k].copy()) for w, b in params]
-
-    alive = members
-    (n_train, n_in), n_out = members[0].xt.shape, spec.n_outputs
+    alive = list(range(len(nets)))  # the job index of each network in the stack
+    (n_train, n_in), n_out = data[0][0].shape, spec.n_outputs
     # A diverging network overflows on its way to a non-finite loss; the
     # finite-loss check below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -409,37 +384,38 @@ def train_stack(jobs: Iterable[TrainJob]) -> list[TrainedNetwork | TrainingDiver
             # of it. It is freed before the evaluation passes to bound the peak.
             xs = np.empty((len(alive), n_train, n_in))
             ys = np.empty((len(alive), n_train, n_out))
-            for k, m in enumerate(alive):
-                order = m.rng.permutation(n_train)
-                xs[k], ys[k] = m.xt[order], m.yt[order]
+            for k, j in enumerate(alive):
+                order = rngs[j].permutation(n_train)
+                xs[k], ys[k] = data[j][0][order], data[j][1][order]
             for start in range(0, n_train, cfg.batch_size):
                 stop = start + cfg.batch_size
                 _sgd_step(params, xs[:, start:stop], ys[:, start:stop], lr)
             del xs, ys
 
             keep = []
-            for k, m in enumerate(alive):
+            for k, j in enumerate(alive):
+                xt, yt, xv, yv = data[j]
                 own = [(w[k], b[k]) for w, b in params]
-                train_mse = mse(forward(own, m.xt), m.yt)
-                val_mse = mse(forward(own, m.xv), m.yv)
+                train_mse = mse(forward(own, xt), yt)
+                val_mse = mse(forward(own, xv), yv)
                 if not (np.isfinite(train_mse) and np.isfinite(val_mse)):
-                    m.diverged = TrainingDiverged(epoch)
+                    nets[j] = TrainingDiverged(epoch)
                     continue
                 keep.append(k)
-                m.history["train_mse"].append(train_mse)
-                m.history["val_mse"].append(val_mse)
-                m.history["lr"].append(lr)
-                if val_mse < m.best_val:
-                    m.best_val = val_mse
-                    m.best_params = [(w.copy(), b.copy()) for w, b in own]
-                    m.best_epoch = epoch
+                net = nets[j]
+                net.history["train_mse"].append(train_mse)
+                net.history["val_mse"].append(val_mse)
+                net.history["lr"].append(lr)
+                if net.best_epoch < 0 or val_mse < net.history["val_mse"][net.best_epoch]:
+                    net.params = [(w.copy(), b.copy()) for w, b in own]
+                    net.best_epoch = epoch
             if len(keep) < len(alive):
                 alive = [alive[k] for k in keep]
                 if not alive:
                     break
                 params = [(w[keep], b[keep]) for w, b in params]
 
-    return [m.result(spec) for m in members]
+    return nets
 
 
 def train(

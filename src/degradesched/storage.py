@@ -4,10 +4,11 @@ CSV and JSON readers/writers for aging datasets, trained model artifacts,
 scheduling cases, dispatch schedules, iteration traces, report tables and
 run manifests. Every CSV is written by one table writer and every numeric
 CSV that is read back (datasets, case series, schedules, traces) goes
-through one header-checked table reader that rejects wrong column counts
-and non-numeric or non-finite cells, naming the file and the row. Every
-JSON document is written by `write_json` and read by `read_json`, which
-turns undecodable text or a top level that is not an object into a
+through one header-checked table reader that rejects wrong column counts,
+non-numeric or non-finite cells and tables with no data rows, naming the
+file and the row. Every JSON document is written by `write_json` and read
+by `read_json` (or, for the array of an aging grid, `read_grid`), which
+turns undecodable text or a top level of the wrong type into a
 `FileFormatError`. Everything else in the package is pure; filesystem side
 effects live here and in the CLI.
 """
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .aging import DATASET_COLUMNS, AgingDataset
+from .aging import DATASET_COLUMNS, AgingDataset, CycleConditions
 from .lod import LodIteration, LodTrace
 from .milp import Bess, DispatchSchedule, Generator, MicrogridCase
 from .net import NetworkSpec, Normalizer, TrainConfig, TrainedNetwork
@@ -85,16 +86,21 @@ def write_json(path: str | Path, doc: dict) -> Path:
     return path
 
 
-def read_json(path: str | Path) -> dict:
-    """Parse a JSON document whose top level must be an object."""
-    path = Path(path)
+def _read_json(path: Path, top: type[dict] | type[list]) -> dict | list:
+    """Parse a JSON document whose top level must be of type `top`."""
     try:
         doc = json.loads(path.read_text())
     except ValueError as exc:
         raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    if not isinstance(doc, top):
+        name = "object" if top is dict else "array"
+        raise FileFormatError(f"{path}: expected a JSON {name}, got {type(doc).__name__}")
     return doc
+
+
+def read_json(path: str | Path) -> dict:
+    """Parse a JSON document whose top level must be an object."""
+    return _read_json(Path(path), dict)
 
 
 # Data rows that `_read_table` parses at a time.
@@ -106,9 +112,10 @@ def _read_table(path: Path, header: tuple[str, ...], blank: str | None = None) -
 
     The header must equal `header` and every row must have one cell per
     column; every cell must be a finite number, except that the column named
-    `blank` may be empty and reads as NaN. Errors name the path and the data
-    row (1-based, header excluded). Rows are parsed READ_CHUNK_ROWS at a
-    time, so the whole file is never held as one list of strings.
+    `blank` may be empty and reads as NaN. A table of no data rows is
+    rejected. Errors name the path and the data row (1-based, header
+    excluded). Rows are parsed READ_CHUNK_ROWS at a time, so the whole file
+    is never held as one list of strings.
     """
     width = len(header)
     j_blank = None if blank is None else header.index(blank)
@@ -149,6 +156,8 @@ def _read_table(path: Path, header: tuple[str, ...], blank: str | None = None) -
                 data[empty, j_blank] = np.nan
             chunks.append(data)
             done += len(rows)
+    if not done:
+        raise FileFormatError(f"{path}: table has no data rows")
     return np.concatenate(chunks)
 
 
@@ -173,11 +182,29 @@ def write_dataset(path: str | Path, dataset: AgingDataset, manifest: str | None 
 def read_dataset(path: str | Path) -> AgingDataset:
     path = Path(path)
     data = _read_table(path, DATASET_COLUMNS)
-    if not len(data):
-        raise FileFormatError(f"{path}: dataset has no rows")
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     meta = read_json(meta_path) if meta_path.exists() else {}
     return AgingDataset.from_array(data, meta)
+
+
+def read_grid(path: str | Path) -> list[CycleConditions]:
+    """Parse a grid file, a JSON array of CycleConditions objects.
+
+    Undecodable text, a top level that is not an array, and an entry that is
+    not an object or that CycleConditions rejects (a missing or unknown key,
+    a value that is no number or out of range) raise `FileFormatError`
+    naming the file and, for an entry, its index.
+    """
+    path = Path(path)
+    grid = []
+    for i, entry in enumerate(_read_json(path, list)):
+        try:
+            if not isinstance(entry, dict):
+                raise ValueError(f"expected an object, got {type(entry).__name__}")
+            grid.append(CycleConditions(**entry))
+        except (TypeError, ValueError) as exc:  # TypeError: a missing or unknown key
+            raise FileFormatError(f"{path}: entry {i}: {exc}") from exc
+    return grid
 
 
 # ----------------------------------------------------------------------

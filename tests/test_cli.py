@@ -77,6 +77,29 @@ class TestSimulateAging:
         assert result.exit_code == 2
         assert "dod" in result.output
 
+    @pytest.mark.parametrize("text, message", [
+        ('[{"soc_high": 0.8, "dod": 0.5, "temp_amb": 25, "c_rate": true}]',
+         "entry 0: c_rate must be a number: True"),
+        ('[{"soc_high": 0.8, "dod": 0.5, "temp_amb": 25, "c_rate": 1},'
+         ' {"soc_high": "abc", "dod": 0.5, "temp_amb": 25, "c_rate": 1}]',
+         "entry 1: soc_high must be a number: 'abc'"),
+        ("{bad", "not valid JSON"),
+        ('{"a": 1}', "expected a JSON array, got dict"),
+        ("[1]", "entry 0: expected an object, got int"),
+        ('[{"soc_high": 0.8, "dod": 0.5, "temp_amb": 25, "c_rate": 1, "x": 1}]',
+         "entry 0: CycleConditions.__init__() got an unexpected keyword argument 'x'"),
+    ], ids=["bool_value", "string_value", "not_json", "object", "number_entry", "unknown_key"])
+    def test_bad_grid_names_file_and_entry(self, tmp_path, text, message):
+        (tmp_path / "grid.json").write_text(text)
+        result = runner.invoke(
+            main,
+            ["simulate-aging", "--grid", str(tmp_path / "grid.json"),
+             "--out", str(tmp_path / "x.csv")],
+        )
+        assert result.exit_code == 2
+        assert f"grid.json: {message}" in result.output
+        assert not (tmp_path / "x.csv").exists()
+
     def test_config_overrides_flags(self, workdir, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"seed": 7}))
@@ -577,6 +600,33 @@ class TestReport:
         )
         assert result.exit_code == 2
         assert "row 2" in result.output
+        assert not (report_out / "cost_vs_iteration.csv").exists()
+
+    @pytest.mark.parametrize("header", [storage.SCHEDULE_HEADER, storage.TRACE_HEADER],
+                             ids=["schedule", "trace"])
+    def test_header_only_input_is_validation_error(self, workdir, tmp_path, header):
+        sched = tmp_path / "trad"
+        result = runner.invoke(
+            main,
+            ["schedule", "--case", str(workdir / "case.json"), "--mode", "traditional",
+             "--model", str(workdir / "stub_model.json"), "--out-dir", str(sched)],
+        )
+        assert result.exit_code == 0, result.output
+        empty = tmp_path / "empty.csv"
+        empty.write_text(",".join(header) + "\n")
+        trace = tmp_path / "trace.csv"
+        trace.write_text(",".join(storage.TRACE_HEADER) + "\n0,,100.0,50.0,5.0,55.0\n")
+        schedule = str(sched / "schedule.csv")
+        lod = str(empty) if header == storage.SCHEDULE_HEADER else schedule
+        trace_arg = str(empty) if header == storage.TRACE_HEADER else str(trace)
+        report_out = tmp_path / "report"
+        result = runner.invoke(
+            main,
+            ["report", "--traditional", schedule, "--linear", schedule, "--lod", lod,
+             "--trace", trace_arg, "--out-dir", str(report_out)],
+        )
+        assert result.exit_code == 2
+        assert "empty.csv: table has no data rows" in result.output
         assert not (report_out / "cost_vs_iteration.csv").exists()
 
     def test_missing_input_named(self, tmp_path):

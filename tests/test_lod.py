@@ -15,11 +15,12 @@ from degradesched.milp import (
     MicrogridCase,
     UsageCap,
     build_model,
+    operation_cost,
     solve,
     validate_schedule,
 )
 from degradesched.net import NetworkSpec, Normalizer, TrainedNetwork, TrainConfig
-from degradesched.quantifier import BDF_FEATURES, BDP_VARIANTS, UBDF_VARIANTS, DegradationModel
+from degradesched.quantifier import BDF_FEATURES, BDP_VARIANTS, DegradationModel
 
 
 def constant_network(n_in: int, out_values) -> TrainedNetwork:
@@ -177,6 +178,26 @@ class TestRunLod:
         assert trace.best_index == 0
         assert trace.termination_reason == "converged"
         assert len(trace.iterations) == 11  # iteration 0 + patience stalls
+
+    def test_stall_counts_from_the_latest_best_pass(self, monkeypatch):
+        # Scripted totals: pass 3 is the best, and pass 4 beats it by less
+        # than IMPROVEMENT_TOL, so pass 4 stalls like the passes after it.
+        patience = 4
+        best = 10_000.0
+        totals = iter([best + 300, best + 200, best + 100, best,
+                       best - lod.IMPROVEMENT_TOL / 2, best, best + 100, best + 200])
+        econ = EconParams(capital_cost=1.0, soh_eol=0.5)  # $2 per unit of degradation
+
+        def scripted(case, sched, model, soh):
+            return (next(totals) - operation_cost(sched, case)["total"]) / 2.0
+
+        monkeypatch.setattr(lod, "schedule_degradation", scripted)
+        trace = lod.run_lod(
+            arbitrage_case(), constant_model(0.0), econ, LodConfig(alpha=0.01, patience=patience)
+        )
+        assert trace.best_index == 3
+        assert trace.termination_reason == "converged"
+        assert len(trace.iterations) == 3 + patience + 1
 
     def test_infeasible_first_pass_reports_the_diagnosis(self):
         case = dataclasses.replace(load_example_day(), p_grid_max=800.0)

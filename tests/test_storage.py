@@ -42,6 +42,12 @@ class NumericTableChecks:
             with pytest.raises(FileFormatError, match=f"row 2: non-finite value '{text}'"):
                 self.read(path)
 
+    def test_no_data_rows_rejected(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text(",".join(self.header) + "\n")
+        with pytest.raises(FileFormatError, match="table.csv: table has no data rows"):
+            self.read(path)
+
     def test_non_numeric_rejected(self, tmp_path):
         for text in ("abc", ""):
             path = self.table(tmp_path, lambda good: good[:2] + [text] + good[3:])
@@ -309,6 +315,13 @@ TRACE_TEXT = (
     "0,,100.0,50.0,5.0,55.0\n"
     "1,90.0,90.0,51.0,{cell},55.5\n"
 )
+
+
+class TestTraceFiles(NumericTableChecks):
+    """The shared table checks on traces; their own checks follow below."""
+
+    header = storage.TRACE_HEADER
+    read = staticmethod(storage.read_trace)
 
 
 class TestScheduleAndTraceFiles(NumericTableChecks):
