@@ -1,7 +1,15 @@
 """Command-line front door: dataset generation, training, scheduling, reports.
 
 Exit codes: 0 success, 1 runtime/solver failure, 2 input validation failure.
-A --config JSON file overrides flags of the same name and is checked like
+The commands raise; one boundary, the group's `invoke`, maps what they raise
+to the code and prints the exception's text as one `error:` line. An
+`OSError` (a missing or unreadable input, an unwritable output) or a
+`ValueError` (a malformed file, a flag or config value out of range) exits
+2; the readers' messages name the file. A `RuntimeError` (training
+diverged, the solver failed) exits 1; so does an infeasible case, after
+`schedule` has printed its `infeasible:` lines and written
+`infeasible.json`. Anything else is a bug and ends in a traceback. A
+--config JSON file overrides flags of the same name and is checked like
 them; DEGRADESCHED_SEED provides the default seed.
 """
 
@@ -22,22 +30,28 @@ from .lod import EconParams, LodConfig, run_linear_bdc, run_lod, run_traditional
 from .milp import InfeasibleCaseError
 from .net import TrainConfig
 from .quantifier import (
-    ConstantFeatureError,
     check_closure,
     performance_comparison,
     select_best_combination,
     train_benchmarks,
     train_pair,
 )
-from .storage import FileFormatError
 
 EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
 
 
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+class _ExitCodes(click.Group):
+    """A group whose commands' exceptions become the module's exit codes."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.exceptions.Exit, click.Abort):  # RuntimeErrors of click's own
+            raise
+        except (OSError, ValueError, RuntimeError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_RUNTIME if isinstance(exc, RuntimeError) else EXIT_VALIDATION)
 
 
 def _apply_config(params: dict) -> dict:
@@ -50,24 +64,21 @@ def _apply_config(params: dict) -> dict:
     config_path = values.pop("config")
     if config_path is None:
         return values
-    try:
-        doc = storage.read_json(config_path)
-    except FileNotFoundError:
-        _fail(EXIT_VALIDATION, f"config file not found: {config_path}")
-    except FileFormatError as exc:
-        _fail(EXIT_VALIDATION, f"config file {exc}")
+    doc = storage.read_json(config_path)
     unknown = set(doc) - set(values)
     if unknown:
-        _fail(EXIT_VALIDATION, f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"{config_path}: unknown config keys: {sorted(unknown)}")
     ctx = click.get_current_context()
     options = {param.name: param for param in ctx.command.params}
     for key, value in doc.items():
         # Cast the text, as a flag's: int takes 7.5 as 7 but rejects "7.5".
         text = None if value is None else str(value)
+        if text is None and options[key].required:
+            raise ValueError(f"{config_path}: config key {key!r}: required, got null")
         try:
             values[key] = options[key].type_cast_value(ctx, text)
         except click.BadParameter as exc:
-            _fail(EXIT_VALIDATION, f"config key {key!r}: {exc.message}")
+            raise ValueError(f"{config_path}: config key {key!r}: {exc.message}") from None
     return values
 
 
@@ -93,7 +104,7 @@ def _train_config(values: dict) -> TrainConfig:
     )
 
 
-@click.group()
+@click.group(cls=_ExitCodes)
 @click.version_option(__version__)
 def main() -> None:
     """Degradation-aware microgrid scheduling toolkit."""
@@ -114,30 +125,25 @@ def cmd_simulate_aging(**params) -> None:
     values = _apply_config(params)
     t0 = time.perf_counter()
     inputs = []
-    try:
-        if values["grid"] is None:
-            grid = default_grid()
-        else:
-            grid = storage.read_grid(values["grid"])
-            inputs.append(values["grid"])
-        dataset = generate_dataset(grid, noise_sigma=values["noise"], seed=values["seed"])
-    except (FileNotFoundError, ValueError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-
+    if values["grid"] is None:
+        grid = default_grid()
+    else:
+        grid = storage.read_grid(values["grid"])
+        inputs.append(values["grid"])
     out = Path(values["out"])
+    out.parent.mkdir(parents=True, exist_ok=True)
+    dataset = generate_dataset(grid, noise_sigma=values["noise"], seed=values["seed"])
+
     manifest_path = out.with_suffix(out.suffix + ".manifest.json")
-    try:
-        storage.write_dataset(out, dataset, manifest=manifest_path.name)
-        storage.write_manifest(
-            manifest_path,
-            command="simulate-aging",
-            config={k: v for k, v in values.items() if k != "out"},
-            inputs=inputs,
-            seed=values["seed"],
-            timings={"wall_seconds": time.perf_counter() - t0},
-        )
-    except OSError as exc:
-        _fail(EXIT_VALIDATION, f"cannot write output: {exc}")
+    storage.write_dataset(out, dataset, manifest=manifest_path.name)
+    storage.write_manifest(
+        manifest_path,
+        command="simulate-aging",
+        config={k: v for k, v in values.items() if k != "out"},
+        inputs=inputs,
+        seed=values["seed"],
+        timings={"wall_seconds": time.perf_counter() - t0},
+    )
     click.echo(f"wrote {len(dataset)} rows to {out}")
 
 
@@ -167,25 +173,20 @@ def cmd_train(**params) -> None:
     named = (values["ubdf"], values["bdp"])
     if values["variant_search"]:
         if named != (None, None):
-            _fail(EXIT_VALIDATION, "--variant-search excludes --ubdf/--bdp")
+            raise ValueError("--variant-search excludes --ubdf/--bdp")
     elif None in named:
-        _fail(EXIT_VALIDATION, "provide --ubdf and --bdp, or --variant-search")
+        raise ValueError("provide --ubdf and --bdp, or --variant-search")
     else:
-        try:
-            check_closure(*named)
-        except ValueError as exc:
-            _fail(EXIT_VALIDATION, str(exc))
+        check_closure(*named)
     timings: dict = {}
-    try:
-        with _timed(timings, "read_seconds"):
-            dataset = storage.read_dataset(values["dataset"])
-        cfg = _train_config(values)
-    except (FileNotFoundError, ValueError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    with _timed(timings, "read_seconds"):
+        dataset = storage.read_dataset(values["dataset"])
+    cfg = _train_config(values)
 
     out = Path(values["out"])
     report_to = Path(values["report_dir"]) if values["report_dir"] else out.parent
-    report_to.mkdir(parents=True, exist_ok=True)
+    for directory in (out.parent, report_to):
+        directory.mkdir(parents=True, exist_ok=True)
     metrics: dict = {"seed": values["seed"]}
 
     try:
@@ -211,25 +212,20 @@ def cmd_train(**params) -> None:
                 rows = performance_comparison(model, benchmarks, dataset, cfg)
             storage.write_report_table(report_to / "performance_comparison.csv", rows)
             metrics["performance_comparison"] = rows
-    except ConstantFeatureError as exc:
-        _fail(EXIT_VALIDATION, f"dataset {values['dataset']}: {exc}")
-    except Exception as exc:  # training/runtime failures
-        _fail(EXIT_RUNTIME, f"training failed: {exc}")
+    except ValueError as exc:  # a constant feature, a non-positive target: the data
+        raise ValueError(f"dataset {values['dataset']}: {exc}") from exc
 
     manifest_path = out.with_suffix(out.suffix + ".manifest.json")
     metrics["variants"] = {"ubdf": model.ubdf_id, "bdp": model.bdp_id}
-    try:
-        storage.write_model_artifact(out, model, metrics=metrics, manifest=manifest_path.name)
-        storage.write_manifest(
-            manifest_path,
-            command="train",
-            config={k: v for k, v in values.items() if k not in ("dataset", "out")},
-            inputs=[values["dataset"]],
-            seed=values["seed"],
-            timings={**timings, "wall_seconds": time.perf_counter() - t0},
-        )
-    except OSError as exc:
-        _fail(EXIT_VALIDATION, f"cannot write output: {exc}")
+    storage.write_model_artifact(out, model, metrics=metrics, manifest=manifest_path.name)
+    storage.write_manifest(
+        manifest_path,
+        command="train",
+        config={k: v for k, v in values.items() if k not in ("dataset", "out")},
+        inputs=[values["dataset"]],
+        seed=values["seed"],
+        timings={**timings, "wall_seconds": time.perf_counter() - t0},
+    )
     click.echo(f"wrote model artifact {out}")
 
 
@@ -258,31 +254,28 @@ def cmd_schedule(**params) -> None:
     t0 = time.perf_counter()
     inputs = []
     timings: dict = {}
-    try:
-        if math.isnan(values["soh"]):  # NaN passes the flag's range check
-            raise ValueError("--soh must be a number, got nan")
-        with _timed(timings, "read_seconds"):
-            if values["case"] == "example-day":
-                case = load_example_day()
-            else:
-                case = storage.read_case(values["case"])
-                inputs.append(values["case"])
-            storage.check_schedule_layout(case)
-            model = storage.read_model_artifact(values["model"])
-            inputs.append(values["model"])
-        econ = EconParams(
-            capital_cost=values["capital_cost"],
-            salvage_value=values["salvage_value"],
-            soh_eol=values["soh_eol"],
-            linear_bdc_rate=values["linear_rate"],
-        )
-        lod_cfg = LodConfig(
-            alpha=values["alpha"],
-            max_iterations=values["max_iterations"],
-            patience=values["patience"],
-        )
-    except (FileNotFoundError, ValueError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    if math.isnan(values["soh"]):  # NaN passes the flag's range check
+        raise ValueError("--soh must be a number, got nan")
+    with _timed(timings, "read_seconds"):
+        if values["case"] == "example-day":
+            case = load_example_day()
+        else:
+            case = storage.read_case(values["case"])
+            inputs.append(values["case"])
+        storage.check_schedule_layout(case)
+        model = storage.read_model_artifact(values["model"])
+        inputs.append(values["model"])
+    econ = EconParams(
+        capital_cost=values["capital_cost"],
+        salvage_value=values["salvage_value"],
+        soh_eol=values["soh_eol"],
+        linear_bdc_rate=values["linear_rate"],
+    )
+    lod_cfg = LodConfig(
+        alpha=values["alpha"],
+        max_iterations=values["max_iterations"],
+        patience=values["patience"],
+    )
 
     out = Path(values["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -295,37 +288,31 @@ def cmd_schedule(**params) -> None:
             else:
                 runner = run_traditional if values["mode"] == "traditional" else run_linear_bdc
                 trace, best = None, runner(case, model, econ, soh=values["soh"])
-        with _timed(timings, "write_seconds"):
-            storage.write_schedule(out / "schedule.csv", best.schedule, case)
-            iterations = None if trace is None else len(trace.iterations)
-            summary = storage.summary_from_iteration(best, timings["solve_seconds"], iterations)
-            if trace is not None:
-                storage.write_trace(out / "trace.csv", trace)
-                summary["best_index"] = trace.best_index
-                summary["termination_reason"] = trace.termination_reason
-                if trace.infeasible_report:
-                    storage.write_json(out / "infeasible.json",
-                                       {"mode": "lod", "report": trace.infeasible_report})
-            storage.write_summary(out / "summary.json", summary, manifest=manifest_name)
-        storage.write_manifest(
-            out / manifest_name,
-            command=f"schedule --mode {values['mode']}",
-            config={k: v for k, v in values.items() if k not in ("out_dir",)},
-            inputs=inputs,
-            seed=None,
-            timings={**timings, "wall_seconds": time.perf_counter() - t0},
-        )
     except InfeasibleCaseError as exc:
         for line in exc.report:
             click.echo(f"infeasible: {line}", err=True)
-        try:
-            storage.write_json(out / "infeasible.json",
-                               {"mode": values["mode"], "report": exc.report})
-        except OSError as err:
-            _fail(EXIT_VALIDATION, f"cannot write output: {err}")
+        storage.write_json(out / "infeasible.json", {"mode": values["mode"], "report": exc.report})
         sys.exit(EXIT_RUNTIME)
-    except OSError as exc:
-        _fail(EXIT_VALIDATION, f"cannot write output: {exc}")
+    with _timed(timings, "write_seconds"):
+        storage.write_schedule(out / "schedule.csv", best.schedule, case)
+        iterations = None if trace is None else len(trace.iterations)
+        summary = storage.summary_from_iteration(best, timings["solve_seconds"], iterations)
+        if trace is not None:
+            storage.write_trace(out / "trace.csv", trace)
+            summary["best_index"] = trace.best_index
+            summary["termination_reason"] = trace.termination_reason
+            if trace.infeasible_report:
+                storage.write_json(out / "infeasible.json",
+                                   {"mode": "lod", "report": trace.infeasible_report})
+        storage.write_summary(out / "summary.json", summary, manifest=manifest_name)
+    storage.write_manifest(
+        out / manifest_name,
+        command=f"schedule --mode {values['mode']}",
+        config={k: v for k, v in values.items() if k not in ("out_dir",)},
+        inputs=inputs,
+        seed=None,
+        timings={**timings, "wall_seconds": time.perf_counter() - t0},
+    )
     click.echo(
         f"{values['mode']}: total ${summary['total_cost']:.2f} "
         f"(operation ${summary['operation_cost']:.2f}, "
@@ -344,27 +331,11 @@ def cmd_report(trad_path, linear_path, lod_path, trace_path, out_dir) -> None:
     """Merge per-strategy schedules into plot-ready comparison tables."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        schedules = {}
-        for name, p in (("traditional", trad_path), ("linear", linear_path), ("lod", lod_path)):
-            if not Path(p).exists():
-                _fail(EXIT_VALIDATION, f"missing input: {p}")
-            schedules[name] = storage.read_schedule(p)
-        storage.write_bess_comparison(
-            out / "bess_comparison.csv",
-            schedules["traditional"],
-            schedules["linear"],
-            schedules["lod"],
-        )
-        if trace_path is not None:
-            if not Path(trace_path).exists():
-                _fail(EXIT_VALIDATION, f"missing input: {trace_path}")
-            rows = storage.read_trace(trace_path)
-            storage.write_cost_series(out / "cost_vs_iteration.csv", rows)
-    except FileFormatError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    except OSError as exc:
-        _fail(EXIT_VALIDATION, f"cannot write output: {exc}")
+    schedules = [storage.read_schedule(p) for p in (trad_path, linear_path, lod_path)]
+    rows = None if trace_path is None else storage.read_trace(trace_path)
+    storage.write_bess_comparison(out / "bess_comparison.csv", *schedules)
+    if rows is not None:
+        storage.write_cost_series(out / "cost_vs_iteration.csv", rows)
     click.echo(f"wrote comparison tables to {out}")
 
 

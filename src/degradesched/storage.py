@@ -4,13 +4,13 @@ CSV and JSON readers/writers for aging datasets, trained model artifacts,
 scheduling cases, dispatch schedules, iteration traces, report tables and
 run manifests. Every CSV is written by one table writer and every numeric
 CSV that is read back (datasets, case series, schedules, traces) goes
-through one header-checked table reader that rejects wrong column counts,
-non-numeric or non-finite cells and tables with no data rows, naming the
-file and the row. Every JSON document is written by `write_json` and read
-by `read_json` (or, for the array of an aging grid, `read_grid`), which
-turns undecodable text or a top level of the wrong type into a
-`FileFormatError`. Everything else in the package is pure; filesystem side
-effects live here and in the CLI.
+through one header-checked table reader that rejects undecodable text,
+wrong column counts, non-numeric or non-finite cells and tables with no
+data rows, naming the file and the row. Every JSON document is written by
+`write_json` and read by `read_json` (or, for the array of an aging grid,
+`read_grid`), which turns undecodable text or a top level of the wrong type
+into a `FileFormatError`. Everything else in the package is pure;
+filesystem side effects live here and in the CLI.
 """
 
 from __future__ import annotations
@@ -107,6 +107,14 @@ def read_json(path: str | Path) -> dict:
 READ_CHUNK_ROWS = 4096
 
 
+def _csv_rows(path: Path, fh):
+    """The rows of an open CSV file; undecodable text raises `FileFormatError`."""
+    try:
+        yield from csv.reader(fh)
+    except (UnicodeDecodeError, csv.Error) as exc:  # a binary file, an endless field
+        raise FileFormatError(f"{path}: not a CSV text file: {exc}") from exc
+
+
 def _read_table(path: Path, header: tuple[str, ...], blank: str | None = None) -> np.ndarray:
     """Parse a header-checked CSV of numbers into an (n, len(header)) float array.
 
@@ -121,7 +129,7 @@ def _read_table(path: Path, header: tuple[str, ...], blank: str | None = None) -
     j_blank = None if blank is None else header.index(blank)
     chunks = [np.empty((0, width))]
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         if next(reader, None) != list(header):
             raise FileFormatError(f"{path}: expected header {','.join(header)}")
         done = 0  # data rows before this chunk
@@ -191,9 +199,9 @@ def read_grid(path: str | Path) -> list[CycleConditions]:
     """Parse a grid file, a JSON array of CycleConditions objects.
 
     Undecodable text, a top level that is not an array, and an entry that is
-    not an object or that CycleConditions rejects (a missing or unknown key,
-    a value that is no number or out of range) raise `FileFormatError`
-    naming the file and, for an entry, its index.
+    not an object, that CycleConditions rejects (a missing or unknown key,
+    a value that is no number or out of range) or whose soh is not 1.0 raise
+    `FileFormatError` naming the file and, for an entry, its index.
     """
     path = Path(path)
     grid = []
@@ -201,7 +209,10 @@ def read_grid(path: str | Path) -> list[CycleConditions]:
         try:
             if not isinstance(entry, dict):
                 raise ValueError(f"expected an object, got {type(entry).__name__}")
-            grid.append(CycleConditions(**entry))
+            cond = CycleConditions(**entry)
+            if cond.soh != 1.0:
+                raise ValueError(f"soh must be 1.0, where aging tests start, got {cond.soh}")
+            grid.append(cond)
         except (TypeError, ValueError) as exc:  # TypeError: a missing or unknown key
             raise FileFormatError(f"{path}: entry {i}: {exc}") from exc
     return grid

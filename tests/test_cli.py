@@ -88,7 +88,10 @@ class TestSimulateAging:
         ("[1]", "entry 0: expected an object, got int"),
         ('[{"soc_high": 0.8, "dod": 0.5, "temp_amb": 25, "c_rate": 1, "x": 1}]',
          "entry 0: CycleConditions.__init__() got an unexpected keyword argument 'x'"),
-    ], ids=["bool_value", "string_value", "not_json", "object", "number_entry", "unknown_key"])
+        ('[{"soc_high": 0.8, "dod": 0.5, "temp_amb": 25, "c_rate": 1, "soh": 0.9}]',
+         "entry 0: soh must be 1.0, where aging tests start, got 0.9"),
+    ], ids=["bool_value", "string_value", "not_json", "object", "number_entry", "unknown_key",
+            "aged_start"])
     def test_bad_grid_names_file_and_entry(self, tmp_path, text, message):
         (tmp_path / "grid.json").write_text(text)
         result = runner.invoke(
@@ -99,6 +102,16 @@ class TestSimulateAging:
         assert result.exit_code == 2
         assert f"grid.json: {message}" in result.output
         assert not (tmp_path / "x.csv").exists()
+
+    def test_creates_the_output_directory(self, workdir, tmp_path):
+        out = tmp_path / "new" / "aging.csv"
+        result = runner.invoke(
+            main,
+            ["simulate-aging", "--grid", str(workdir / "grid.json"), "--out", str(out),
+             "--noise", "0.02", "--seed", "7"],
+        )
+        assert result.exit_code == 0, result.output
+        assert out.read_text() == (workdir / "aging.csv").read_text()
 
     def test_config_overrides_flags(self, workdir, tmp_path):
         cfgfile = tmp_path / "cfg.json"
@@ -146,6 +159,18 @@ class TestTrain:
         x = np.random.default_rng(1).uniform(0.2, 0.8, size=(4, 7))
         again = storage.read_model_artifact(out)
         assert np.array_equal(model.bdp.predict(x), again.bdp.predict(x))
+
+    def test_creates_the_artifact_directory_before_training(self, workdir, tmp_path):
+        out = tmp_path / "new" / "model.json"
+        result = runner.invoke(
+            main,
+            ["train", "--dataset", str(workdir / "aging.csv"), "--out", str(out),
+             "--report-dir", str(tmp_path / "reports"), "--ubdf", "1", "--bdp", "3",
+             "--epochs", "2", "--with-benchmarks"],
+        )
+        assert result.exit_code == 0, result.output
+        assert storage.read_model_artifact(out).bdp_id == 3
+        assert (tmp_path / "reports" / "performance_comparison.csv").exists()
 
     def test_closure_incompatible_rejected_before_training(self, workdir, tmp_path):
         result = runner.invoke(
@@ -396,7 +421,7 @@ class TestSchedule:
             assert re.search(pattern, text), option
 
     @pytest.mark.parametrize("key, value", [
-        ("mode", "foo"), ("soh", 0.5), ("alpha", "abc"), ("patience", 2.5),
+        ("mode", "foo"), ("soh", 0.5), ("alpha", "abc"), ("patience", 2.5), ("case", None),
     ])
     def test_bad_config_value_is_validation_error(
         self, workdir, tmp_path, monkeypatch, key, value
@@ -638,6 +663,70 @@ class TestReport:
         )
         assert result.exit_code == 2
         assert "a.csv" in result.output
+
+
+# Each command given a path it cannot use: a directory where a file goes, a
+# file where a directory goes, or a file that is not text.
+BAD_PATHS = {
+    "grid_dir": ["simulate-aging", "--grid", "{dir}", "--out", "{tmp}/x.csv"],
+    "config_dir": ["simulate-aging", "--out", "{tmp}/x.csv", "--config", "{dir}"],
+    "dataset_dir": ["train", "--dataset", "{dir}", "--out", "{tmp}/m.json",
+                    "--ubdf", "1", "--bdp", "3"],
+    "case_dir": ["schedule", "--case", "{dir}", "--mode", "lod", "--model", "{model}",
+                 "--out-dir", "{tmp}/o"],
+    "model_dir": ["schedule", "--case", "example-day", "--mode", "lod", "--model", "{dir}",
+                  "--out-dir", "{tmp}/o"],
+    "schedule_out_file": ["schedule", "--case", "example-day", "--mode", "lod",
+                          "--model", "{model}", "--out-dir", "{file}"],
+    "report_out_file": ["report", "--traditional", "{tmp}/a.csv", "--linear", "{tmp}/b.csv",
+                        "--lod", "{tmp}/c.csv", "--out-dir", "{file}"],
+    "report_binary_input": ["report", "--traditional", "{binary}", "--linear", "{binary}",
+                            "--lod", "{binary}", "--out-dir", "{tmp}/r"],
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", BAD_PATHS.values(), ids=BAD_PATHS)
+    def test_unusable_path_is_validation_error(self, workdir, tmp_path, argv):
+        paths = {"dir": tmp_path / "adir", "file": tmp_path / "afile",
+                 "binary": tmp_path / "binary.csv"}
+        paths["dir"].mkdir()
+        paths["file"].write_text("")
+        paths["binary"].write_bytes(b"\xff\xfe\x00\x01\n")
+        args = [a.format(tmp=tmp_path, model=workdir / "stub_model.json", **paths)
+                for a in argv]
+        named = next(str(path) for key, path in paths.items() if f"{{{key}}}" in argv)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: ")
+        assert named in result.output
+
+    def test_runtime_failure_exits_1(self, workdir, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("solver failed: x")
+
+        monkeypatch.setattr(cli, "run_traditional", failing)
+        result = runner.invoke(
+            main,
+            ["schedule", "--case", "example-day", "--mode", "traditional",
+             "--model", str(workdir / "stub_model.json"), "--out-dir", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: solver failed: x" in result.output
+
+    def test_a_bug_keeps_its_traceback(self, workdir, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("x")
+
+        monkeypatch.setattr(cli, "run_traditional", broken)
+        result = runner.invoke(
+            main,
+            ["schedule", "--case", "example-day", "--mode", "traditional",
+             "--model", str(workdir / "stub_model.json"), "--out-dir", str(tmp_path / "o")],
+        )
+        assert isinstance(result.exception, KeyError)
 
 
 def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:

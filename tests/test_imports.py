@@ -6,7 +6,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "degradesched").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+MODULES = sorted([
+    *(ROOT / "src" / "degradesched").glob("*.py"),
+    *(ROOT / "tests").glob("*.py"),
+    *(ROOT / "perfbench").glob("**/*.py"),
+])
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:

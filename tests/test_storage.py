@@ -42,6 +42,12 @@ class NumericTableChecks:
             with pytest.raises(FileFormatError, match=f"row 2: non-finite value '{text}'"):
                 self.read(path)
 
+    def test_undecodable_text_rejected(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_bytes(",".join(self.header).encode() + b"\n\xff\xfe\x00\x01\n")
+        with pytest.raises(FileFormatError, match="table.csv: not a CSV text file"):
+            self.read(path)
+
     def test_no_data_rows_rejected(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text(",".join(self.header) + "\n")
