@@ -131,10 +131,11 @@ def cmd_simulate_aging(**params) -> None:
         grid = storage.read_grid(values["grid"])
         inputs.append(values["grid"])
     out = Path(values["out"])
+    manifest_path = out.with_suffix(out.suffix + ".manifest.json")
     out.parent.mkdir(parents=True, exist_ok=True)
+    storage.check_writable(out, manifest_path)
     dataset = generate_dataset(grid, noise_sigma=values["noise"], seed=values["seed"])
 
-    manifest_path = out.with_suffix(out.suffix + ".manifest.json")
     storage.write_dataset(out, dataset, manifest=manifest_path.name)
     storage.write_manifest(
         manifest_path,
@@ -184,9 +185,11 @@ def cmd_train(**params) -> None:
     cfg = _train_config(values)
 
     out = Path(values["out"])
+    manifest_path = out.with_suffix(out.suffix + ".manifest.json")
     report_to = Path(values["report_dir"]) if values["report_dir"] else out.parent
     for directory in (out.parent, report_to):
         directory.mkdir(parents=True, exist_ok=True)
+    storage.check_writable(out, manifest_path)
     metrics: dict = {"seed": values["seed"]}
 
     try:
@@ -215,7 +218,6 @@ def cmd_train(**params) -> None:
     except ValueError as exc:  # a constant feature, a non-positive target: the data
         raise ValueError(f"dataset {values['dataset']}: {exc}") from exc
 
-    manifest_path = out.with_suffix(out.suffix + ".manifest.json")
     metrics["variants"] = {"ubdf": model.ubdf_id, "bdp": model.bdp_id}
     storage.write_model_artifact(out, model, metrics=metrics, manifest=manifest_path.name)
     storage.write_manifest(

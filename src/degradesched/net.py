@@ -30,6 +30,11 @@ class TrainingDiverged(RuntimeError):
         super().__init__(f"training loss became non-finite at epoch {epoch}")
         self.epoch = epoch
 
+    def __reduce__(self):
+        # Rebuild from the epoch, not from args (the message), so the error
+        # reads the same after a pickle round trip out of a worker process.
+        return type(self), (self.epoch,)
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -341,6 +346,10 @@ def train_stack(jobs: Iterable[TrainJob]) -> list[TrainedNetwork | TrainingDiver
 
     Jobs are prepared one at a time, so a generator lets the caller build
     each network's inputs only as the stack is assembled.
+
+    A stack is one unit of work and shares no state with another:
+    `quantifier.fit_networks` trains each stack as one task, in a pool of
+    min(CPUs, stacks) worker processes when both numbers are 2 or more.
 
     Returns one entry per job, in order: the fitted network, or the
     TrainingDiverged of a network whose loss became non-finite. A diverged

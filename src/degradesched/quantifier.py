@@ -9,11 +9,14 @@ each, so the fixed-cycle networks can score any hourly usage profile.
 
 Every network the train command fits, the variants of both stages and the
 single-stage benchmarks, is one row of NETWORKS, and `fit_networks` trains
-any set of rows, those of one layer shape as one stack.
+any set of rows, those of one layer shape as one stack. The stacks share no
+state, so on a machine with 2 or more CPUs they train in worker processes,
+one stack per task.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -308,6 +311,30 @@ def network_job(
     )
 
 
+def _fit_group(
+    columns: dict[str, np.ndarray],
+    cfg: TrainConfig,
+    split: tuple[np.ndarray, np.ndarray],
+    members: list[tuple[str, int]],
+) -> list[TrainedNetwork | net.TrainingDiverged]:
+    """Train the NETWORKS rows `members`, all of one layer shape, as one stack."""
+    return net.train_stack(network_job(columns, key, cfg, split) for key in members)
+
+
+# A pool worker's (columns, cfg, split), set once by _init_worker when the
+# worker starts; it stays None in the process that calls fit_networks.
+_worker_inputs: tuple | None = None
+
+
+def _init_worker(*inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _fit_group_in_worker(members: list[tuple[str, int]]) -> list:
+    return _fit_group(*_worker_inputs, members)
+
+
 def fit_networks(
     columns: dict[str, np.ndarray],
     keys: list[tuple[str, int]],
@@ -322,6 +349,15 @@ def fit_networks(
     non-finite maps to its TrainingDiverged. Before any training, a scaled
     feature that the rows consume but that is constant on the training rows
     raises ConstantFeatureError.
+
+    With 2 or more stacks and 2 or more CPUs this process may run on, the
+    stacks train in a process pool of min(CPUs, stacks) workers, one stack
+    per task. The workers receive (columns, cfg, split) once, when they
+    start (a forked worker inherits the arrays, other start methods pickle
+    them once per worker), and build their stack's jobs themselves; each
+    task sends only its rows' keys. The networks come out the same as when
+    the stacks train in this process, which happens otherwise. No worker
+    outlives the call, also when one raises.
     """
     used = {name for key in keys for name in NETWORKS[key].inputs + NETWORKS[key].outputs}
     scaled = used & NORMALIZED_FEATURES
@@ -335,9 +371,21 @@ def fit_networks(
     groups: dict[NetworkSpec, list[tuple[str, int]]] = {}
     for key in keys:
         groups.setdefault(NETWORKS[key].spec, []).append(key)
+    # Without os.sched_getaffinity (macOS, Windows) workers start by spawn; a
+    # spawn pool re-imports the package in each worker and measured no faster
+    # than training in this process.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(groups))
+    if workers < 2:
+        stacks = [_fit_group(columns, cfg, split, members) for members in groups.values()]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(workers, initializer=_init_worker,
+                                 initargs=(columns, cfg, split)) as pool:
+            stacks = list(pool.map(_fit_group_in_worker, groups.values()))
     fitted: dict[tuple[str, int], TrainedNetwork | net.TrainingDiverged] = {}
-    for members in groups.values():
-        stack = net.train_stack(network_job(columns, key, cfg, split) for key in members)
+    for members, stack in zip(groups.values(), stacks):
         fitted.update(zip(members, stack))
     return fitted
 

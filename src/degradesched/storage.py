@@ -86,6 +86,23 @@ def write_json(path: str | Path, doc: dict) -> Path:
     return path
 
 
+def check_writable(*paths: str | Path) -> None:
+    """Raise the OSError that writing each path would raise, without writing it.
+
+    An existing file is opened for appending and keeps its bytes; a file
+    this creates is removed again. A command calls it on its outputs before
+    its work, so an output that is a directory, or that sits in one it may
+    not write, costs no work.
+    """
+    for path in map(Path, paths):
+        try:
+            path.open("x").close()
+        except FileExistsError:
+            path.open("a").close()
+        else:
+            path.unlink()
+
+
 def _read_json(path: Path, top: type[dict] | type[list]) -> dict | list:
     """Parse a JSON document whose top level must be of type `top`."""
     try:

@@ -19,6 +19,7 @@ from degradesched.exampleday import load_example_day
 from degradesched.lod import EconParams, LodConfig
 from test_lod import constant_model
 from test_milp import day_case
+from test_quantifier import see_cpus
 from test_storage import MALFORMED_ARTIFACTS
 
 runner = CliRunner()
@@ -113,6 +114,17 @@ class TestSimulateAging:
         assert result.exit_code == 0, result.output
         assert out.read_text() == (workdir / "aging.csv").read_text()
 
+    def test_unusable_out_rejected_before_generating(self, tmp_path, monkeypatch):
+        generated = []
+        monkeypatch.setattr(cli, "generate_dataset",
+                            lambda *args, **kwargs: generated.append(args))
+        (tmp_path / "adir").mkdir()
+        result = runner.invoke(main, ["simulate-aging", "--out", str(tmp_path / "adir")])
+        assert result.exit_code == 2, result.output
+        assert "Is a directory" in result.output and str(tmp_path / "adir") in result.output
+        assert generated == []
+        assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+
     def test_config_overrides_flags(self, workdir, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"seed": 7}))
@@ -171,6 +183,55 @@ class TestTrain:
         assert result.exit_code == 0, result.output
         assert storage.read_model_artifact(out).bdp_id == 3
         assert (tmp_path / "reports" / "performance_comparison.csv").exists()
+
+    def test_unusable_out_rejected_before_training(self, workdir, tmp_path):
+        (tmp_path / "outdir").mkdir()
+        result = runner.invoke(
+            main,
+            ["train", "--dataset", str(workdir / "aging.csv"), "--out", str(tmp_path / "outdir"),
+             "--ubdf", "1", "--bdp", "3", "--epochs", "2", "--with-benchmarks",
+             "--report-dir", str(tmp_path / "rep")],
+        )
+        assert result.exit_code == 2, result.output
+        assert "Is a directory" in result.output and str(tmp_path / "outdir") in result.output
+        assert list((tmp_path / "rep").iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "rep"]
+
+    def test_an_existing_out_keeps_its_bytes_when_training_fails(
+        self, workdir, tmp_path, monkeypatch
+    ):
+        # The check before training opens an existing file without truncating it.
+        def failing(*args):
+            raise RuntimeError("training diverged")
+
+        monkeypatch.setattr(cli, "train_pair", failing)
+        out = tmp_path / "model.json"
+        out.write_text("old")
+        result = runner.invoke(
+            main,
+            ["train", "--dataset", str(workdir / "aging.csv"), "--out", str(out),
+             "--ubdf", "1", "--bdp", "3"],
+        )
+        assert result.exit_code == 1, result.output
+        assert out.read_text() == "old"
+
+    def test_worker_count_changes_no_output(self, workdir, tmp_path, monkeypatch):
+        # One CPU trains the stacks in this process, two in worker processes.
+        outputs = {}
+        for n_cpus in (1, 2):
+            see_cpus(monkeypatch, n_cpus)
+            out = tmp_path / str(n_cpus)
+            result = runner.invoke(
+                main,
+                ["train", "--dataset", str(workdir / "aging.csv"),
+                 "--out", str(out / "model.json"), "--variant-search", "--with-benchmarks",
+                 "--epochs", "3", "--seed", "0"],
+            )
+            assert result.exit_code == 0, result.output
+            outputs[n_cpus] = {name: (out / name).read_bytes() for name in (
+                "model.json", "ubdf_models.csv", "bdp_models.csv", "composed_pairs.csv",
+                "performance_comparison.csv")}
+        assert outputs[1] == outputs[2]
 
     def test_closure_incompatible_rejected_before_training(self, workdir, tmp_path):
         result = runner.invoke(
@@ -739,7 +800,8 @@ def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
 class TestColdStart:
     """A fresh interpreter, because pytest has imported every module of the
     package already, and loads scipy.sparse itself to resolve the
-    filterwarnings entries of pyproject.toml."""
+    filterwarnings entries of pyproject.toml. Commands that never solve or
+    train load neither scipy nor the process pool that training uses."""
 
     @pytest.mark.parametrize("module", [
         "aging", "net", "quantifier", "milp", "lod", "storage", "cli", "exampleday",
@@ -755,7 +817,8 @@ class TestColdStart:
             "    degradesched.cli.main(['--help'])\n"
             "except SystemExit:\n"
             "    pass\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))\n"
         )
         assert done.returncode == 0, done.stderr
         assert "Usage:" in done.stdout

@@ -1,6 +1,7 @@
 """Tests for the fully-connected network engine."""
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -308,6 +309,14 @@ class TestTrain:
         with pytest.raises(net.TrainingDiverged) as exc:
             train(x, y, NetworkSpec((1, 8, 4, 1)), cfg)
         assert exc.value.epoch >= 0
+
+    def test_divergence_survives_a_pickle_round_trip(self):
+        # A worker process hands its TrainingDiverged back pickled.
+        error = net.TrainingDiverged(3)
+        again = pickle.loads(pickle.dumps(error))
+        assert type(again) is net.TrainingDiverged
+        assert again.epoch == error.epoch == 3
+        assert str(again) == str(error) == "training loss became non-finite at epoch 3"
 
     def test_learning_rate_schedule(self):
         rng = np.random.default_rng(1)

@@ -1,5 +1,8 @@
 """Tests for the two-stage degradation quantifier and cycle extraction."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -338,6 +341,59 @@ class TestDivergence:
     def test_search_with_no_pair_left_raises(self, ds):
         with pytest.raises(RuntimeError, match="every variant pair failed"):
             select_best_combination(ds, self.cfg)
+
+
+def see_cpus(monkeypatch, n):
+    """Have fit_networks see n CPUs that this process may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestWorkerCount:
+    """One CPU trains the stacks in this process, two in a pool of workers;
+    the networks, and the failures, must come out the same."""
+
+    def fit_all(self, monkeypatch, n_cpus, cfg):
+        ds = subsampled_dataset()
+        columns = dataset_columns(ds)
+        split = net.split_indices(len(ds), cfg.train_fraction, cfg.seed)
+        see_cpus(monkeypatch, n_cpus)
+        return fit_networks(columns, list(NETWORKS), cfg, split)
+
+    def test_every_network_is_the_same(self, monkeypatch):
+        cfg = net.TrainConfig(epochs=4, seed=2)
+        here = self.fit_all(monkeypatch, 1, cfg)
+        pooled = self.fit_all(monkeypatch, 2, cfg)
+        assert list(pooled) == list(here)
+        assert sorted(here) == sorted(NETWORKS)
+        for key in NETWORKS:
+            assert_same_network(pooled[key], here[key])
+
+    def test_divergence_failures_are_the_same(self, monkeypatch):
+        # select_best_combination records each failure as "kind-variant: error".
+        failures = {}
+        for n_cpus in (1, 2):
+            fitted = self.fit_all(monkeypatch, n_cpus, TestDivergence.cfg)
+            assert all(isinstance(r, net.TrainingDiverged) for r in fitted.values())
+            failures[n_cpus] = [(key, r.epoch, str(r)) for key, r in fitted.items()]
+        assert failures[1] == failures[2]
+
+    def test_no_worker_outlives_the_call(self, monkeypatch):
+        ds = subsampled_dataset()
+        cfg = net.TrainConfig(epochs=1, seed=2)
+        columns = dataset_columns(ds)
+        split = net.split_indices(len(ds), cfg.train_fraction, cfg.seed)
+        keys = [("nnbd", 0), ("nnbd2", 0)]  # two layer shapes, two stacks
+        see_cpus(monkeypatch, 2)
+        fit_networks(columns, keys, cfg, split)
+        assert multiprocessing.active_children() == []
+
+        columns["degradation"] = columns["degradation"].copy()
+        columns["degradation"][split[0][0]] = -1.0  # no log target
+        with pytest.raises(ValueError, match="log-scaled targets must be positive") as exc:
+            fit_networks(columns, keys, cfg, split)
+        # concurrent.futures chains a worker's traceback to what it re-raises.
+        assert type(exc.value.__cause__).__name__ == "_RemoteTraceback"
+        assert multiprocessing.active_children() == []
 
 
 class TestTrainingCurve:
