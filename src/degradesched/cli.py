@@ -11,6 +11,11 @@ diverged, the solver failed) exits 1; so does an infeasible case, after
 `infeasible.json`. Anything else is a bug and ends in a traceback. A
 --config JSON file overrides flags of the same name and is checked like
 them; DEGRADESCHED_SEED provides the default seed.
+
+Every `schedule` mode writes schedule.csv (the best pass), trace.csv (one
+row per pass), summary.json, manifest.json and, after an infeasible pass,
+infeasible.json; the one-pass modes end as "single_solve". simulate-aging,
+train and schedule open every output before their work.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import click
 from . import __version__, storage
 from .aging import END_OF_LIFE_SOH, default_grid, generate_dataset
 from .exampleday import load_example_day
-from .lod import EconParams, LodConfig, run_linear_bdc, run_lod, run_traditional
+from .lod import EconParams, LodConfig, LodTrace, run_linear_bdc, run_lod, run_traditional
 from .milp import InfeasibleCaseError
 from .net import TrainConfig
 from .quantifier import (
@@ -133,7 +138,7 @@ def cmd_simulate_aging(**params) -> None:
     out = Path(values["out"])
     manifest_path = out.with_suffix(out.suffix + ".manifest.json")
     out.parent.mkdir(parents=True, exist_ok=True)
-    storage.check_writable(out, manifest_path)
+    storage.check_writable(out, storage.dataset_meta_path(out), manifest_path)
     dataset = generate_dataset(grid, noise_sigma=values["noise"], seed=values["seed"])
 
     storage.write_dataset(out, dataset, manifest=manifest_path.name)
@@ -187,20 +192,22 @@ def cmd_train(**params) -> None:
     out = Path(values["out"])
     manifest_path = out.with_suffix(out.suffix + ".manifest.json")
     report_to = Path(values["report_dir"]) if values["report_dir"] else out.parent
+    tables = ["ubdf_models", "bdp_models", "composed_pairs"] if values["variant_search"] else []
+    if values["with_benchmarks"]:
+        tables.append("performance_comparison")
+    table_path = {name: report_to / f"{name}.csv" for name in tables}
     for directory in (out.parent, report_to):
         directory.mkdir(parents=True, exist_ok=True)
-    storage.check_writable(out, manifest_path)
+    storage.check_writable(out, manifest_path, *table_path.values())
     metrics: dict = {"seed": values["seed"]}
 
     try:
         if values["variant_search"]:
             with _timed(timings, "search_seconds"):
                 model, report = select_best_combination(dataset, cfg)
-            storage.write_report_table(report_to / "ubdf_models.csv", report.ubdf_table)
-            storage.write_report_table(report_to / "bdp_models.csv", report.bdp_table)
-            storage.write_report_table(
-                report_to / "composed_pairs.csv", report.composed_table
-            )
+            storage.write_report_table(table_path["ubdf_models"], report.ubdf_table)
+            storage.write_report_table(table_path["bdp_models"], report.bdp_table)
+            storage.write_report_table(table_path["composed_pairs"], report.composed_table)
             metrics["selection_failures"] = report.failures
             click.echo(
                 f"selected stage-one variant {model.ubdf_id}, "
@@ -213,7 +220,7 @@ def cmd_train(**params) -> None:
             with _timed(timings, "benchmarks_seconds"):
                 benchmarks = train_benchmarks(dataset, cfg)
                 rows = performance_comparison(model, benchmarks, dataset, cfg)
-            storage.write_report_table(report_to / "performance_comparison.csv", rows)
+            storage.write_report_table(table_path["performance_comparison"], rows)
             metrics["performance_comparison"] = rows
     except ValueError as exc:  # a constant feature, a non-positive target: the data
         raise ValueError(f"dataset {values['dataset']}: {exc}") from exc
@@ -281,34 +288,31 @@ def cmd_schedule(**params) -> None:
 
     out = Path(values["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    manifest_name = "manifest.json"
+    storage.check_writable(*(out / name for name in (
+        "schedule.csv", "trace.csv", "summary.json", "infeasible.json", "manifest.json")))
     try:
         with _timed(timings, "solve_seconds"):
             if values["mode"] == "lod":
                 trace = run_lod(case, model, econ, lod_cfg, soh=values["soh"])
-                best = trace.best
             else:
                 runner = run_traditional if values["mode"] == "traditional" else run_linear_bdc
-                trace, best = None, runner(case, model, econ, soh=values["soh"])
+                trace = LodTrace([runner(case, model, econ, soh=values["soh"])], best_index=0,
+                                 termination_reason="single_solve", infeasible_report=[])
     except InfeasibleCaseError as exc:
         for line in exc.report:
             click.echo(f"infeasible: {line}", err=True)
         storage.write_json(out / "infeasible.json", {"mode": values["mode"], "report": exc.report})
         sys.exit(EXIT_RUNTIME)
     with _timed(timings, "write_seconds"):
-        storage.write_schedule(out / "schedule.csv", best.schedule, case)
-        iterations = None if trace is None else len(trace.iterations)
-        summary = storage.summary_from_iteration(best, timings["solve_seconds"], iterations)
-        if trace is not None:
-            storage.write_trace(out / "trace.csv", trace)
-            summary["best_index"] = trace.best_index
-            summary["termination_reason"] = trace.termination_reason
-            if trace.infeasible_report:
-                storage.write_json(out / "infeasible.json",
-                                   {"mode": "lod", "report": trace.infeasible_report})
-        storage.write_summary(out / "summary.json", summary, manifest=manifest_name)
+        storage.write_schedule(out / "schedule.csv", trace.best.schedule, case)
+        storage.write_trace(out / "trace.csv", trace)
+        if trace.infeasible_report:
+            storage.write_json(out / "infeasible.json",
+                               {"mode": values["mode"], "report": trace.infeasible_report})
+        summary = storage.summary_from_trace(trace, timings["solve_seconds"])
+        storage.write_summary(out / "summary.json", summary, manifest="manifest.json")
     storage.write_manifest(
-        out / manifest_name,
+        out / "manifest.json",
         command=f"schedule --mode {values['mode']}",
         config={k: v for k, v in values.items() if k not in ("out_dir",)},
         inputs=inputs,

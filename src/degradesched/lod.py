@@ -4,9 +4,9 @@ Each pass solves the scheduling MILP, reduces the scheduled battery profile
 to half cycles, prices the predicted degradation against the battery's net
 capital value, and tightens a cap on total battery throughput for the next
 pass. The loop keeps the iteration with the lowest combined operation +
-degradation cost. Two single-solve benchmarks are included: an uncapped run
-that ignores degradation entirely and a run that prices throughput at a flat
-$/kWh rate.
+degradation cost. The two single-solve benchmarks are pass 0 of the same
+loop: the traditional run on the model that ignores degradation, and the
+linear-bdc run on one that prices throughput at a flat $/kWh rate.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .milp import (
     DispatchSchedule,
     InfeasibleCaseError,
     MicrogridCase,
+    MilpProblem,
     UsageCap,
     build_model,
     operation_cost,
@@ -58,14 +59,14 @@ class LodConfig:
     """Loop controls: cap shrink rate, iteration bound and stall patience."""
 
     alpha: float = 0.03
-    max_iterations: int = 200
+    max_iterations: int = 200  # capped passes after pass 0; 0 runs pass 0 alone
     patience: int = 10
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha out of (0, 1): {self.alpha}")
-        if self.max_iterations < 1 or self.patience < 1:
-            raise ValueError("max_iterations and patience must be >= 1")
+        if self.max_iterations < 0 or self.patience < 1:
+            raise ValueError("max_iterations must be >= 0 and patience >= 1")
 
 
 @dataclass
@@ -90,12 +91,13 @@ class LodTrace:
     """Ordered iterations plus which one won and why the loop stopped.
 
     `infeasible_report` is the diagnosis of the pass that ended the loop as
-    "infeasible", and empty for any other stop.
+    "infeasible", and empty for any other stop. A single-solve strategy's
+    one pass ends as "single_solve".
     """
 
     iterations: list[LodIteration]
     best_index: int
-    termination_reason: str  # converged | cap_exhausted | max_iterations | infeasible
+    termination_reason: str  # converged|cap_exhausted|max_iterations|infeasible|single_solve
     infeasible_report: list[str]
 
     @property
@@ -126,24 +128,56 @@ def schedule_degradation(
     return total
 
 
-def _evaluate(
+def _passes(
     case: MicrogridCase,
-    sched: DispatchSchedule,
+    problem: MilpProblem,
     model: DegradationModel,
     econ: EconParams,
+    cfg: LodConfig,
     soh: float,
-    index: int,
-    cap: UsageCap | None,
-) -> LodIteration:
-    deg = schedule_degradation(case, sched, model, soh)
-    return LodIteration(
-        index=index,
-        usage_cap_kwh=None if cap is None else cap.cap_kwh,
-        schedule=sched,
-        bess_throughput_kwh=sched.bess_throughput_kwh(case),
-        operation_cost=operation_cost(sched, case)["total"],
-        degradation=deg,
-        degradation_cost=degradation_cost(deg, econ),
+) -> LodTrace:
+    """The loop of `run_lod` on a built model, under `cfg`."""
+    iterations: list[LodIteration] = []
+    best_index = 0
+    cap: UsageCap | None = None
+    reason = "max_iterations"
+    report: list[str] = []
+
+    for index in range(cfg.max_iterations + 1):
+        try:
+            sched = solve(problem, cap)
+        except InfeasibleCaseError as exc:
+            if not iterations:
+                raise
+            reason, report = "infeasible", exc.report
+            break
+        deg = schedule_degradation(case, sched, model, soh)
+        it = LodIteration(
+            index=index,
+            usage_cap_kwh=None if cap is None else cap.cap_kwh,
+            schedule=sched,
+            bess_throughput_kwh=sched.bess_throughput_kwh(case),
+            operation_cost=operation_cost(sched, case)["total"],
+            degradation=deg,
+            degradation_cost=degradation_cost(deg, econ),
+        )
+        iterations.append(it)
+
+        if it.total_cost < iterations[best_index].total_cost - IMPROVEMENT_TOL:
+            best_index = index
+        if index - best_index >= cfg.patience:
+            reason = "converged"
+            break
+        if it.bess_throughput_kwh <= IDLE_THROUGHPUT_KWH:
+            reason = "cap_exhausted"
+            break
+        cap = UsageCap((1.0 - cfg.alpha) * it.bess_throughput_kwh)
+
+    return LodTrace(
+        iterations=iterations,
+        best_index=best_index,
+        termination_reason=reason,
+        infeasible_report=report,
     )
 
 
@@ -153,9 +187,9 @@ def run_traditional(
     econ: EconParams,
     soh: float = 1.0,
 ) -> LodIteration:
-    """Single uncapped solve; degradation is costed after the fact only."""
-    sched = solve(build_model(case))
-    return _evaluate(case, sched, model, econ, soh, index=0, cap=None)
+    """Pass 0 of the loop: one uncapped solve, degradation costed after the fact."""
+    problem = build_model(case)
+    return _passes(case, problem, model, econ, LodConfig(max_iterations=0), soh).iterations[0]
 
 
 def run_linear_bdc(
@@ -164,14 +198,14 @@ def run_linear_bdc(
     econ: EconParams,
     soh: float = 1.0,
 ) -> LodIteration:
-    """Single solve with the flat $/kWh usage term in the objective.
+    """Pass 0 of the loop on a model with the flat $/kWh usage term in its objective.
 
     The reported operation cost excludes the usage term and the reported
     degradation cost is re-derived from the learned quantifier, so the
     result is comparable with the other strategies.
     """
-    sched = solve(build_model(case, linear_bdc_rate=econ.linear_bdc_rate))
-    return _evaluate(case, sched, model, econ, soh, index=0, cap=None)
+    problem = build_model(case, linear_bdc_rate=econ.linear_bdc_rate)
+    return _passes(case, problem, model, econ, LodConfig(max_iterations=0), soh).iterations[0]
 
 
 def run_lod(
@@ -193,38 +227,4 @@ def run_lod(
     diagnosis; an infeasible later pass ends the loop as "infeasible" and
     its diagnosis is kept on the trace.
     """
-    cfg = cfg or LodConfig()
-    problem = build_model(case)
-    iterations: list[LodIteration] = []
-    best_index = 0
-    cap: UsageCap | None = None
-    reason = "max_iterations"
-    report: list[str] = []
-
-    for index in range(cfg.max_iterations + 1):
-        try:
-            sched = solve(problem, cap)
-        except InfeasibleCaseError as exc:
-            if not iterations:
-                raise
-            reason, report = "infeasible", exc.report
-            break
-        it = _evaluate(case, sched, model, econ, soh, index, cap)
-        iterations.append(it)
-
-        if it.total_cost < iterations[best_index].total_cost - IMPROVEMENT_TOL:
-            best_index = index
-        if index - best_index >= cfg.patience:
-            reason = "converged"
-            break
-        if it.bess_throughput_kwh <= IDLE_THROUGHPUT_KWH:
-            reason = "cap_exhausted"
-            break
-        cap = UsageCap((1.0 - cfg.alpha) * it.bess_throughput_kwh)
-
-    return LodTrace(
-        iterations=iterations,
-        best_index=best_index,
-        termination_reason=reason,
-        infeasible_report=report,
-    )
+    return _passes(case, build_model(case), model, econ, cfg or LodConfig(), soh)

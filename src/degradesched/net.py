@@ -345,11 +345,8 @@ def train_stack(jobs: Iterable[TrainJob]) -> list[TrainedNetwork | TrainingDiver
     comes out bit-identical to fitting its job alone with `train`.
 
     Jobs are prepared one at a time, so a generator lets the caller build
-    each network's inputs only as the stack is assembled.
-
-    A stack is one unit of work and shares no state with another:
-    `quantifier.fit_networks` trains each stack as one task, in a pool of
-    min(CPUs, stacks) worker processes when both numbers are 2 or more.
+    each network's inputs only as the stack is assembled. A stack shares no
+    state with another, so stacks may train in separate processes.
 
     Returns one entry per job, in order: the fitted network, or the
     TrainingDiverged of a network whose loss became non-finite. A diverged

@@ -351,13 +351,12 @@ def fit_networks(
     raises ConstantFeatureError.
 
     With 2 or more stacks and 2 or more CPUs this process may run on, the
-    stacks train in a process pool of min(CPUs, stacks) workers, one stack
-    per task. The workers receive (columns, cfg, split) once, when they
-    start (a forked worker inherits the arrays, other start methods pickle
-    them once per worker), and build their stack's jobs themselves; each
-    task sends only its rows' keys. The networks come out the same as when
-    the stacks train in this process, which happens otherwise. No worker
-    outlives the call, also when one raises.
+    stacks train in a pool of min(CPUs, stacks) forked workers, one stack
+    per task; otherwise they train here. Fork, whatever the interpreter's
+    default: only a forked worker inherits (columns, cfg, split) and the
+    imported package, where importing them afresh costs about what the pool
+    saves. Each task sends only its rows' keys. The networks come out the
+    same either way, and no worker outlives the call, also when one raises.
     """
     used = {name for key in keys for name in NETWORKS[key].inputs + NETWORKS[key].outputs}
     scaled = used & NORMALIZED_FEATURES
@@ -371,17 +370,18 @@ def fit_networks(
     groups: dict[NetworkSpec, list[tuple[str, int]]] = {}
     for key in keys:
         groups.setdefault(NETWORKS[key].spec, []).append(key)
-    # Without os.sched_getaffinity (macOS, Windows) workers start by spawn; a
-    # spawn pool re-imports the package in each worker and measured no faster
-    # than training in this process.
+    # Without os.sched_getaffinity (macOS, Windows) the stacks train here:
+    # fork is missing or unsafe there, and the pool gains only by fork.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(groups))
     if workers < 2:
         stacks = [_fit_group(columns, cfg, split, members) for members in groups.values()]
     else:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(workers, initializer=_init_worker,
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_init_worker,
                                  initargs=(columns, cfg, split)) as pool:
             stacks = list(pool.map(_fit_group_in_worker, groups.values()))
     fitted: dict[tuple[str, int], TrainedNetwork | net.TrainingDiverged] = {}

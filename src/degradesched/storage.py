@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .aging import DATASET_COLUMNS, AgingDataset, CycleConditions
-from .lod import LodIteration, LodTrace
+from .lod import LodTrace
 from .milp import Bess, DispatchSchedule, Generator, MicrogridCase
 from .net import NetworkSpec, Normalizer, TrainConfig, TrainedNetwork
 from .quantifier import BDP_VARIANTS, UBDF_VARIANTS, DegradationModel, check_closure
@@ -194,20 +194,25 @@ def file_digest(path: str | Path) -> str:
 # Aging datasets
 # ----------------------------------------------------------------------
 
+def dataset_meta_path(path: Path) -> Path:
+    """The `.meta.json` sidecar beside a dataset CSV."""
+    return path.with_suffix(path.suffix + ".meta.json")
+
+
 def write_dataset(path: str | Path, dataset: AgingDataset, manifest: str | None = None) -> Path:
     """Write the dataset CSV plus its `.meta.json` sidecar; returns the CSV path."""
     path = _write_table(path, DATASET_COLUMNS, dataset.data.T)
     meta = dict(dataset.meta)
     if manifest is not None:
         meta["manifest"] = manifest
-    write_json(path.with_suffix(path.suffix + ".meta.json"), meta)
+    write_json(dataset_meta_path(path), meta)
     return path
 
 
 def read_dataset(path: str | Path) -> AgingDataset:
     path = Path(path)
     data = _read_table(path, DATASET_COLUMNS)
-    meta_path = path.with_suffix(path.suffix + ".meta.json")
+    meta_path = dataset_meta_path(path)
     meta = read_json(meta_path) if meta_path.exists() else {}
     return AgingDataset.from_array(data, meta)
 
@@ -487,15 +492,19 @@ def read_trace(path: str | Path) -> list[dict]:
     return out
 
 
-def summary_from_iteration(it: LodIteration, solve_seconds: float, iterations: int | None) -> dict:
+def summary_from_trace(trace: LodTrace, solve_seconds: float) -> dict:
+    """The summary.json document of a run: its best pass and how the run ended."""
+    best = trace.best
     return {
-        "total_cost": it.total_cost,
-        "operation_cost": it.operation_cost,
-        "degradation_cost": it.degradation_cost,
-        "degradation": it.degradation,
-        "bess_throughput_kwh": it.bess_throughput_kwh,
+        "total_cost": best.total_cost,
+        "operation_cost": best.operation_cost,
+        "degradation_cost": best.degradation_cost,
+        "degradation": best.degradation,
+        "bess_throughput_kwh": best.bess_throughput_kwh,
         "solve_seconds": solve_seconds,
-        "iterations": iterations,
+        "iterations": len(trace.iterations),
+        "best_index": trace.best_index,
+        "termination_reason": trace.termination_reason,
     }
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from degradesched import cli, storage
+from degradesched import cli, quantifier, storage
 from degradesched.cli import main
 from degradesched.exampleday import load_example_day
 from degradesched.lod import EconParams, LodConfig
@@ -125,6 +125,17 @@ class TestSimulateAging:
         assert generated == []
         assert [p.name for p in tmp_path.iterdir()] == ["adir"]
 
+    def test_unusable_sidecar_rejected_before_generating(self, tmp_path, monkeypatch):
+        generated = []
+        monkeypatch.setattr(cli, "generate_dataset",
+                            lambda *args, **kwargs: generated.append(args))
+        (tmp_path / "d.csv.meta.json").mkdir()
+        result = runner.invoke(main, ["simulate-aging", "--out", str(tmp_path / "d.csv")])
+        assert result.exit_code == 2, result.output
+        assert "Is a directory" in result.output and "d.csv.meta.json" in result.output
+        assert generated == []
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv.meta.json"]
+
     def test_config_overrides_flags(self, workdir, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"seed": 7}))
@@ -196,6 +207,24 @@ class TestTrain:
         assert "Is a directory" in result.output and str(tmp_path / "outdir") in result.output
         assert list((tmp_path / "rep").iterdir()) == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "rep"]
+
+    def test_unusable_report_table_rejected_before_training(
+        self, workdir, tmp_path, monkeypatch
+    ):
+        fitted = []
+        monkeypatch.setattr(quantifier, "fit_networks", lambda *a: fitted.append(a))
+        (tmp_path / "R" / "composed_pairs.csv").mkdir(parents=True)
+        result = runner.invoke(
+            main,
+            ["train", "--dataset", str(workdir / "aging.csv"),
+             "--out", str(tmp_path / "m" / "model.json"), "--variant-search",
+             "--report-dir", str(tmp_path / "R")],
+        )
+        assert result.exit_code == 2, result.output
+        assert "Is a directory" in result.output and "composed_pairs.csv" in result.output
+        assert not fitted
+        assert [p.name for p in (tmp_path / "R").iterdir()] == ["composed_pairs.csv"]
+        assert list((tmp_path / "m").iterdir()) == []
 
     def test_an_existing_out_keeps_its_bytes_when_training_fails(
         self, workdir, tmp_path, monkeypatch
@@ -346,11 +375,66 @@ class TestSchedule:
         )
         assert result.exit_code == 0, result.output
         assert (out / "schedule.csv").exists()
-        assert not (out / "trace.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["total_cost"] == pytest.approx(
             summary["operation_cost"] + summary["degradation_cost"]
         )
+        (row,) = storage.read_trace(out / "trace.csv")
+        assert row == {
+            "iteration": 0, "usage_cap_kwh": None,
+            "throughput_kwh": summary["bess_throughput_kwh"],
+            "operation_cost": summary["operation_cost"],
+            "degradation_cost": summary["degradation_cost"],
+            "total_cost": summary["total_cost"],
+        }
+        assert (summary["iterations"], summary["best_index"]) == (1, 0)
+        assert summary["termination_reason"] == "single_solve"
+
+    def test_every_mode_writes_the_same_record(self, workdir, tmp_path):
+        files, keys = {}, {}
+        for mode in ("traditional", "linear-bdc", "lod"):
+            out = tmp_path / mode
+            result = runner.invoke(
+                main,
+                ["schedule", "--case", str(workdir / "case.json"), "--mode", mode,
+                 "--model", str(workdir / "stub_model.json"), "--out-dir", str(out),
+                 "--max-iterations", "3"],
+            )
+            assert result.exit_code == 0, result.output
+            files[mode] = sorted(p.name for p in out.iterdir())
+            keys[mode] = sorted(json.loads((out / "summary.json").read_text()))
+        assert files["traditional"] == files["linear-bdc"] == files["lod"] == [
+            "manifest.json", "schedule.csv", "summary.json", "trace.csv"]
+        assert keys["traditional"] == keys["linear-bdc"] == keys["lod"]
+
+    def test_lod_pass_0_alone_is_the_traditional_schedule(self, workdir, tmp_path):
+        for mode, flags in (("traditional", []), ("lod", ["--max-iterations", "0"])):
+            result = runner.invoke(
+                main,
+                ["schedule", "--case", "example-day", "--mode", mode,
+                 "--model", str(workdir / "stub_model.json"),
+                 "--out-dir", str(tmp_path / mode), *flags],
+            )
+            assert result.exit_code == 0, result.output
+        schedules = [(tmp_path / mode / "schedule.csv").read_bytes()
+                     for mode in ("traditional", "lod")]
+        assert schedules[0] == schedules[1]
+        assert len(storage.read_trace(tmp_path / "lod" / "trace.csv")) == 1
+
+    def test_unusable_output_rejected_before_solving(self, workdir, tmp_path, monkeypatch):
+        solved = []
+        monkeypatch.setattr(cli, "run_lod", lambda *a, **k: solved.append(a))
+        out = tmp_path / "S"
+        (out / "schedule.csv").mkdir(parents=True)
+        result = runner.invoke(
+            main,
+            ["schedule", "--case", "example-day", "--mode", "lod",
+             "--model", str(workdir / "stub_model.json"), "--out-dir", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "Is a directory" in result.output
+        assert not solved
+        assert [p.name for p in out.iterdir()] == ["schedule.csv"]
 
     def test_lod_writes_trace_with_decreasing_caps(self, workdir, tmp_path):
         out = tmp_path / "lod"

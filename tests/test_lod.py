@@ -240,7 +240,32 @@ class TestRunLod:
         assert trace.termination_reason == "max_iterations"
 
 
+class TestOnePath:
+    """The single-solve strategies are pass 0 of the LOD loop."""
+
+    def test_traditional_is_the_first_lod_pass(self):
+        case, model = load_example_day(), constant_model(5e-4)
+        first = lod.run_lod(case, model, ECON).iterations[0]
+        trad = lod.run_traditional(case, model, ECON)
+        for f in dataclasses.fields(lod.LodIteration):
+            if f.name != "schedule":
+                assert getattr(first, f.name) == getattr(trad, f.name), f.name
+        for f in dataclasses.fields(first.schedule):
+            a, b = getattr(first.schedule, f.name), getattr(trad.schedule, f.name)
+            assert np.array_equal(a, b), f.name
+
+    def test_zero_max_iterations_runs_pass_0_alone(self):
+        trace = lod.run_lod(arbitrage_case(), constant_model(5e-4), ECON,
+                            LodConfig(max_iterations=0))
+        assert len(trace.iterations) == 1
+        assert trace.best_index == 0 and trace.iterations[0].usage_cap_kwh is None
+
+
 class TestValidation:
+    def test_negative_max_iterations_rejected(self):
+        with pytest.raises(ValueError, match="max_iterations"):
+            LodConfig(max_iterations=-1)
+
     def test_salvage_above_capital_rejected(self):
         with pytest.raises(ValueError):
             EconParams(capital_cost=100.0, salvage_value=200.0)

@@ -1,5 +1,6 @@
 """Tests for the two-stage degradation quantifier and cycle extraction."""
 
+import concurrent.futures
 import multiprocessing
 import os
 
@@ -394,6 +395,24 @@ class TestWorkerCount:
         # concurrent.futures chains a worker's traceback to what it re-raises.
         assert type(exc.value.__cause__).__name__ == "_RemoteTraceback"
         assert multiprocessing.active_children() == []
+
+    def test_workers_start_by_fork(self, monkeypatch):
+        # Whatever the interpreter's default: only forked workers inherit the
+        # package and the inputs instead of importing them afresh.
+        contexts = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                contexts.append(kwargs.get("mp_context"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        ds = subsampled_dataset()
+        cfg = net.TrainConfig(epochs=1, seed=2)
+        split = net.split_indices(len(ds), cfg.train_fraction, cfg.seed)
+        see_cpus(monkeypatch, 2)
+        fit_networks(dataset_columns(ds), [("nnbd", 0), ("nnbd2", 0)], cfg, split)
+        assert [None if c is None else c.get_start_method() for c in contexts] == ["fork"]
 
 
 class TestTrainingCurve:
