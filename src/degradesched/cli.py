@@ -14,8 +14,9 @@ them; DEGRADESCHED_SEED provides the default seed.
 
 Every `schedule` mode writes schedule.csv (the best pass), trace.csv (one
 row per pass), summary.json, manifest.json and, after an infeasible pass,
-infeasible.json; the one-pass modes end as "single_solve". simulate-aging,
-train and schedule open every output before their work.
+infeasible.json, which a run without one removes; the one-pass modes end as
+"single_solve". simulate-aging, train and schedule open every output before
+their work, and train does so before it reads its dataset.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .quantifier import (
     performance_comparison,
     select_best_combination,
     train_benchmarks,
-    train_pair,
 )
 
 EXIT_RUNTIME = 1
@@ -177,34 +177,35 @@ def cmd_train(**params) -> None:
     values = _apply_config(params)
     t0 = time.perf_counter()
     named = (values["ubdf"], values["bdp"])
-    if values["variant_search"]:
+    search = values["variant_search"]
+    if search:
         if named != (None, None):
             raise ValueError("--variant-search excludes --ubdf/--bdp")
     elif None in named:
         raise ValueError("provide --ubdf and --bdp, or --variant-search")
     else:
         check_closure(*named)
-    timings: dict = {}
-    with _timed(timings, "read_seconds"):
-        dataset = storage.read_dataset(values["dataset"])
     cfg = _train_config(values)
 
     out = Path(values["out"])
     manifest_path = out.with_suffix(out.suffix + ".manifest.json")
     report_to = Path(values["report_dir"]) if values["report_dir"] else out.parent
-    tables = ["ubdf_models", "bdp_models", "composed_pairs"] if values["variant_search"] else []
+    tables = ["ubdf_models", "bdp_models", "composed_pairs"] if search else []
     if values["with_benchmarks"]:
         tables.append("performance_comparison")
     table_path = {name: report_to / f"{name}.csv" for name in tables}
     for directory in (out.parent, report_to):
         directory.mkdir(parents=True, exist_ok=True)
     storage.check_writable(out, manifest_path, *table_path.values())
+    timings: dict = {}
+    with _timed(timings, "read_seconds"):
+        dataset = storage.read_dataset(values["dataset"])
     metrics: dict = {"seed": values["seed"]}
 
     try:
-        if values["variant_search"]:
-            with _timed(timings, "search_seconds"):
-                model, report = select_best_combination(dataset, cfg)
+        with _timed(timings, "search_seconds" if search else "pair_seconds"):
+            model, report = select_best_combination(dataset, cfg, None if search else [named])
+        if search:
             storage.write_report_table(table_path["ubdf_models"], report.ubdf_table)
             storage.write_report_table(table_path["bdp_models"], report.bdp_table)
             storage.write_report_table(table_path["composed_pairs"], report.composed_table)
@@ -213,9 +214,6 @@ def cmd_train(**params) -> None:
                 f"selected stage-one variant {model.ubdf_id}, "
                 f"stage-two variant {model.bdp_id}"
             )
-        else:
-            with _timed(timings, "pair_seconds"):
-                model = train_pair(dataset, *named, cfg)
         if values["with_benchmarks"]:
             with _timed(timings, "benchmarks_seconds"):
                 benchmarks = train_benchmarks(dataset, cfg)
@@ -270,7 +268,7 @@ def cmd_schedule(**params) -> None:
             case = load_example_day()
         else:
             case = storage.read_case(values["case"])
-            inputs.append(values["case"])
+            inputs.extend(storage.case_files(values["case"]))
         storage.check_schedule_layout(case)
         model = storage.read_model_artifact(values["model"])
         inputs.append(values["model"])
@@ -309,6 +307,8 @@ def cmd_schedule(**params) -> None:
         if trace.infeasible_report:
             storage.write_json(out / "infeasible.json",
                                {"mode": values["mode"], "report": trace.infeasible_report})
+        else:  # a report an earlier run left would contradict this record
+            (out / "infeasible.json").unlink(missing_ok=True)
         summary = storage.summary_from_trace(trace, timings["solve_seconds"])
         storage.write_summary(out / "summary.json", summary, manifest="manifest.json")
     storage.write_manifest(

@@ -261,7 +261,9 @@ def _sgd_step(
 def split_indices(
     n: int, train_fraction: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic shuffled train/validation index split."""
+    """Deterministic shuffled train/validation index split; n must be >= 2."""
+    if n < 2:
+        raise ValueError(f"need at least 2 rows, one to train on and one to validate, got {n}")
     order = np.random.default_rng(seed).permutation(n)
     n_train = int(round(n * train_fraction))
     n_train = min(max(n_train, 1), n - 1)

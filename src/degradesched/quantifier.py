@@ -11,7 +11,8 @@ Every network the train command fits, the variants of both stages and the
 single-stage benchmarks, is one row of NETWORKS, and `fit_networks` trains
 any set of rows, those of one layer shape as one stack. The stacks share no
 state, so on a machine with 2 or more CPUs they train in worker processes,
-one stack per task.
+one stack per task. `select_best_combination` fits and ranks any list of
+pairs: the variant search is every compatible pair, a named pair a list of one.
 """
 
 from __future__ import annotations
@@ -269,6 +270,11 @@ def dataset_columns(dataset: AgingDataset) -> dict[str, np.ndarray]:
     return {name: dataset.data[:, j] for j, name in enumerate(DATASET_COLUMNS)}
 
 
+def _shared_split(dataset: AgingDataset, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The (train, validation) row indices every network of one train run shares."""
+    return net.split_indices(len(dataset), cfg.train_fraction, cfg.seed)
+
+
 def _mask_for(names: tuple[str, ...]) -> np.ndarray:
     return np.array([n in NORMALIZED_FEATURES for n in names])
 
@@ -390,25 +396,6 @@ def fit_networks(
     return fitted
 
 
-def _fit_all(dataset: AgingDataset, keys: list, cfg: TrainConfig) -> list[TrainedNetwork]:
-    """The fitted networks of `keys`, in order; raises the first divergence."""
-    split = net.split_indices(len(dataset), cfg.train_fraction, cfg.seed)
-    fitted = fit_networks(dataset_columns(dataset), keys, cfg, split)
-    for key in keys:
-        if isinstance(fitted[key], net.TrainingDiverged):
-            raise fitted[key]
-    return [fitted[key] for key in keys]
-
-
-def train_pair(
-    dataset: AgingDataset, ubdf_id: int, bdp_id: int, cfg: TrainConfig
-) -> DegradationModel:
-    """Train one closure-compatible (stage-one, stage-two) pair."""
-    check_closure(ubdf_id, bdp_id)  # before paying for training
-    ubdf, bdp = _fit_all(dataset, [("ubdf", ubdf_id), ("bdp", bdp_id)], cfg)
-    return DegradationModel(ubdf_id=ubdf_id, bdp_id=bdp_id, ubdf=ubdf, bdp=bdp)
-
-
 def composed_predictions(model: DegradationModel, x_bdf: np.ndarray) -> np.ndarray:
     """Per-cycle stage-two predictions, stage one supplying the internal features."""
     return model.bdp.predict(stage_two_inputs(model, x_bdf)).ravel()
@@ -446,22 +433,29 @@ class SelectionReport:
 
 
 def select_best_combination(
-    dataset: AgingDataset, cfg: TrainConfig
+    dataset: AgingDataset, cfg: TrainConfig, pairs: list[tuple[int, int]] | None = None
 ) -> tuple[DegradationModel, SelectionReport]:
-    """Train every variant and pick the best composed pair.
+    """Train the variants of `pairs` and pick the best composed pair.
 
-    Trains all six stage-one and all ten stage-two variants with
-    fit_networks on a shared train/validation split, evaluates every
-    closure-compatible pair composed (stage two fed stage-one predictions,
-    not ground truth) on the validation split, and returns the pair with the
+    `pairs` lists closure-compatible (ubdf_id, bdp_id) pairs; None means
+    every compatible pair, the full variant search, and a one-pair list
+    trains that pair alone. Fits the stage-one and stage-two variants the
+    pairs use with fit_networks on the shared train/validation split,
+    evaluates each pair composed (stage two fed stage-one predictions, not
+    ground truth) on the validation split, and returns the pair with the
     highest accuracy at 15% tolerance; ties break by 10% accuracy, then by
     lower variant ids. Variants whose training diverges are recorded and
-    excluded.
+    their pairs excluded; a RuntimeError listing the failures is raised if
+    no pair is left.
     """
+    pairs = compatible_pairs() if pairs is None else pairs
+    for u, b in pairs:
+        check_closure(u, b)  # before paying for training
+    used = {("ubdf", u) for u, _ in pairs} | {("bdp", b) for _, b in pairs}
+    keys = [key for key in NETWORKS if key in used]
     columns = dataset_columns(dataset)
-    split = net.split_indices(len(dataset), cfg.train_fraction, cfg.seed)
+    split = _shared_split(dataset, cfg)
     _, val_idx = split
-    keys = [key for key in NETWORKS if key[0] in ("ubdf", "bdp")]
     fitted = fit_networks(columns, keys, cfg, split)
 
     report = SelectionReport()
@@ -482,24 +476,29 @@ def select_best_combination(
     x_val = _column_matrix(columns, BDF_FEATURES)[val_idx]
     deg_val = columns["degradation"][val_idx]
     ranked: dict[tuple, DegradationModel] = {}
-    for u, b in compatible_pairs():
+    for u, b in pairs:
         if ("ubdf", u) in nets and ("bdp", b) in nets:
             pair = DegradationModel(u, b, nets[("ubdf", u)], nets[("bdp", b)])
             row = accuracy_row(composed_predictions(pair, x_val), deg_val, f"{u}-{b}")
             report.composed_table.append(row)
             ranked[(row["tol15"], row["tol10"], -u, -b)] = pair
     if not ranked:
-        raise RuntimeError("every variant pair failed to train")
+        raise RuntimeError(f"every variant pair failed to train: {'; '.join(report.failures)}")
     return ranked[max(ranked)], report
 
 
 def train_benchmarks(dataset: AgingDataset, cfg: TrainConfig) -> dict[str, TrainedNetwork]:
     """Train the two single-stage benchmark nets, nnbd and nnbd2 (see NETWORKS).
 
-    Both fit the same log target as stage two.
+    Both fit the same log target as stage two, on the shared split; the
+    first divergence is raised.
     """
-    nnbd, nnbd2 = _fit_all(dataset, [("nnbd", 0), ("nnbd2", 0)], cfg)
-    return {"nnbd": nnbd, "nnbd2": nnbd2}
+    keys = [("nnbd", 0), ("nnbd2", 0)]
+    fitted = fit_networks(dataset_columns(dataset), keys, cfg, _shared_split(dataset, cfg))
+    for key in keys:
+        if isinstance(fitted[key], net.TrainingDiverged):
+            raise fitted[key]
+    return {name: fitted[(name, 0)] for name, _ in keys}
 
 
 def performance_comparison(
@@ -510,7 +509,7 @@ def performance_comparison(
 ) -> list[dict]:
     """Composed-model vs benchmark accuracies on the shared validation split."""
     columns = dataset_columns(dataset)
-    _, val_idx = net.split_indices(len(dataset), cfg.train_fraction, cfg.seed)
+    _, val_idx = _shared_split(dataset, cfg)
     deg_val = columns["degradation"][val_idx]
     x_val = _column_matrix(columns, BDF_FEATURES)[val_idx]
     rows = [accuracy_row(composed_predictions(model, x_val), deg_val, "hdl-bdq")]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import itertools
 import json
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -120,10 +119,6 @@ def read_json(path: str | Path) -> dict:
     return _read_json(Path(path), dict)
 
 
-# Data rows that `_read_table` parses at a time.
-READ_CHUNK_ROWS = 4096
-
-
 def _csv_rows(path: Path, fh):
     """The rows of an open CSV file; undecodable text raises `FileFormatError`."""
     try:
@@ -139,51 +134,48 @@ def _read_table(path: Path, header: tuple[str, ...], blank: str | None = None) -
     column; every cell must be a finite number, except that the column named
     `blank` may be empty and reads as NaN. A table of no data rows is
     rejected. Errors name the path and the data row (1-based, header
-    excluded). Rows are parsed READ_CHUNK_ROWS at a time, so the whole file
-    is never held as one list of strings.
+    excluded). The rows stream into the array one at a time, each checked
+    as it arrives, so the file is never held as strings; finiteness is
+    checked once, on the finished array.
     """
     width = len(header)
     j_blank = None if blank is None else header.index(blank)
-    chunks = [np.empty((0, width))]
+    empty = []  # data rows (0-based) whose `blank` cell is empty
     with path.open(newline="") as fh:
-        reader = _csv_rows(path, fh)
-        if next(reader, None) != list(header):
+        rows = _csv_rows(path, fh)
+        if next(rows, None) != list(header):
             raise FileFormatError(f"{path}: expected header {','.join(header)}")
-        done = 0  # data rows before this chunk
-        while rows := list(itertools.islice(reader, READ_CHUNK_ROWS)):
-            for i, row in enumerate(rows, done + 1):
-                if len(row) != width:
-                    raise FileFormatError(f"{path}: row {i} has {len(row)} columns")
-            empty = []
-            if j_blank is not None:
-                empty = [i for i, row in enumerate(rows) if row[j_blank] == ""]
-                for i in empty:
-                    rows[i][j_blank] = "0"
+        # The header and every row take at least `width` bytes each, so this
+        # bounds the row count; pages of rows never written are never touched.
+        data = np.empty((path.stat().st_size // width, width))
+        n = 0
+        for n, row in enumerate(rows, 1):
+            if len(row) != width:
+                raise FileFormatError(f"{path}: row {n} has {len(row)} columns")
+            if j_blank is not None and row[j_blank] == "":
+                empty.append(n - 1)
+                row[j_blank] = "0"
             try:
-                data = np.array(rows, dtype=float).reshape(len(rows), width)
+                data[n - 1] = row
             except ValueError:
-                for i, row in enumerate(rows, done + 1):
-                    for text in row:
-                        try:
-                            float(text)
-                        except ValueError:
-                            raise FileFormatError(
-                                f"{path}: row {i}: not a number: {text!r}"
-                            ) from None
+                for text in row:
+                    try:
+                        float(text)
+                    except ValueError:
+                        raise FileFormatError(f"{path}: row {n}: not a number: {text!r}") from None
                 raise
-            bad = np.argwhere(~np.isfinite(data))
-            if bad.size:
-                i, j = bad[0]
-                raise FileFormatError(
-                    f"{path}: row {done + i + 1}: non-finite value {rows[i][j]!r}"
-                )
-            if empty:
-                data[empty, j_blank] = np.nan
-            chunks.append(data)
-            done += len(rows)
-    if not done:
+    if not n:
         raise FileFormatError(f"{path}: table has no data rows")
-    return np.concatenate(chunks)
+    data = data[:n].copy()  # frees the buffer the bound sized
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        with path.open(newline="") as fh:  # the cell as written: '1e400', not 'inf'
+            text = next(row for k, row in enumerate(csv.reader(fh)) if k == i + 1)[j]
+        raise FileFormatError(f"{path}: row {i + 1}: non-finite value {text!r}")
+    if empty:
+        data[empty, j_blank] = np.nan
+    return data
 
 
 def file_digest(path: str | Path) -> str:
@@ -427,6 +419,13 @@ def read_case(path: str | Path) -> MicrogridCase:
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
     return case
+
+
+def case_files(path: str | Path) -> list[Path]:
+    """The files a case document reads: itself, then the series CSV it names, if any."""
+    path = Path(path)
+    series = read_json(path).get("series", {})
+    return [path, path.parent / series["csv"]] if "csv" in series else [path]
 
 
 # ----------------------------------------------------------------------

@@ -233,7 +233,7 @@ class TestTrain:
         def failing(*args):
             raise RuntimeError("training diverged")
 
-        monkeypatch.setattr(cli, "train_pair", failing)
+        monkeypatch.setattr(cli, "select_best_combination", failing)
         out = tmp_path / "model.json"
         out.write_text("old")
         result = runner.invoke(
@@ -292,6 +292,36 @@ class TestTrain:
              "--out", str(tmp_path / "m.json"), *flags],
         )
         assert result.exit_code == 2
+        assert message in result.output
+
+    def test_one_row_dataset_is_validation_error(self, workdir, tmp_path):
+        lines = (workdir / "aging.csv").read_text().splitlines()
+        (tmp_path / "one.csv").write_text("\n".join(lines[:2]) + "\n")
+        result = runner.invoke(
+            main,
+            ["train", "--dataset", str(tmp_path / "one.csv"),
+             "--out", str(tmp_path / "m.json"), "--ubdf", "1", "--bdp", "3"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "at least 2" in result.output and "got 1" in result.output
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--lr", "-1"], "initial_lr"),
+        (["--out", "{tmp}"], "Is a directory"),
+    ], ids=["bad_lr", "out_is_a_directory"])
+    def test_flags_and_outputs_checked_before_reading_dataset(
+        self, workdir, tmp_path, monkeypatch, flags, message
+    ):
+        def unread(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(cli.storage, "read_dataset", unread)
+        result = runner.invoke(
+            main,
+            ["train", "--dataset", str(workdir / "aging.csv"), "--out", str(tmp_path / "m.json"),
+             "--ubdf", "1", "--bdp", "3", *(f.format(tmp=tmp_path) for f in flags)],
+        )
+        assert result.exit_code == 2, result.output
         assert message in result.output
 
     def test_constant_feature_is_validation_error(self, tmp_path):
@@ -671,6 +701,39 @@ class TestSchedule:
         doc = json.loads((out / "infeasible.json").read_text())
         assert doc["mode"] == "lod"
         assert any(line.startswith("reserve: interval 19 ") for line in doc["report"])
+
+    def test_feasible_run_removes_an_earlier_report(self, workdir, tmp_path):
+        case = dataclasses.replace(load_example_day(), p_grid_max=800.0)
+        storage.write_case(tmp_path / "narrow.json", case)
+        out = tmp_path / "o"
+        for case_path, code in ((tmp_path / "narrow.json", 1), (workdir / "case.json", 0)):
+            result = runner.invoke(
+                main,
+                ["schedule", "--case", str(case_path), "--mode", "lod",
+                 "--model", str(workdir / "stub_model.json"), "--out-dir", str(out),
+                 "--max-iterations", "2"],
+            )
+            assert result.exit_code == code, result.output
+            assert (out / "infeasible.json").exists() == (code == 1)
+
+    def test_manifest_digests_the_series_csv(self, workdir, tmp_path):
+        case = day_case()
+        storage.write_case(tmp_path / "case.json", case, series_csv="series.csv")
+        digests = []
+        for load in (case.load, case.load + 1.0):
+            storage.write_series_csv(tmp_path / "series.csv", dataclasses.replace(case, load=load))
+            result = runner.invoke(
+                main,
+                ["schedule", "--case", str(tmp_path / "case.json"), "--mode", "traditional",
+                 "--model", str(workdir / "stub_model.json"), "--out-dir", str(tmp_path / "o")],
+            )
+            assert result.exit_code == 0, result.output
+            manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+            digests.append(manifest["input_digests"])
+        series = str(tmp_path / "series.csv")
+        assert set(digests[0]) == {
+            str(tmp_path / "case.json"), series, str(workdir / "stub_model.json")}
+        assert digests[0][series] != digests[1][series]
 
     @pytest.mark.parametrize("soh", ["0.5", "0.8", "1.5"])
     def test_soh_outside_range_is_validation_error(self, workdir, tmp_path, soh):

@@ -27,7 +27,6 @@ from degradesched.quantifier import (
     predict_degradation,
     select_best_combination,
     train_benchmarks,
-    train_pair,
 )
 from test_lod import constant_model, constant_network
 from test_net import assert_same_network
@@ -299,7 +298,7 @@ class TestSearchMatchesPairTraining:
     def test_every_search_network_equals_its_own_fit(self):
         # fit_networks trains same-shape networks as stacks; each must equal
         # what net.train gives its job alone, parameter by parameter, and the
-        # search, train_pair (1-3 is one same-shape stack) and
+        # search, the one-pair search (1-3 is one same-shape stack) and
         # train_benchmarks must hand out those networks.
         ds = subsampled_dataset()
         cfg = net.TrainConfig(epochs=4, seed=2)
@@ -315,7 +314,7 @@ class TestSearchMatchesPairTraining:
         model, _ = select_best_combination(ds, cfg)
         assert_same_network(model.ubdf, fitted[("ubdf", model.ubdf_id)])
         assert_same_network(model.bdp, fitted[("bdp", model.bdp_id)])
-        pair = train_pair(ds, 1, 3, cfg)
+        pair, _ = select_best_combination(ds, cfg, [(1, 3)])
         assert_same_network(pair.ubdf, fitted[("ubdf", 1)])
         assert_same_network(pair.bdp, fitted[("bdp", 3)])
         benchmarks = train_benchmarks(ds, cfg)
@@ -332,8 +331,8 @@ class TestDivergence:
         return subsampled_dataset()
 
     def test_train_pair_raises(self, ds):
-        with pytest.raises(net.TrainingDiverged, match="epoch 0"):
-            train_pair(ds, 1, 3, self.cfg)
+        with pytest.raises(RuntimeError, match="epoch 0"):
+            select_best_combination(ds, self.cfg, [(1, 3)])
 
     def test_train_benchmarks_raises(self, ds):
         with pytest.raises(net.TrainingDiverged):

@@ -42,6 +42,13 @@ class NumericTableChecks:
             with pytest.raises(FileFormatError, match=f"row 2: non-finite value '{text}'"):
                 self.read(path)
 
+    def test_non_finite_quoted_as_written(self, tmp_path):
+        # Each parses to inf; the error quotes the cell's text, not the float.
+        for text in ("1e400", "Infinity", "-1E999"):
+            path = self.table(tmp_path, lambda good: good[:2] + [text] + good[3:])
+            with pytest.raises(FileFormatError, match=f"row 2: non-finite value '{text}'"):
+                self.read(path)
+
     def test_undecodable_text_rejected(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_bytes(",".join(self.header).encode() + b"\n\xff\xfe\x00\x01\n")
@@ -65,9 +72,7 @@ class NumericTableChecks:
         (lambda good: good[:2] + ["inf"] + good[3:], "row 5: non-finite value 'inf'"),
         (lambda good: good[:2] + ["abc"] + good[3:], "row 5: not a number: 'abc'"),
     ], ids=["width", "non_finite", "non_numeric"])
-    def test_rows_numbered_across_chunks(self, tmp_path, monkeypatch, bad_row, message):
-        # Two rows per chunk: row 5 is the first row of the third chunk.
-        monkeypatch.setattr(storage, "READ_CHUNK_ROWS", 2)
+    def test_rows_numbered_across_chunks(self, tmp_path, bad_row, message):
         good = ",".join(["1.0"] * len(self.header))
         bad = ",".join(bad_row(["1.0"] * len(self.header)))
         path = tmp_path / "table.csv"
@@ -90,12 +95,6 @@ class TestDatasetFiles(NumericTableChecks):
         back = storage.read_dataset(path)
         assert np.array_equal(back.to_array(), small_dataset.to_array())
         assert back.meta["row_count"] == len(small_dataset)
-
-    def test_round_trip_in_uneven_chunks(self, tmp_path, small_dataset, monkeypatch):
-        monkeypatch.setattr(storage, "READ_CHUNK_ROWS", 7)
-        assert len(small_dataset) % 7
-        path = storage.write_dataset(tmp_path / "aging.csv", small_dataset)
-        assert np.array_equal(storage.read_dataset(path).to_array(), small_dataset.to_array())
 
     def test_meta_sidecar(self, tmp_path, small_dataset):
         storage.write_dataset(tmp_path / "aging.csv", small_dataset, manifest="m.json")
@@ -245,6 +244,12 @@ class TestCaseFiles(NumericTableChecks):
     def day24(self):
         return day_case()
 
+    def test_case_files_name_the_series_csv(self, tmp_path):
+        inline = storage.write_case(tmp_path / "inline.json", day_case())
+        split = storage.write_case(tmp_path / "split.json", day_case(), series_csv="s.csv")
+        assert storage.case_files(inline) == [inline]
+        assert storage.case_files(split) == [split, tmp_path / "s.csv"]
+
     def test_inline_round_trip(self, tmp_path):
         case = self.day24()
         path = storage.write_case(tmp_path / "case.json", case)
@@ -359,13 +364,21 @@ class TestScheduleAndTraceFiles(NumericTableChecks):
         )
         assert [r["iteration"] for r in rows] == list(range(len(trace.iterations)))
 
-    def test_trace_empty_cap_read_in_its_own_chunk(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(storage, "READ_CHUNK_ROWS", 1)
+    def test_trace_empty_cap_read_in_its_own_chunk(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text(TRACE_TEXT.format(cell="4.5"))
         rows = storage.read_trace(path)
         assert [r["usage_cap_kwh"] for r in rows] == [None, 90.0]
         assert rows[1]["degradation_cost"] == 4.5
+
+    def test_shortest_rows_read_in_full(self, tmp_path):
+        # The reader sizes its array from the file's bytes: one-digit cells,
+        # an empty cap and no final line end make the shortest rows there are.
+        path = tmp_path / "trace.csv"
+        path.write_text("\n".join([",".join(storage.TRACE_HEADER), *["0,,1,1,1,1"] * 50]))
+        rows = storage.read_trace(path)
+        assert len(rows) == 50
+        assert all(r["usage_cap_kwh"] is None and r["total_cost"] == 1.0 for r in rows)
 
     @pytest.mark.parametrize("cell", ["abc", "", "nan", "inf"])
     def test_trace_bad_number_rejected(self, tmp_path, cell):
