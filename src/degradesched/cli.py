@@ -15,8 +15,10 @@ them; DEGRADESCHED_SEED provides the default seed.
 Every `schedule` mode writes schedule.csv (the best pass), trace.csv (one
 row per pass), summary.json, manifest.json and, after an infeasible pass,
 infeasible.json, which a run without one removes; the one-pass modes end as
-"single_solve". simulate-aging, train and schedule open every output before
-their work, and train does so before it reads its dataset.
+"single_solve". A case infeasible at pass 0 leaves infeasible.json alone,
+removing an earlier run's other four files. simulate-aging, train and
+schedule open every output before their work, and train does so before it
+reads its dataset.
 """
 
 from __future__ import annotations
@@ -299,6 +301,8 @@ def cmd_schedule(**params) -> None:
     except InfeasibleCaseError as exc:
         for line in exc.report:
             click.echo(f"infeasible: {line}", err=True)
+        for name in ("schedule.csv", "trace.csv", "summary.json", "manifest.json"):
+            (out / name).unlink(missing_ok=True)  # an earlier run's record
         storage.write_json(out / "infeasible.json", {"mode": values["mode"], "report": exc.report})
         sys.exit(EXIT_RUNTIME)
     with _timed(timings, "write_seconds"):

@@ -6,8 +6,9 @@ gradient descent with a stepwise-decaying learning rate, MSE loss and the
 relative-tolerance accuracy metric used in the report tables.
 
 Networks of one layer shape train as one stack (`train_stack`): each
-minibatch step is one batched matmul pass for all of them, and every network
-comes out bit-identical to training it alone with `train`.
+minibatch step is one batched matmul pass and one in-place update for all of
+them, and every network comes out bit-identical to training it alone with
+`train`.
 """
 
 from __future__ import annotations
@@ -159,7 +160,9 @@ def _activations(params: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray):
         np.maximum(0.0, h, out=h)
         yield h
     w, b = params[-1]
-    yield h @ w + b[..., None, :]
+    out = h @ w
+    out += b[..., None, :]
+    yield out
 
 
 def forward(params: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray) -> np.ndarray:
@@ -185,29 +188,41 @@ def mse(predictions: np.ndarray, targets: np.ndarray) -> float:
 
 
 def loss_gradients(
-    params: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, y: np.ndarray
+    params: list[tuple[np.ndarray, np.ndarray]],
+    x: np.ndarray,
+    y: np.ndarray,
+    out: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Gradients of mean-squared-error loss w.r.t. every weight and bias.
 
     Takes one network (w is (n_in, n_out), b is (n_out,), x is (n, d_in)) or
     a stack of K (w is (K, n_in, n_out), b is (K, n_out), x is (K, n, d_in));
-    each stacked network's loss is the mean over its own entries.
+    each stacked network's loss is the mean over its own entries. Each
+    gradient has its parameter's shape and is written into `out`, one
+    (gw, gb) per layer, when given (`train_stack` passes views of one flat
+    buffer); otherwise into new arrays. Returns the gradients.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    *acts, out = x, *_activations(params, x)
+    *acts, pred = x, *_activations(params, x)
+    if out is None:
+        out = [(np.empty_like(w), np.empty_like(b)) for w, b in params]
 
-    # d(loss)/d(out) for loss = mean over one network's entries of (out - y)^2.
-    delta = 2.0 * (out - y) / (out.shape[-2] * out.shape[-1])
-    grads: list[tuple[np.ndarray, np.ndarray]] = []
+    # d(loss)/d(pred) for loss = mean over one network's entries of (pred - y)^2,
+    # 2 (pred - y) / entries, computed in place of pred.
+    delta = pred
+    delta -= y
+    delta *= 2.0
+    delta /= pred.shape[-2] * pred.shape[-1]
     for layer in range(len(params) - 1, -1, -1):
         w, _ = params[layer]
-        a_prev = acts[layer]
-        grads.append((a_prev.swapaxes(-1, -2) @ delta, np.add.reduce(delta, axis=-2)))
+        gw, gb = out[layer]
+        np.matmul(acts[layer].swapaxes(-1, -2), delta, out=gw)
+        np.add.reduce(delta, axis=-2, out=gb)
         if layer > 0:
-            delta = (delta @ w.swapaxes(-1, -2)) * (acts[layer] > 0.0)
-    grads.reverse()
-    return grads
+            delta = delta @ w.swapaxes(-1, -2)
+            delta *= acts[layer] > 0.0
+    return out
 
 
 def accuracy_at_tolerance(
@@ -249,13 +264,19 @@ class TrainedNetwork:
         return np.exp(out) if self.log_target else out
 
 
-def _sgd_step(
-    params: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, y: np.ndarray, lr: float
-) -> None:
-    """One gradient-descent step on a minibatch, updating params in place."""
-    for (w, b), (gw, gb) in zip(params, loss_gradients(params, x, y)):
-        w -= lr * gw
-        b -= lr * gb
+def _layer_views(flat: np.ndarray, spec: NetworkSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's (w, b) of a stack as views of its (K, n_params) buffer.
+
+    A network's row holds layer 0's weights (row-major), then its biases,
+    then layer 1's, and so on; w is (K, n_in, n_out) and b is (K, n_out).
+    """
+    views, start = [], 0
+    for n_in, n_out in zip(spec.layer_sizes, spec.layer_sizes[1:]):
+        w = flat[:, start:start + n_in * n_out].reshape(len(flat), n_in, n_out)
+        start += n_in * n_out
+        views.append((w, flat[:, start:start + n_out]))
+        start += n_out
+    return views
 
 
 def split_indices(
@@ -336,8 +357,11 @@ def train_stack(jobs: Iterable[TrainJob]) -> list[TrainedNetwork | TrainingDiver
 
     The jobs must share their spec and every TrainConfig field but the seed,
     and their splits must have equal train and validation sizes. Each weight
-    is held as a (K, n_in, n_out) stack and each bias as (K, n_out), so a
-    minibatch step is one batched forward/backward/update for all K.
+    is held as a (K, n_in, n_out) stack and each bias as (K, n_out), all of
+    them views of one (K, n_params) buffer (`_layer_views`), so a minibatch
+    step is one batched forward/backward pass for all K, whose gradients
+    `loss_gradients` writes into a matching buffer, and one in-place update
+    of the whole buffer.
 
     Each job's TrainedNetwork is built up front and is its only record:
     params hold the initial draw, then the snapshot of each epoch whose
@@ -377,10 +401,11 @@ def train_stack(jobs: Iterable[TrainJob]) -> list[TrainedNetwork | TrainingDiver
     if len({(len(xt), len(xv)) for xt, _, xv, _ in data}) > 1:
         raise ValueError("stacked networks need equal train and validation sizes")
 
-    params = [
-        (np.stack([n.params[i][0] for n in nets]), np.stack([n.params[i][1] for n in nets]))
-        for i in range(len(spec.layer_sizes) - 1)
-    ]
+    # A network's parameters are one row of `flat` and its gradients the same
+    # row of `grad`, so one subtraction steps every network.
+    flat = np.stack([np.concatenate([a.ravel() for wb in n.params for a in wb]) for n in nets])
+    grad = np.empty_like(flat)
+    params, grads = _layer_views(flat, spec), _layer_views(grad, spec)
     alive = list(range(len(nets)))  # the job index of each network in the stack
     (n_train, n_in), n_out = data[0][0].shape, spec.n_outputs
     # A diverging network overflows on its way to a non-finite loss; the
@@ -397,7 +422,8 @@ def train_stack(jobs: Iterable[TrainJob]) -> list[TrainedNetwork | TrainingDiver
                 xs[k], ys[k] = data[j][0][order], data[j][1][order]
             for start in range(0, n_train, cfg.batch_size):
                 stop = start + cfg.batch_size
-                _sgd_step(params, xs[:, start:stop], ys[:, start:stop], lr)
+                loss_gradients(params, xs[:, start:stop], ys[:, start:stop], out=grads)
+                flat -= lr * grad
             del xs, ys
 
             keep = []
@@ -421,7 +447,9 @@ def train_stack(jobs: Iterable[TrainJob]) -> list[TrainedNetwork | TrainingDiver
                 alive = [alive[k] for k in keep]
                 if not alive:
                     break
-                params = [(w[keep], b[keep]) for w, b in params]
+                flat = flat[keep]
+                grad = np.empty_like(flat)
+                params, grads = _layer_views(flat, spec), _layer_views(grad, spec)
 
     return nets
 

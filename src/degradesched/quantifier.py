@@ -228,14 +228,20 @@ def _check_guard_band(norm: net.Normalizer, x: np.ndarray, names: tuple[str, ...
         )
 
 
-def stage_two_inputs(model: DegradationModel, x_bdf: np.ndarray) -> np.ndarray:
+def stage_two_inputs(
+    model: DegradationModel, x_bdf: np.ndarray, stage_one: np.ndarray | None = None
+) -> np.ndarray:
     """Stage-two input matrix for cycles whose observables are the rows of x_bdf.
 
     x_bdf holds one row per cycle in BDF_FEATURES order. Observable inputs
     are copied from it; stage one's predictions supply the internal ones.
+    `stage_one` is those predictions, `model.ubdf.predict(x_bdf)`, when the
+    caller already holds them; None computes them here.
     """
+    if stage_one is None:
+        stage_one = model.ubdf.predict(x_bdf)
     columns = dict(zip(BDF_FEATURES, x_bdf.T))
-    columns.update(zip(model.ubdf_outputs, np.atleast_2d(model.ubdf.predict(x_bdf)).T))
+    columns.update(zip(model.ubdf_outputs, np.atleast_2d(stage_one).T))
     return _column_matrix(columns, model.bdp_inputs)
 
 
@@ -396,9 +402,14 @@ def fit_networks(
     return fitted
 
 
-def composed_predictions(model: DegradationModel, x_bdf: np.ndarray) -> np.ndarray:
-    """Per-cycle stage-two predictions, stage one supplying the internal features."""
-    return model.bdp.predict(stage_two_inputs(model, x_bdf)).ravel()
+def composed_predictions(
+    model: DegradationModel, x_bdf: np.ndarray, stage_one: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-cycle stage-two predictions, stage one supplying the internal features.
+
+    `stage_one` is as for `stage_two_inputs`.
+    """
+    return model.bdp.predict(stage_two_inputs(model, x_bdf, stage_one)).ravel()
 
 
 def accuracy_row(predictions: np.ndarray, targets: np.ndarray, model_id) -> dict:
@@ -447,6 +458,12 @@ def select_best_combination(
     lower variant ids. Variants whose training diverges are recorded and
     their pairs excluded; a RuntimeError listing the failures is raised if
     no pair is left.
+
+    Scoring runs each network once on the validation rows, and its inputs
+    are built from the columns' validation rows alone: a stage-one
+    variant's predictions score its table row and feed every pair it is in.
+    The rows come out as if each pair were scored alone with
+    composed_predictions, bit for bit.
     """
     pairs = compatible_pairs() if pairs is None else pairs
     for u, b in pairs:
@@ -455,11 +472,12 @@ def select_best_combination(
     keys = [key for key in NETWORKS if key in used]
     columns = dataset_columns(dataset)
     split = _shared_split(dataset, cfg)
-    _, val_idx = split
     fitted = fit_networks(columns, keys, cfg, split)
 
     report = SelectionReport()
+    val = {name: column[split[1]] for name, column in columns.items()}
     nets: dict[tuple[str, int], TrainedNetwork] = {}
+    predicted: dict[tuple[str, int], np.ndarray] = {}
     for key in keys:
         kind, variant = key
         result = fitted[key]
@@ -468,18 +486,17 @@ def select_best_combination(
             continue
         nets[key] = result
         row = NETWORKS[key]
-        x = _column_matrix(columns, row.inputs)[val_idx]
-        target = _column_matrix(columns, row.outputs)[val_idx]
+        predicted[key] = result.predict(_column_matrix(val, row.inputs))
         table = getattr(report, f"{kind}_table")
-        table.append(accuracy_row(result.predict(x), target, variant))
+        table.append(accuracy_row(predicted[key], _column_matrix(val, row.outputs), variant))
 
-    x_val = _column_matrix(columns, BDF_FEATURES)[val_idx]
-    deg_val = columns["degradation"][val_idx]
+    x_val = _column_matrix(val, BDF_FEATURES)
     ranked: dict[tuple, DegradationModel] = {}
     for u, b in pairs:
         if ("ubdf", u) in nets and ("bdp", b) in nets:
             pair = DegradationModel(u, b, nets[("ubdf", u)], nets[("bdp", b)])
-            row = accuracy_row(composed_predictions(pair, x_val), deg_val, f"{u}-{b}")
+            scores = composed_predictions(pair, x_val, predicted[("ubdf", u)])
+            row = accuracy_row(scores, val["degradation"], f"{u}-{b}")
             report.composed_table.append(row)
             ranked[(row["tol15"], row["tol10"], -u, -b)] = pair
     if not ranked:

@@ -716,6 +716,21 @@ class TestSchedule:
             assert result.exit_code == code, result.output
             assert (out / "infeasible.json").exists() == (code == 1)
 
+    def test_infeasible_run_removes_an_earlier_record(self, workdir, tmp_path):
+        case = dataclasses.replace(load_example_day(), p_grid_max=800.0)
+        storage.write_case(tmp_path / "narrow.json", case)
+        out = tmp_path / "o"
+        record = ("schedule.csv", "trace.csv", "summary.json", "manifest.json")
+        for case_arg, code in (("example-day", 0), (str(tmp_path / "narrow.json"), 1)):
+            result = runner.invoke(
+                main,
+                ["schedule", "--case", case_arg, "--mode", "traditional",
+                 "--model", str(workdir / "stub_model.json"), "--out-dir", str(out)],
+            )
+            assert result.exit_code == code, result.output
+            assert [(out / name).exists() for name in record] == [code == 0] * 4
+        assert sorted(p.name for p in out.iterdir()) == ["infeasible.json"]
+
     def test_manifest_digests_the_series_csv(self, workdir, tmp_path):
         case = day_case()
         storage.write_case(tmp_path / "case.json", case, series_csv="series.csv")

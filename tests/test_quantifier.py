@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from degradesched import aging, net
+from degradesched import aging, net, quantifier
 from degradesched.quantifier import (
+    BDF_FEATURES,
     BDP_VARIANTS,
     CYCLE_FEATURES,
     FLAT_SOC_EPS,
@@ -18,9 +19,11 @@ from degradesched.quantifier import (
     UBDF_VARIANTS,
     DegradationModel,
     FeatureRangeWarning,
+    accuracy_row,
     bdp_required_unobtainables,
     cbup,
     compatible_pairs,
+    composed_predictions,
     dataset_columns,
     fit_networks,
     network_job,
@@ -320,6 +323,43 @@ class TestSearchMatchesPairTraining:
         benchmarks = train_benchmarks(ds, cfg)
         for name in ("nnbd", "nnbd2"):
             assert_same_network(benchmarks[name], fitted[(name, 0)])
+
+
+class TestScoring:
+    def test_rows_equal_each_network_scored_alone(self, monkeypatch):
+        # Scoring runs each stage-one variant once and reuses its predictions
+        # in every pair; each row must equal its network or pair scored on
+        # its own, from the full input matrix's validation rows.
+        ds = subsampled_dataset()
+        cfg = net.TrainConfig(epochs=2, seed=2)
+        fitted = {}
+
+        def recording(*args):
+            fitted.update(fit_networks(*args))
+            return fitted
+
+        monkeypatch.setattr(quantifier, "fit_networks", recording)
+        _, report = select_best_combination(ds, cfg)
+        columns = dataset_columns(ds)
+        _, val_idx = net.split_indices(len(ds), cfg.train_fraction, cfg.seed)
+
+        def matrix(names):
+            return np.column_stack([columns[name] for name in names])[val_idx]
+
+        for kind, table in (("ubdf", report.ubdf_table), ("bdp", report.bdp_table)):
+            variants = UBDF_VARIANTS if kind == "ubdf" else BDP_VARIANTS
+            assert table == [
+                accuracy_row(fitted[(kind, v)].predict(matrix(NETWORKS[(kind, v)].inputs)),
+                             matrix(NETWORKS[(kind, v)].outputs), v)
+                for v in variants
+            ]
+        x_val, deg_val = matrix(BDF_FEATURES), columns["degradation"][val_idx]
+        assert report.composed_table == [
+            accuracy_row(composed_predictions(
+                DegradationModel(u, b, fitted[("ubdf", u)], fitted[("bdp", b)]), x_val),
+                deg_val, f"{u}-{b}")
+            for u, b in compatible_pairs()
+        ]
 
 
 class TestDivergence:

@@ -1,6 +1,8 @@
 """Tests for file formats and persistence."""
 
+import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +109,100 @@ class TestDatasetFiles(NumericTableChecks):
         path = storage.write_dataset(tmp_path / "aging.csv", small_dataset)
         first = path.read_text().splitlines()[0]
         assert first == "soc,dod,temp,c_rate,soh,it,ir,elcn,degradation"
+
+
+def dataset_row(cell: str = "1.0") -> str:
+    """A dataset row of 1.0 cells whose third cell is `cell`."""
+    cells = ["1.0"] * len(aging.DATASET_COLUMNS)
+    cells[2] = cell
+    return ",".join(cells)
+
+
+def data_lines(*rows: str, end: str = "\n") -> str:
+    """A table's text after its header: each row after a line end, then one more."""
+    return end.join(["", *rows, ""])
+
+
+# The text after a dataset table's header and what the reader makes of it:
+# the number it reads as row 2's third cell (every other cell is 1.0), or
+# the fault its error names. Padded, quoted, signed and CRLF tables take the
+# C parser's path; the others, `1_0` among them, take the row reader's.
+READER_CASES = {
+    "padded": (data_lines(dataset_row(), dataset_row(" 1.5 ")), 1.5),
+    "quoted": (data_lines(dataset_row(), dataset_row('"1.5"')), 1.5),
+    "plus_sign": (data_lines(dataset_row(), dataset_row("+1.5")), 1.5),
+    "underscore": (data_lines(dataset_row(), dataset_row("1_0")), 10.0),
+    "crlf": (data_lines(dataset_row(), dataset_row("2.5"), end="\r\n"), 2.5),
+    "nan": (data_lines(dataset_row(), dataset_row("nan")), "row 2: non-finite value 'nan'"),
+    "inf": (data_lines(dataset_row(), dataset_row("inf")), "row 2: non-finite value 'inf'"),
+    "overflow": (data_lines(dataset_row(), dataset_row("1e400")),
+                 "row 2: non-finite value '1e400'"),
+    "hash": (data_lines(dataset_row(), dataset_row("#x")), "row 2: not a number: '#x'"),
+    "word": (data_lines(dataset_row(), dataset_row("abc")), "row 2: not a number: 'abc'"),
+    "hex_float": (data_lines(dataset_row(), dataset_row("0x1p3")),
+                  "row 2: not a number: '0x1p3'"),
+    "empty_cell": (data_lines(dataset_row(), dataset_row("")), "row 2: not a number: ''"),
+    "blank_line": (data_lines(dataset_row(), "", dataset_row()), "row 2 has 0 columns"),
+    "short_row": (data_lines(dataset_row(), dataset_row().rpartition(",")[0]),
+                  "row 2 has 8 columns"),
+    "long_row": (data_lines(dataset_row(), dataset_row() + ",1.0"), "row 2 has 10 columns"),
+    "trailing_comma": (data_lines(dataset_row(), dataset_row() + ","), "row 2 has 10 columns"),
+    "late_bad_row": (data_lines(*[dataset_row()] * 9000, dataset_row("abc")),
+                     "row 9001: not a number: 'abc'"),
+}
+
+
+@pytest.mark.parametrize("text, expected", READER_CASES.values(), ids=READER_CASES)
+def test_table_reader_cases(tmp_path, text, expected):
+    path = tmp_path / "table.csv"
+    path.write_bytes((",".join(aging.DATASET_COLUMNS) + text).encode())
+    if isinstance(expected, str):
+        with pytest.raises(FileFormatError, match=f"table.csv: {re.escape(expected)}$"):
+            storage._read_table(path, aging.DATASET_COLUMNS)
+        return
+    data = storage._read_table(path, aging.DATASET_COLUMNS)
+    want = np.ones((2, len(aging.DATASET_COLUMNS)))
+    want[1, 2] = expected
+    assert data.dtype == np.float64 and data.shape == want.shape
+    assert np.array_equal(data, want)
+
+
+def reference_write(path, header, columns):
+    """The table writer's output by definition: csv.writer over `.tolist()` columns."""
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*cells))
+
+
+def test_table_writer_matches_csv_writer(tmp_path):
+    block = storage.WRITE_BLOCK_ROWS
+    n = 2 * block + 7
+    rng = np.random.default_rng(3)
+    # Signed zeros, NaNs of either sign and repeats, each within one block
+    # and across block boundaries; a memo keyed on value would print one
+    # zero's sign for both.
+    mixed = rng.choice([0.0, -0.0, np.nan, -np.nan, np.inf, 0.1, 1 / 3, -2.5e17, 5e-324], n)
+    mixed[:2] = mixed[block - 1:block + 1] = (0.0, -0.0)
+    mixed[block + 1:block + 3] = (-0.0, 0.0)
+    repeated = np.repeat(rng.normal(size=n // 100 + 1), 100)[:n]
+    matrix = np.stack([mixed, repeated, rng.normal(size=n)])
+    columns = [
+        np.arange(n),
+        *matrix,  # strided row views, as write_dataset passes its columns
+        (rng.integers(0, 2, n) * 3).astype(int),
+        [None if i % 3 else float(-i) for i in range(n)],
+        [f"{i}-x" for i in range(n)],
+    ]
+    header = ("i", "mixed", "repeated", "normal", "int", "maybe", "label")
+    reference_write(tmp_path / "want.csv", header, columns)
+    storage._write_table(tmp_path / "got.csv", header, columns)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert "-0.0" in (tmp_path / "got.csv").read_text().splitlines()[1 + block]
+    storage._write_table(tmp_path / "dataset.csv", ("a", "b", "c"), matrix)
+    reference_write(tmp_path / "want.csv", ("a", "b", "c"), matrix)
+    assert (tmp_path / "dataset.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 
