@@ -41,6 +41,9 @@ C_RATE_KNEE = 0.5
 C_RATE_SLOPE = 0.3
 AGING_ACCELERATION = 1.5
 
+# Cycles after which an aging test that has not reached end of life is refused.
+MAX_AGING_CYCLES = 2_000_000
+
 # Column order used by every tabular view of an AgingDataset.
 DATASET_COLUMNS = (
     "soc",
@@ -193,13 +196,14 @@ def equivalent_life_cycles(cond: CycleConditions) -> float:
     return (1.0 - END_OF_LIFE_SOH) / cycle_degradation(fresh)
 
 
-def run_aging_test(initial: CycleConditions, max_cycles: int = 2_000_000) -> np.ndarray:
+def run_aging_test(initial: CycleConditions) -> np.ndarray:
     """Cycle a fresh cell at fixed conditions until end of life.
 
     Starts at soh = 1.0 and repeatedly applies cycle_degradation, decrementing
     soh by each cycle's fade, and stops once soh falls to END_OF_LIFE_SOH or
     below. SOC, DOD, temperature and C rate are held fixed for the whole
-    test. Returns one row per cycle, an (m, 9) array in DATASET_COLUMNS order.
+    test. Returns one row per cycle, an (m, 9) array in DATASET_COLUMNS order;
+    a test still above end of life after MAX_AGING_CYCLES raises RuntimeError.
     """
     if initial.soh != 1.0:
         raise ValueError(f"aging tests start from full health, got soh={initial.soh}")
@@ -211,9 +215,9 @@ def run_aging_test(initial: CycleConditions, max_cycles: int = 2_000_000) -> np.
     fades: list[float] = []
     soh = 1.0
     while soh > END_OF_LIFE_SOH:
-        if len(fades) >= max_cycles:
+        if len(fades) >= MAX_AGING_CYCLES:
             raise RuntimeError(
-                f"aging test exceeded {max_cycles} cycles without reaching end of life"
+                f"aging test exceeded {MAX_AGING_CYCLES} cycles without reaching end of life"
             )
         d = fresh * _aging_factor(soh)
         sohs.append(soh)

@@ -6,7 +6,8 @@ run manifests. Every CSV is written by one table writer and every numeric
 CSV that is read back (datasets, case series, schedules, traces) goes
 through one header-checked table reader that rejects undecodable text,
 wrong column counts, non-numeric or non-finite cells and tables with no
-data rows, naming the file and the row. Every JSON document is written by
+data rows, naming the file and the row of the first fault in file order
+and quoting a bad cell as written. Every JSON document is written by
 `write_json` and read by `read_json` (or, for the array of an aging grid,
 `read_grid`), which turns undecodable text or a top level of the wrong type
 into a `FileFormatError`. Everything else in the package is pure;
@@ -18,6 +19,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -171,12 +173,11 @@ def _read_table(path: Path, header: tuple[str, ...], blank: str | None = None) -
     numpy's C parser (`_parse_numbers`) reads the rest of the file; its
     array stands only when it holds one row per line of the file, one
     column per header name and finite numbers alone. That is the common
-    case, a well-formed table, and it takes about half the row reader's
-    time. Every other file (an empty cell, a blank line, a bad cell or row,
-    a non-finite value, a quoted line end) goes to the row reader,
-    `_read_rows`, which reads what the contract allows and names the row
-    and cell of any fault. So does every table with a `blank` column, whose
-    empty cells np.loadtxt does not take.
+    case, a well-formed table. Every other file (an empty cell, a blank
+    line, a bad cell or row, a non-finite value, a quoted line end) goes to
+    the row reader, `_read_rows`, which parses what the contract allows cell
+    by cell and names the row and cell of the first fault. So does every
+    table with a `blank` column, whose empty cells np.loadtxt does not take.
     """
     with path.open(newline="") as fh:
         if next(_csv_rows(path, fh), None) != list(header):
@@ -210,49 +211,32 @@ def _parse_numbers(path: Path, fh, width: int) -> np.ndarray | None:
 
 
 def _read_rows(path: Path, header: tuple[str, ...], blank: str | None) -> np.ndarray:
-    """The data rows of a table `_read_table` has header-checked, read row by row.
+    """The data rows of a table `_read_table` has header-checked, parsed cell by cell.
 
-    The rows stream into the array one at a time, each checked as it
-    arrives, so the file is never held as strings; finiteness is checked
-    once, on the finished array.
+    Only tables with a `blank` column (traces, a few rows each) and tables
+    the C parser refused come here. Each cell goes through `float` as it
+    arrives, so the first fault in file order raises, naming its row and
+    quoting the cell as written ('1e400', not 'inf').
     """
-    width = len(header)
     j_blank = None if blank is None else header.index(blank)
-    empty = []  # data rows (0-based) whose `blank` cell is empty
+    data = []
     with path.open(newline="") as fh:
         rows = _csv_rows(path, fh)
         next(rows)  # the header
-        # The header and every row take at least `width` bytes each, so this
-        # bounds the row count; pages of rows never written are never touched.
-        data = np.empty((path.stat().st_size // width, width))
-        n = 0
         for n, row in enumerate(rows, 1):
-            if len(row) != width:
+            if len(row) != len(header):
                 raise FileFormatError(f"{path}: row {n} has {len(row)} columns")
-            if j_blank is not None and row[j_blank] == "":
-                empty.append(n - 1)
-                row[j_blank] = "0"
-            try:
-                data[n - 1] = row
-            except ValueError:
-                for text in row:
-                    try:
-                        float(text)
-                    except ValueError:
-                        raise FileFormatError(f"{path}: row {n}: not a number: {text!r}") from None
-                raise
-    if not n:
+            for j, text in enumerate(row):
+                try:
+                    row[j] = math.nan if j == j_blank and text == "" else float(text)
+                except ValueError:
+                    raise FileFormatError(f"{path}: row {n}: not a number: {text!r}") from None
+                if text and not math.isfinite(row[j]):  # an empty `blank` cell is no fault
+                    raise FileFormatError(f"{path}: row {n}: non-finite value {text!r}")
+            data.append(row)
+    if not data:
         raise FileFormatError(f"{path}: table has no data rows")
-    data = data[:n].copy()  # frees the buffer the bound sized
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        i, j = bad[0]
-        with path.open(newline="") as fh:  # the cell as written: '1e400', not 'inf'
-            text = next(row for k, row in enumerate(csv.reader(fh)) if k == i + 1)[j]
-        raise FileFormatError(f"{path}: row {i + 1}: non-finite value {text!r}")
-    if empty:
-        data[empty, j_blank] = np.nan
-    return data
+    return np.array(data)
 
 
 def file_digest(path: str | Path) -> str:
@@ -283,7 +267,7 @@ def read_dataset(path: str | Path) -> AgingDataset:
     data = _read_table(path, DATASET_COLUMNS)
     meta_path = dataset_meta_path(path)
     meta = read_json(meta_path) if meta_path.exists() else {}
-    return AgingDataset.from_array(data, meta)
+    return AgingDataset(data=data, meta=meta)  # the header check made it (n, 9) finite floats
 
 
 def read_grid(path: str | Path) -> list[CycleConditions]:

@@ -139,6 +139,13 @@ class TestRunAgingTest:
         with pytest.raises(ValueError):
             aging.run_aging_test(make_cond(soh=0.9))
 
+    def test_cycle_cap_refuses_an_endless_test(self, monkeypatch):
+        # At DOD 1e-6 the fade per cycle is so small that end of life lies
+        # far beyond 1,000 cycles.
+        monkeypatch.setattr(aging, "MAX_AGING_CYCLES", 1000)
+        with pytest.raises(RuntimeError, match="exceeded 1000 cycles"):
+            aging.run_aging_test(make_cond(dod=1e-6))
+
 
 class TestGenerateDataset:
     def test_default_grid_has_35_groups(self):

@@ -145,6 +145,25 @@ class TestNormalizer:
         out = norm.transform(np.array([1.0, 6.0]))
         assert np.allclose(out, [0.5, 6.0])
 
+    def test_transform_is_bit_exact(self):
+        # Against the copy-and-scatter definition: masked columns scaled,
+        # the others (a constant one among them) passed through bit for bit.
+        def reference(norm, x):
+            out = x.copy()
+            span = norm.hi[norm.mask] - norm.lo[norm.mask]
+            out[..., norm.mask] = (x[..., norm.mask] - norm.lo[norm.mask]) / span
+            return out
+
+        special = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324]
+        rng = np.random.default_rng(0)
+        x = np.column_stack([rng.permutation(special + list(rng.normal(size=12)))
+                             for _ in range(4)])
+        norm = Normalizer(np.array([-1.0, 2.0, 4.0, 0.0]), np.array([2.0, 9.0, 4.0, 1e-300]),
+                          np.array([True, False, False, True]))
+        for probe in (x, x[3]):  # 2-D and 1-D
+            want = reference(norm, probe)
+            assert np.array_equal(norm.transform(probe).view(np.uint64), want.view(np.uint64))
+
     def test_degenerate_range_rejected(self):
         with pytest.raises(ValueError, match="columns \\[1\\]"):
             Normalizer.fit(np.array([[0.0, 3.0], [1.0, 3.0]]))

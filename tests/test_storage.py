@@ -149,6 +149,8 @@ READER_CASES = {
     "trailing_comma": (data_lines(dataset_row(), dataset_row() + ","), "row 2 has 10 columns"),
     "late_bad_row": (data_lines(*[dataset_row()] * 9000, dataset_row("abc")),
                      "row 9001: not a number: 'abc'"),
+    "first_fault": (data_lines(dataset_row(), dataset_row("inf"), dataset_row("abc")),
+                    "row 2: non-finite value 'inf'"),
 }
 
 
@@ -468,8 +470,8 @@ class TestScheduleAndTraceFiles(NumericTableChecks):
         assert rows[1]["degradation_cost"] == 4.5
 
     def test_shortest_rows_read_in_full(self, tmp_path):
-        # The reader sizes its array from the file's bytes: one-digit cells,
-        # an empty cap and no final line end make the shortest rows there are.
+        # One-digit cells, an empty cap and no final line end make the
+        # shortest rows a trace can have; every one of them is read.
         path = tmp_path / "trace.csv"
         path.write_text("\n".join([",".join(storage.TRACE_HEADER), *["0,,1,1,1,1"] * 50]))
         rows = storage.read_trace(path)
