@@ -41,6 +41,7 @@ from .quantifier import (
     check_closure,
     performance_comparison,
     select_best_combination,
+    shared_split,
     train_benchmarks,
 )
 
@@ -205,8 +206,10 @@ def cmd_train(**params) -> None:
     metrics: dict = {"seed": values["seed"]}
 
     try:
+        split = shared_split(dataset, cfg)  # every network trains and scores on these rows
         with _timed(timings, "search_seconds" if search else "pair_seconds"):
-            model, report = select_best_combination(dataset, cfg, None if search else [named])
+            model, report = select_best_combination(
+                dataset, split, cfg, None if search else [named])
         if search:
             storage.write_report_table(table_path["ubdf_models"], report.ubdf_table)
             storage.write_report_table(table_path["bdp_models"], report.bdp_table)
@@ -218,8 +221,8 @@ def cmd_train(**params) -> None:
             )
         if values["with_benchmarks"]:
             with _timed(timings, "benchmarks_seconds"):
-                benchmarks = train_benchmarks(dataset, cfg)
-                rows = performance_comparison(model, benchmarks, dataset, cfg)
+                benchmarks = train_benchmarks(dataset, split, cfg)
+                rows = performance_comparison(model, benchmarks, dataset, split)
             storage.write_report_table(table_path["performance_comparison"], rows)
             metrics["performance_comparison"] = rows
     except ValueError as exc:  # a constant feature, a non-positive target: the data

@@ -294,54 +294,50 @@ def split_indices(
 
 
 class TrainJob(NamedTuple):
-    """One network to fit: the arguments of `train`, in its order."""
+    """One network to fit: its training and validation rows, then `train`'s other arguments."""
 
-    x: np.ndarray
-    y: np.ndarray
+    xt: np.ndarray
+    yt: np.ndarray
+    xv: np.ndarray
+    yv: np.ndarray
     spec: NetworkSpec
     cfg: TrainConfig
     x_mask: np.ndarray | None = None
     y_mask: np.ndarray | None = None
-    split: tuple[np.ndarray, np.ndarray] | None = None
     log_target: bool = False
 
 
 def _prepare(
     job: TrainJob,
 ) -> tuple[Normalizer, Normalizer, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Check a job's data, split it and fit its normalizers on the training rows.
+    """Check a job's training and validation rows alike; fit its normalizers on the former.
 
-    Returns the two normalizers and the scaled (xt, yt, xv, yv), each gathered once.
+    Returns the two normalizers and the scaled (xt, yt, xv, yv).
     """
-    x, y, spec, cfg, x_mask, y_mask, split, log_target = job
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    if len(x) != len(y):
-        raise ValueError(f"x has {len(x)} rows, y has {len(y)}")
-    if len(x) < 2:
-        raise ValueError("need at least 2 samples to split")
-    if not np.isfinite(x).all() or not np.isfinite(y).all():
-        raise ValueError("inputs and targets must be finite")
-    if x.shape[1] != spec.n_inputs or y.shape[1] != spec.n_outputs:
-        raise ValueError(
-            f"data is {x.shape[1]}->{y.shape[1]}, spec is "
-            f"{spec.n_inputs}->{spec.n_outputs}"
-        )
-    if log_target:
-        if (y <= 0).any():
+    *rows, spec, _, x_mask, y_mask, log_target = job
+    xt, xv = (np.atleast_2d(np.asarray(x, dtype=float)) for x in rows[::2])
+    yt, yv = (np.asarray(y, dtype=float).reshape(len(y), -1) for y in rows[1::2])
+    for kind, x, y in (("training", xt, yt), ("validation", xv, yv)):
+        if len(x) != len(y):
+            raise ValueError(f"x has {len(x)} {kind} rows, y has {len(y)}")
+        if len(x) < 1:
+            raise ValueError(f"need at least 1 {kind} row")
+        if not np.isfinite(x).all() or not np.isfinite(y).all():
+            raise ValueError("inputs and targets must be finite")
+        if x.shape[1] != spec.n_inputs or y.shape[1] != spec.n_outputs:
             raise ValueError(
-                f"log-scaled targets must be positive, got minimum {y.min()}"
+                f"data is {x.shape[1]}->{y.shape[1]}, spec is "
+                f"{spec.n_inputs}->{spec.n_outputs}"
             )
-        y = np.log(y)
+    if log_target:
+        if (yt <= 0).any() or (yv <= 0).any():
+            raise ValueError(
+                f"log-scaled targets must be positive, got minimum {min(yt.min(), yv.min())}"
+            )
+        yt, yv = np.log(yt), np.log(yv)
 
-    if split is None:
-        split = split_indices(len(x), cfg.train_fraction, cfg.seed)
     if y_mask is None:
-        y_mask = np.zeros(y.shape[1], dtype=bool)
-    # np.take gathers rows in under half the time x[idx] takes.
-    xt, yt, xv, yv = (np.take(a, np.asarray(i, dtype=int), axis=0) for i in split for a in (x, y))
+        y_mask = np.zeros(yt.shape[1], dtype=bool)
     x_norm = Normalizer.fit(xt, x_mask)
     y_norm = Normalizer.fit(yt, y_mask)
     scaled = x_norm.transform(xt), y_norm.transform(yt), x_norm.transform(xv), y_norm.transform(yv)
@@ -351,8 +347,8 @@ def _prepare(
 def train_stack(jobs: Iterable[TrainJob]) -> list[TrainedNetwork | TrainingDiverged]:
     """Fit K networks of one layer shape as one stack.
 
-    The jobs must share their spec and every TrainConfig field but the seed,
-    and their splits must have equal train and validation sizes. Each weight
+    The jobs must share their spec, every TrainConfig field but the seed, and
+    their numbers of training and validation rows. Each weight
     is held as a (K, n_in, n_out) stack and each bias as (K, n_out), all of
     them views of one (K, n_params) buffer (`_layer_views`), so a minibatch
     step is one batched forward/backward pass for all K, whose gradients
@@ -462,8 +458,8 @@ def train(
 ) -> TrainedNetwork:
     """Fit a network with mini-batch gradient descent.
 
-    Splits (x, y) into train/validation by a seeded shuffle (or uses the
-    provided index split), fits the feature normalizers on the training split
+    Splits (x, y) into train/validation rows by a seeded shuffle (or the
+    provided index split), fits the feature normalizers on the training rows
     only, then runs the configured epochs of shuffled mini-batches. Returns
     the parameters from the epoch with the lowest validation MSE; raises
     TrainingDiverged if the loss becomes non-finite.
@@ -473,9 +469,16 @@ def train(
     network is fitted to log(y), scaled per y_mask, so the targets must be
     positive; the returned network predicts in the units of y.
 
-    This is `train_stack` with a stack of one.
+    This is `train_stack` with a stack of one, after the one gather of rows
+    for a single network.
     """
-    [result] = train_stack([TrainJob(x, y, spec, cfg, x_mask, y_mask, split, log_target)])
+    if len(x) != len(y):
+        raise ValueError(f"x has {len(x)} rows, y has {len(y)}")
+    if split is None:
+        split = split_indices(len(x), cfg.train_fraction, cfg.seed)
+    # np.take gathers rows in under half the time x[idx] takes.
+    rows = (np.take(a, np.asarray(i, dtype=int), axis=0) for i in split for a in (x, y))
+    [result] = train_stack([TrainJob(*rows, spec, cfg, x_mask, y_mask, log_target)])
     if isinstance(result, TrainingDiverged):
         raise result
     return result

@@ -13,6 +13,8 @@ any set of rows, those of one layer shape as one stack. The stacks share no
 state, so on a machine with 2 or more CPUs they train in worker processes,
 one stack per task. `select_best_combination` fits and ranks any list of
 pairs: the variant search is every compatible pair, a named pair a list of one.
+A train run takes its train/validation row split once (`shared_split`) and
+hands it to every function that fits or scores a network.
 """
 
 from __future__ import annotations
@@ -271,13 +273,11 @@ def predict_degradation(
 # Training on aging datasets
 # ----------------------------------------------------------------------
 
-def dataset_columns(dataset: AgingDataset) -> dict[str, np.ndarray]:
-    """Named column views of the dataset array."""
-    return {name: dataset.data[:, j] for j, name in enumerate(DATASET_COLUMNS)}
+Split = tuple[np.ndarray, np.ndarray]  # (train, validation) row indices of the dataset array
 
 
-def _shared_split(dataset: AgingDataset, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The (train, validation) row indices every network of one train run shares."""
+def shared_split(dataset: AgingDataset, cfg: TrainConfig) -> Split:
+    """The row split every network of one train run trains and is scored on."""
     return net.split_indices(len(dataset), cfg.train_fraction, cfg.seed)
 
 
@@ -294,13 +294,15 @@ def _column_matrix(columns: dict[str, np.ndarray], names: tuple[str, ...]) -> np
     return np.column_stack([columns[n] for n in names])
 
 
+def _select(rows: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
+    return np.take(rows, [DATASET_COLUMNS.index(n) for n in names], axis=1)
+
+
 def network_job(
-    columns: dict[str, np.ndarray],
-    key: tuple[str, int],
-    cfg: TrainConfig,
-    split: tuple[np.ndarray, np.ndarray],
+    train_rows: np.ndarray, val_rows: np.ndarray, key: tuple[str, int], cfg: TrainConfig
 ) -> net.TrainJob:
-    """The training job of the NETWORKS row `key` on the dataset's columns.
+    """The training job of the NETWORKS row `key`: its columns of `train_rows`
+    and `val_rows`, the training and validation rows of the dataset array.
 
     Its seed derives from cfg.seed and the row's tag. A degradation target
     is fitted as log(degradation), min-max scaled: the oracle's degradation
@@ -312,28 +314,25 @@ def network_job(
     """
     row = NETWORKS[key]
     return net.TrainJob(
-        _column_matrix(columns, row.inputs),
-        _column_matrix(columns, row.outputs),
+        *(_select(rows, names) for rows in (train_rows, val_rows)
+          for names in (row.inputs, row.outputs)),
         row.spec,
         _derived_config(cfg, row.tag),
         x_mask=_mask_for(row.inputs),
         y_mask=_mask_for(row.outputs),
-        split=split,
         log_target=row.outputs == DEGRADATION,
     )
 
 
 def _fit_group(
-    columns: dict[str, np.ndarray],
-    cfg: TrainConfig,
-    split: tuple[np.ndarray, np.ndarray],
-    members: list[tuple[str, int]],
+    data: np.ndarray, split: Split, cfg: TrainConfig, members: list[tuple[str, int]]
 ) -> list[TrainedNetwork | net.TrainingDiverged]:
     """Train the NETWORKS rows `members`, all of one layer shape, as one stack."""
-    return net.train_stack(network_job(columns, key, cfg, split) for key in members)
+    train_rows, val_rows = (np.take(data, idx, axis=0) for idx in split)
+    return net.train_stack(network_job(train_rows, val_rows, key, cfg) for key in members)
 
 
-# A pool worker's (columns, cfg, split), set once by _init_worker when the
+# A pool worker's (data, split, cfg), set once by _init_worker when the
 # worker starts; it stays None in the process that calls fit_networks.
 _worker_inputs: tuple | None = None
 
@@ -348,32 +347,30 @@ def _fit_group_in_worker(members: list[tuple[str, int]]) -> list:
 
 
 def fit_networks(
-    columns: dict[str, np.ndarray],
-    keys: list[tuple[str, int]],
-    cfg: TrainConfig,
-    split: tuple[np.ndarray, np.ndarray],
+    data: np.ndarray, split: Split, keys: list[tuple[str, int]], cfg: TrainConfig
 ) -> dict[tuple[str, int], TrainedNetwork | net.TrainingDiverged]:
-    """Fit the NETWORKS rows `keys`, each keyed as given.
+    """Fit the NETWORKS rows `keys` on the dataset array `data`, each keyed as given.
 
     Rows of one exact layer shape train as one stack (net.train_stack), each
-    bit-identical to fitting its job alone with net.train; a group's inputs
-    are built only when that group trains. A network whose loss became
-    non-finite maps to its TrainingDiverged. Before any training, a scaled
-    feature that the rows consume but that is constant on the training rows
-    raises ConstantFeatureError.
+    bit-identical to fitting its job alone with net.train. A stack gathers
+    the training and validation rows of `data` once, when it trains, and each
+    job selects its columns from them. A network whose loss became non-finite
+    maps to its TrainingDiverged. Before any training, a scaled feature that
+    the rows consume but that is constant on the training rows raises
+    ConstantFeatureError.
 
     With 2 or more stacks and 2 or more CPUs this process may run on, the
     stacks train in a pool of min(CPUs, stacks) forked workers, one stack
     per task; otherwise they train here. Fork, whatever the interpreter's
-    default: only a forked worker inherits (columns, cfg, split) and the
+    default: only a forked worker inherits (data, split, cfg) and the
     imported package, where importing them afresh costs about what the pool
     saves. Each task sends only its rows' keys. The networks come out the
     same either way, and no worker outlives the call, also when one raises.
     """
     used = {name for key in keys for name in NETWORKS[key].inputs + NETWORKS[key].outputs}
     scaled = used & NORMALIZED_FEATURES
-    constant = [name for name in DATASET_COLUMNS
-                if name in scaled and np.ptp(columns[name][split[0]]) <= 0]
+    constant = [name for j, name in enumerate(DATASET_COLUMNS)
+                if name in scaled and np.ptp(data[split[0], j]) <= 0]
     if constant:
         raise ConstantFeatureError(
             f"features {', '.join(constant)} take one value on every training row; "
@@ -387,14 +384,14 @@ def fit_networks(
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(groups))
     if workers < 2:
-        stacks = [_fit_group(columns, cfg, split, members) for members in groups.values()]
+        stacks = [_fit_group(data, split, cfg, members) for members in groups.values()]
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_init_worker,
-                                 initargs=(columns, cfg, split)) as pool:
+                                 initargs=(data, split, cfg)) as pool:
             stacks = list(pool.map(_fit_group_in_worker, groups.values()))
     fitted: dict[tuple[str, int], TrainedNetwork | net.TrainingDiverged] = {}
     for members, stack in zip(groups.values(), stacks):
@@ -444,38 +441,35 @@ class SelectionReport:
 
 
 def select_best_combination(
-    dataset: AgingDataset, cfg: TrainConfig, pairs: list[tuple[int, int]] | None = None
+    dataset: AgingDataset, split: Split, cfg: TrainConfig,
+    pairs: list[tuple[int, int]] | None = None,
 ) -> tuple[DegradationModel, SelectionReport]:
     """Train the variants of `pairs` and pick the best composed pair.
 
     `pairs` lists closure-compatible (ubdf_id, bdp_id) pairs; None means
     every compatible pair, the full variant search, and a one-pair list
     trains that pair alone. Fits the stage-one and stage-two variants the
-    pairs use with fit_networks on the shared train/validation split,
-    evaluates each pair composed (stage two fed stage-one predictions, not
-    ground truth) on the validation split, and returns the pair with the
-    highest accuracy at 15% tolerance; ties break by 10% accuracy, then by
-    lower variant ids. Variants whose training diverges are recorded and
-    their pairs excluded; a RuntimeError listing the failures is raised if
-    no pair is left.
+    pairs use with fit_networks on the run's row split, evaluates each pair
+    composed (stage two fed stage-one predictions, not ground truth) on the
+    validation rows, and returns the pair with the highest accuracy at 15%
+    tolerance; ties break by 10% accuracy, then by lower variant ids.
+    Variants whose training diverges are recorded and their pairs excluded;
+    a RuntimeError listing the failures is raised if no pair is left.
 
-    Scoring runs each network once on the validation rows, and its inputs
-    are built from the columns' validation rows alone: a stage-one
-    variant's predictions score its table row and feed every pair it is in.
-    The rows come out as if each pair were scored alone with
-    composed_predictions, bit for bit.
+    Scoring gathers the dataset's validation rows once and runs each network
+    once on its columns of them: a stage-one variant's predictions score its
+    table row and feed every pair it is in. The rows come out as if each
+    pair were scored alone with composed_predictions, bit for bit.
     """
     pairs = compatible_pairs() if pairs is None else pairs
     for u, b in pairs:
         check_closure(u, b)  # before paying for training
     used = {("ubdf", u) for u, _ in pairs} | {("bdp", b) for _, b in pairs}
     keys = [key for key in NETWORKS if key in used]
-    columns = dataset_columns(dataset)
-    split = _shared_split(dataset, cfg)
-    fitted = fit_networks(columns, keys, cfg, split)
+    fitted = fit_networks(dataset.data, split, keys, cfg)
 
     report = SelectionReport()
-    val = {name: column[split[1]] for name, column in columns.items()}
+    val = np.take(dataset.data, split[1], axis=0)
     nets: dict[tuple[str, int], TrainedNetwork] = {}
     predicted: dict[tuple[str, int], np.ndarray] = {}
     for key in keys:
@@ -486,17 +480,17 @@ def select_best_combination(
             continue
         nets[key] = result
         row = NETWORKS[key]
-        predicted[key] = result.predict(_column_matrix(val, row.inputs))
+        predicted[key] = result.predict(_select(val, row.inputs))
         table = getattr(report, f"{kind}_table")
-        table.append(accuracy_row(predicted[key], _column_matrix(val, row.outputs), variant))
+        table.append(accuracy_row(predicted[key], _select(val, row.outputs), variant))
 
-    x_val = _column_matrix(val, BDF_FEATURES)
+    x_val, deg_val = _select(val, BDF_FEATURES), _select(val, DEGRADATION)
     ranked: dict[tuple, DegradationModel] = {}
     for u, b in pairs:
         if ("ubdf", u) in nets and ("bdp", b) in nets:
             pair = DegradationModel(u, b, nets[("ubdf", u)], nets[("bdp", b)])
             scores = composed_predictions(pair, x_val, predicted[("ubdf", u)])
-            row = accuracy_row(scores, val["degradation"], f"{u}-{b}")
+            row = accuracy_row(scores, deg_val, f"{u}-{b}")
             report.composed_table.append(row)
             ranked[(row["tol15"], row["tol10"], -u, -b)] = pair
     if not ranked:
@@ -504,14 +498,16 @@ def select_best_combination(
     return ranked[max(ranked)], report
 
 
-def train_benchmarks(dataset: AgingDataset, cfg: TrainConfig) -> dict[str, TrainedNetwork]:
+def train_benchmarks(
+    dataset: AgingDataset, split: Split, cfg: TrainConfig
+) -> dict[str, TrainedNetwork]:
     """Train the two single-stage benchmark nets, nnbd and nnbd2 (see NETWORKS).
 
-    Both fit the same log target as stage two, on the shared split; the
+    Both fit the same log target as stage two, on the run's row split; the
     first divergence is raised.
     """
     keys = [("nnbd", 0), ("nnbd2", 0)]
-    fitted = fit_networks(dataset_columns(dataset), keys, cfg, _shared_split(dataset, cfg))
+    fitted = fit_networks(dataset.data, split, keys, cfg)
     for key in keys:
         if isinstance(fitted[key], net.TrainingDiverged):
             raise fitted[key]
@@ -522,13 +518,11 @@ def performance_comparison(
     model: DegradationModel,
     benchmarks: dict[str, TrainedNetwork],
     dataset: AgingDataset,
-    cfg: TrainConfig,
+    split: Split,
 ) -> list[dict]:
-    """Composed-model vs benchmark accuracies on the shared validation split."""
-    columns = dataset_columns(dataset)
-    _, val_idx = _shared_split(dataset, cfg)
-    deg_val = columns["degradation"][val_idx]
-    x_val = _column_matrix(columns, BDF_FEATURES)[val_idx]
+    """Composed-model vs benchmark accuracies on the run's validation rows."""
+    val = np.take(dataset.data, split[1], axis=0)
+    x_val, deg_val = _select(val, BDF_FEATURES), _select(val, DEGRADATION)
     rows = [accuracy_row(composed_predictions(model, x_val), deg_val, "hdl-bdq")]
     for name in ("nnbd", "nnbd2"):
         rows.append(accuracy_row(benchmarks[name].predict(x_val), deg_val, name))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from degradesched import cli, quantifier, storage
+from degradesched import cli, net, quantifier, storage
 from degradesched.cli import main
 from degradesched.exampleday import load_example_day
 from degradesched.lod import EconParams, LodConfig
@@ -261,6 +261,44 @@ class TestTrain:
                 "model.json", "ubdf_models.csv", "bdp_models.csv", "composed_pairs.csv",
                 "performance_comparison.csv")}
         assert outputs[1] == outputs[2]
+
+    def test_split_is_drawn_once_per_run(self, workdir, tmp_path, monkeypatch):
+        # Every network of one run, benchmarks included, shares one split.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return split_indices(*args)
+
+        split_indices = net.split_indices
+        monkeypatch.setattr(net, "split_indices", counting)
+        see_cpus(monkeypatch, 1)  # every call in this process
+        result = runner.invoke(
+            main,
+            ["train", "--dataset", str(workdir / "aging.csv"),
+             "--out", str(tmp_path / "model.json"), "--variant-search", "--with-benchmarks",
+             "--epochs", "1"],
+        )
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+
+    def test_comparison_scores_the_selected_pair_as_the_search_did(self, workdir, tmp_path):
+        # Both tables score the composed pair on the run's validation rows.
+        result = runner.invoke(
+            main,
+            ["train", "--dataset", str(workdir / "aging.csv"),
+             "--out", str(tmp_path / "model.json"), "--variant-search", "--with-benchmarks",
+             "--epochs", "2", "--seed", "4"],
+        )
+        assert result.exit_code == 0, result.output
+        doc = json.loads((tmp_path / "model.json").read_text())
+        selected = f"{doc['ubdf_variant']}-{doc['bdp_variant']}"
+
+        def rows(name):
+            lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+            return {line.split(",")[0]: line.split(",")[1:] for line in lines[1:]}
+
+        assert rows("performance_comparison")["hdl-bdq"] == rows("composed_pairs")[selected]
 
     def test_closure_incompatible_rejected_before_training(self, workdir, tmp_path):
         result = runner.invoke(

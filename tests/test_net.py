@@ -1,6 +1,7 @@
 """Tests for the fully-connected network engine."""
 
 import copy
+import functools
 import pickle
 
 import numpy as np
@@ -381,44 +382,69 @@ class TestTrain:
 class TestTrainStack:
     SPEC = NetworkSpec((4, 12, 8, 2))
 
-    def job(self, seed, log_target=False, y_scale=1.0):
-        # Each job has its own data, scaling and log target; 490 training
-        # rows leave a partial last batch.
+    def job(self, seed, log_target=False, y_scale=1.0, scaled=True):
+        """One network's TrainJob and the `train` call that fits it alone,
+        both from one (x, y, split).
+
+        Each job has its own data, scaling and log target; 490 training
+        rows leave a partial last batch. Unscaled targets keep no y_mask.
+        """
         rng = np.random.default_rng(100 + seed)
         x = rng.uniform(-1, 2, size=(612, 4))
         y = y_scale * np.exp(np.sin(x @ rng.normal(size=(4, 2))))
         cfg = TrainConfig(epochs=7, decay_every_epochs=3, seed=seed)
-        return net.TrainJob(
-            x, y, self.SPEC, cfg, y_mask=np.array([True, log_target]),
-            log_target=log_target,
-        )
+        split = net.split_indices(len(x), cfg.train_fraction, cfg.seed)
+        y_mask = np.array([True, log_target]) if scaled else None
+        job = net.TrainJob(x[split[0]], y[split[0]], x[split[1]], y[split[1]], self.SPEC, cfg,
+                           y_mask=y_mask, log_target=log_target)
+        alone = functools.partial(train, x, y, self.SPEC, cfg, y_mask=y_mask, split=split,
+                                  log_target=log_target)
+        return job, alone
 
     def test_matches_separate_training_exactly(self):
-        jobs = [self.job(4), self.job(5, log_target=True), self.job(6)]
-        stacked = net.train_stack(iter(jobs))
+        cases = [self.job(4), self.job(5, log_target=True), self.job(6)]
+        stacked = net.train_stack(iter(job for job, _ in cases))
         assert len(stacked) == 3
-        for job, got in zip(jobs, stacked):
-            assert_same_network(got, train(*job))
+        for (_, alone), got in zip(cases, stacked):
+            assert_same_network(got, alone())
 
     def test_diverging_member_leaves_the_stack(self):
         # Unscaled targets near 1e200 overflow the loss; the stack-mates
         # must come out as if trained alone.
-        jobs = [self.job(4), self.job(5, y_scale=1e200), self.job(6)]
-        jobs[1] = jobs[1]._replace(y_mask=None)
-        stacked = net.train_stack(jobs)
+        cases = [self.job(4), self.job(5, y_scale=1e200, scaled=False), self.job(6)]
+        stacked = net.train_stack([job for job, _ in cases])
         with pytest.raises(net.TrainingDiverged) as alone:
-            train(*jobs[1])
+            cases[1][1]()
         assert isinstance(stacked[1], net.TrainingDiverged)
         assert stacked[1].epoch == alone.value.epoch
         for k in (0, 2):
-            assert_same_network(stacked[k], train(*jobs[k]))
+            assert_same_network(stacked[k], cases[k][1]())
 
     def test_every_member_diverging(self):
-        jobs = [self.job(seed, y_scale=1e200)._replace(y_mask=None) for seed in (1, 2)]
+        jobs = [self.job(seed, y_scale=1e200, scaled=False)[0] for seed in (1, 2)]
         assert all(isinstance(r, net.TrainingDiverged) for r in net.train_stack(jobs))
 
+    def test_non_positive_log_target_in_a_validation_row_is_refused(self):
+        # The check covers the validation rows too, which no normalizer is fitted on.
+        job, _ = self.job(5, log_target=True)
+        yv = job.yv.copy()
+        yv[-1, 0] = 0.0
+        with pytest.raises(ValueError, match="log-scaled targets must be positive"):
+            net.train_stack([job._replace(yv=yv)])
+        x, y = np.ones((10, 4)), np.ones((10, 2))
+        y[7] = -1.0
+        with pytest.raises(ValueError, match="log-scaled targets must be positive"):
+            train(x, y, self.SPEC, TrainConfig(epochs=1), split=(np.arange(7), np.arange(7, 10)),
+                  log_target=True)
+
+    @pytest.mark.parametrize("side, rows", [("xt", "489 training"), ("yv", "122 validation")])
+    def test_rows_of_x_and_y_must_match(self, side, rows):
+        job, _ = self.job(4)
+        with pytest.raises(ValueError, match=f"x has {rows} rows"):
+            net.train_stack([job._replace(**{side: getattr(job, side)[1:]})])
+
     def test_rejects_mixed_shapes_and_configs(self):
-        job = self.job(4)
+        job, _ = self.job(4)
         other_cfg = job._replace(cfg=TrainConfig(epochs=6, seed=5))
         with pytest.raises(ValueError, match="but the seed"):
             net.train_stack([job, other_cfg])

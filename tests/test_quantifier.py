@@ -24,11 +24,11 @@ from degradesched.quantifier import (
     cbup,
     compatible_pairs,
     composed_predictions,
-    dataset_columns,
     fit_networks,
     network_job,
     predict_degradation,
     select_best_combination,
+    shared_split,
     train_benchmarks,
 )
 from test_lod import constant_model, constant_network
@@ -273,7 +273,7 @@ class TestSelection:
         data[:, 6] = rng.uniform(10.0, 200.0, size=len(data))
         rigged = aging.AgingDataset.from_array(data, ds.meta)
         cfg = net.TrainConfig(epochs=60, seed=3)
-        return select_best_combination(rigged, cfg)
+        return select_best_combination(rigged, shared_split(rigged, cfg), cfg)
 
     def test_noise_feature_loses(self, rigged_selection):
         model, _ = rigged_selection
@@ -297,30 +297,44 @@ class TestSelection:
                 assert row["tol05"] <= row["tol10"] <= row["tol15"] <= row["tol20"]
 
 
+def dataset_column(ds, name):
+    return ds.data[:, aging.DATASET_COLUMNS.index(name)]
+
+
+def train_alone(ds, key, cfg, split):
+    """The NETWORKS row `key` fitted alone by net.train on its full column
+    matrices and the index split: net.train's own row gather, and the
+    columns stacked one by one, check the gathers fit_networks does."""
+    row = NETWORKS[key]
+    x, y = (np.column_stack([dataset_column(ds, name) for name in names])
+            for names in (row.inputs, row.outputs))
+    job = network_job(ds.data[split[0]], ds.data[split[1]], key, cfg)
+    return net.train(x, y, job.spec, job.cfg, job.x_mask, job.y_mask, split, job.log_target)
+
+
 class TestSearchMatchesPairTraining:
     def test_every_search_network_equals_its_own_fit(self):
         # fit_networks trains same-shape networks as stacks; each must equal
-        # what net.train gives its job alone, parameter by parameter, and the
-        # search, the one-pair search (1-3 is one same-shape stack) and
+        # what net.train gives its network alone, parameter by parameter, and
+        # the search, the one-pair search (1-3 is one same-shape stack) and
         # train_benchmarks must hand out those networks.
         ds = subsampled_dataset()
         cfg = net.TrainConfig(epochs=4, seed=2)
-        columns = dataset_columns(ds)
         split = net.split_indices(len(ds), cfg.train_fraction, cfg.seed)
-        fitted = fit_networks(columns, list(NETWORKS), cfg, split)
+        fitted = fit_networks(ds.data, split, list(NETWORKS), cfg)
         assert sorted(fitted) == sorted(
             [("ubdf", u) for u in UBDF_VARIANTS] + [("bdp", b) for b in BDP_VARIANTS]
             + [("nnbd", 0), ("nnbd2", 0)]
         )
         for key, network in fitted.items():
-            assert_same_network(network, net.train(*network_job(columns, key, cfg, split)))
-        model, _ = select_best_combination(ds, cfg)
+            assert_same_network(network, train_alone(ds, key, cfg, split))
+        model, _ = select_best_combination(ds, split, cfg)
         assert_same_network(model.ubdf, fitted[("ubdf", model.ubdf_id)])
         assert_same_network(model.bdp, fitted[("bdp", model.bdp_id)])
-        pair, _ = select_best_combination(ds, cfg, [(1, 3)])
+        pair, _ = select_best_combination(ds, split, cfg, [(1, 3)])
         assert_same_network(pair.ubdf, fitted[("ubdf", 1)])
         assert_same_network(pair.bdp, fitted[("bdp", 3)])
-        benchmarks = train_benchmarks(ds, cfg)
+        benchmarks = train_benchmarks(ds, split, cfg)
         for name in ("nnbd", "nnbd2"):
             assert_same_network(benchmarks[name], fitted[(name, 0)])
 
@@ -339,12 +353,11 @@ class TestScoring:
             return fitted
 
         monkeypatch.setattr(quantifier, "fit_networks", recording)
-        _, report = select_best_combination(ds, cfg)
-        columns = dataset_columns(ds)
+        _, report = select_best_combination(ds, shared_split(ds, cfg), cfg)
         _, val_idx = net.split_indices(len(ds), cfg.train_fraction, cfg.seed)
 
         def matrix(names):
-            return np.column_stack([columns[name] for name in names])[val_idx]
+            return np.column_stack([dataset_column(ds, name) for name in names])[val_idx]
 
         for kind, table in (("ubdf", report.ubdf_table), ("bdp", report.bdp_table)):
             variants = UBDF_VARIANTS if kind == "ubdf" else BDP_VARIANTS
@@ -353,7 +366,7 @@ class TestScoring:
                              matrix(NETWORKS[(kind, v)].outputs), v)
                 for v in variants
             ]
-        x_val, deg_val = matrix(BDF_FEATURES), columns["degradation"][val_idx]
+        x_val, deg_val = matrix(BDF_FEATURES), dataset_column(ds, "degradation")[val_idx]
         assert report.composed_table == [
             accuracy_row(composed_predictions(
                 DegradationModel(u, b, fitted[("ubdf", u)], fitted[("bdp", b)]), x_val),
@@ -372,15 +385,15 @@ class TestDivergence:
 
     def test_train_pair_raises(self, ds):
         with pytest.raises(RuntimeError, match="epoch 0"):
-            select_best_combination(ds, self.cfg, [(1, 3)])
+            select_best_combination(ds, shared_split(ds, self.cfg), self.cfg, [(1, 3)])
 
     def test_train_benchmarks_raises(self, ds):
         with pytest.raises(net.TrainingDiverged):
-            train_benchmarks(ds, self.cfg)
+            train_benchmarks(ds, shared_split(ds, self.cfg), self.cfg)
 
     def test_search_with_no_pair_left_raises(self, ds):
         with pytest.raises(RuntimeError, match="every variant pair failed"):
-            select_best_combination(ds, self.cfg)
+            select_best_combination(ds, shared_split(ds, self.cfg), self.cfg)
 
 
 def see_cpus(monkeypatch, n):
@@ -394,10 +407,9 @@ class TestWorkerCount:
 
     def fit_all(self, monkeypatch, n_cpus, cfg):
         ds = subsampled_dataset()
-        columns = dataset_columns(ds)
         split = net.split_indices(len(ds), cfg.train_fraction, cfg.seed)
         see_cpus(monkeypatch, n_cpus)
-        return fit_networks(columns, list(NETWORKS), cfg, split)
+        return fit_networks(ds.data, split, list(NETWORKS), cfg)
 
     def test_every_network_is_the_same(self, monkeypatch):
         cfg = net.TrainConfig(epochs=4, seed=2)
@@ -420,17 +432,16 @@ class TestWorkerCount:
     def test_no_worker_outlives_the_call(self, monkeypatch):
         ds = subsampled_dataset()
         cfg = net.TrainConfig(epochs=1, seed=2)
-        columns = dataset_columns(ds)
         split = net.split_indices(len(ds), cfg.train_fraction, cfg.seed)
         keys = [("nnbd", 0), ("nnbd2", 0)]  # two layer shapes, two stacks
         see_cpus(monkeypatch, 2)
-        fit_networks(columns, keys, cfg, split)
+        fit_networks(ds.data, split, keys, cfg)
         assert multiprocessing.active_children() == []
 
-        columns["degradation"] = columns["degradation"].copy()
-        columns["degradation"][split[0][0]] = -1.0  # no log target
+        data = ds.data.copy()
+        data[split[0][0], aging.DATASET_COLUMNS.index("degradation")] = -1.0  # no log target
         with pytest.raises(ValueError, match="log-scaled targets must be positive") as exc:
-            fit_networks(columns, keys, cfg, split)
+            fit_networks(data, split, keys, cfg)
         # concurrent.futures chains a worker's traceback to what it re-raises.
         assert type(exc.value.__cause__).__name__ == "_RemoteTraceback"
         assert multiprocessing.active_children() == []
@@ -450,7 +461,7 @@ class TestWorkerCount:
         cfg = net.TrainConfig(epochs=1, seed=2)
         split = net.split_indices(len(ds), cfg.train_fraction, cfg.seed)
         see_cpus(monkeypatch, 2)
-        fit_networks(dataset_columns(ds), [("nnbd", 0), ("nnbd2", 0)], cfg, split)
+        fit_networks(ds.data, split, [("nnbd", 0), ("nnbd2", 0)], cfg)
         assert [None if c is None else c.get_start_method() for c in contexts] == ["fork"]
 
 
@@ -459,10 +470,9 @@ class TestTrainingCurve:
         # Stage-two training settles once the decayed learning rate is small:
         # the mean loss over epochs 200-250 sits within 10% of the final mean.
         ds = subsampled_dataset(n_rows=6000, seed=7)
-        cols = dataset_columns(ds)
         split = net.split_indices(len(ds), 0.8, 7)
         cfg = net.TrainConfig(epochs=300, seed=7)
-        model = net.train(*network_job(cols, ("bdp", 10), cfg, split))
+        model = train_alone(ds, ("bdp", 10), cfg, split)
         h = model.history["train_mse"]
         early = float(np.mean(h[200:250]))
         late = float(np.mean(h[-50:]))
