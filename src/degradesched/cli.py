@@ -18,7 +18,8 @@ infeasible.json, which a run without one removes; the one-pass modes end as
 "single_solve". A case infeasible at pass 0 leaves infeasible.json alone,
 removing an earlier run's other four files. simulate-aging, train and
 schedule open every output before their work, and train does so before it
-reads its dataset.
+reads its dataset; report reads and checks every input before it creates
+--out-dir.
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ def cmd_train(**params) -> None:
         if values["with_benchmarks"]:
             with _timed(timings, "benchmarks_seconds"):
                 benchmarks = train_benchmarks(dataset, split, cfg)
-                rows = performance_comparison(model, benchmarks, dataset, split)
+                rows = performance_comparison(model, report, benchmarks, dataset, split)
             storage.write_report_table(table_path["performance_comparison"], rows)
             metrics["performance_comparison"] = rows
     except ValueError as exc:  # a constant feature, a non-positive target: the data
@@ -342,10 +343,15 @@ def cmd_schedule(**params) -> None:
 @click.option("--out-dir", type=click.Path(), required=True)
 def cmd_report(trad_path, linear_path, lod_path, trace_path, out_dir) -> None:
     """Merge per-strategy schedules into plot-ready comparison tables."""
+    paths = (trad_path, linear_path, lod_path)
+    schedules = [storage.read_schedule(p) for p in paths]
+    rows = None if trace_path is None else storage.read_trace(trace_path)
+    horizons = [len(s["hour"]) for s in schedules]
+    if len(set(horizons)) > 1:
+        raise ValueError("schedules have mismatched horizons: " + ", ".join(
+            f"{p} has {n} rows" for p, n in zip(paths, horizons)))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    schedules = [storage.read_schedule(p) for p in (trad_path, linear_path, lod_path)]
-    rows = None if trace_path is None else storage.read_trace(trace_path)
     storage.write_bess_comparison(out / "bess_comparison.csv", *schedules)
     if rows is not None:
         storage.write_cost_series(out / "cost_vs_iteration.csv", rows)

@@ -129,14 +129,14 @@ def schedule_degradation(
 
 
 def _passes(
-    case: MicrogridCase,
     problem: MilpProblem,
     model: DegradationModel,
     econ: EconParams,
     cfg: LodConfig,
     soh: float,
 ) -> LodTrace:
-    """The loop of `run_lod` on a built model, under `cfg`."""
+    """The loop of `run_lod` on a built model of `problem.case`, under `cfg`."""
+    case = problem.case
     iterations: list[LodIteration] = []
     best_index = 0
     cap: UsageCap | None = None
@@ -189,7 +189,7 @@ def run_traditional(
 ) -> LodIteration:
     """Pass 0 of the loop: one uncapped solve, degradation costed after the fact."""
     problem = build_model(case)
-    return _passes(case, problem, model, econ, LodConfig(max_iterations=0), soh).iterations[0]
+    return _passes(problem, model, econ, LodConfig(max_iterations=0), soh).iterations[0]
 
 
 def run_linear_bdc(
@@ -205,7 +205,7 @@ def run_linear_bdc(
     result is comparable with the other strategies.
     """
     problem = build_model(case, linear_bdc_rate=econ.linear_bdc_rate)
-    return _passes(case, problem, model, econ, LodConfig(max_iterations=0), soh).iterations[0]
+    return _passes(problem, model, econ, LodConfig(max_iterations=0), soh).iterations[0]
 
 
 def run_lod(
@@ -227,4 +227,4 @@ def run_lod(
     diagnosis; an infeasible later pass ends the loop as "infeasible" and
     its diagnosis is kept on the trace.
     """
-    return _passes(case, build_model(case), model, econ, cfg or LodConfig(), soh)
+    return _passes(build_model(case), model, econ, cfg or LodConfig(), soh)

@@ -368,7 +368,8 @@ def train_stack(jobs: Iterable[TrainJob]) -> list[TrainedNetwork | TrainingDiver
 
     Returns one entry per job, in order: the fitted network, or the
     TrainingDiverged of a network whose loss became non-finite. A diverged
-    network leaves the stack and the others train on.
+    network keeps its row, unevaluated, and the others train on unchanged: no
+    row of a batched step reads another. The epochs stop once all have diverged.
     """
     nets: list[TrainedNetwork | TrainingDiverged] = []
     rngs: list[np.random.Generator] = []
@@ -398,50 +399,42 @@ def train_stack(jobs: Iterable[TrainJob]) -> list[TrainedNetwork | TrainingDiver
     flat = np.stack([np.concatenate([a.ravel() for wb in n.params for a in wb]) for n in nets])
     grad = np.empty_like(flat)
     params, grads = _layer_views(flat, spec), _layer_views(grad, spec)
-    alive = list(range(len(nets)))  # the job index of each network in the stack
     (n_train, n_in), n_out = data[0][0].shape, spec.n_outputs
     # A diverging network overflows on its way to a non-finite loss; the
-    # finite-loss check below reports it.
+    # finite-loss check below reports it. Its row keeps stepping, unread.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             lr = cfg.initial_lr * cfg.lr_decay_factor ** (epoch // cfg.decay_every_epochs)
             # One shuffled copy per network and epoch; the minibatches are views
             # of it. It is freed before the evaluation passes to bound the peak.
-            xs = np.empty((len(alive), n_train, n_in))
-            ys = np.empty((len(alive), n_train, n_out))
-            for k, j in enumerate(alive):
-                order = rngs[j].permutation(n_train)
-                xs[k], ys[k] = data[j][0][order], data[j][1][order]
+            xs = np.empty((len(nets), n_train, n_in))
+            ys = np.empty((len(nets), n_train, n_out))
+            for k, (rng, (xt, yt, _, _)) in enumerate(zip(rngs, data)):
+                order = rng.permutation(n_train)
+                xs[k], ys[k] = xt[order], yt[order]
             for start in range(0, n_train, cfg.batch_size):
                 stop = start + cfg.batch_size
                 loss_gradients(params, xs[:, start:stop], ys[:, start:stop], out=grads)
                 flat -= lr * grad
             del xs, ys
 
-            keep = []
-            for k, j in enumerate(alive):
-                xt, yt, xv, yv = data[j]
+            for k, (net, (xt, yt, xv, yv)) in enumerate(zip(nets, data)):
+                if isinstance(net, TrainingDiverged):
+                    continue
                 own = [(w[k], b[k]) for w, b in params]
                 train_mse = mse(forward(own, xt), yt)
                 val_mse = mse(forward(own, xv), yv)
                 if not (np.isfinite(train_mse) and np.isfinite(val_mse)):
-                    nets[j] = TrainingDiverged(epoch)
+                    nets[k] = TrainingDiverged(epoch)
                     continue
-                keep.append(k)
-                net = nets[j]
                 net.history["train_mse"].append(train_mse)
                 net.history["val_mse"].append(val_mse)
                 net.history["lr"].append(lr)
                 if net.best_epoch < 0 or val_mse < net.history["val_mse"][net.best_epoch]:
                     net.params = [(w.copy(), b.copy()) for w, b in own]
                     net.best_epoch = epoch
-            if len(keep) < len(alive):
-                alive = [alive[k] for k in keep]
-                if not alive:
-                    break
-                flat = flat[keep]
-                grad = np.empty_like(flat)
-                params, grads = _layer_views(flat, spec), _layer_views(grad, spec)
+            if all(isinstance(net, TrainingDiverged) for net in nets):
+                break
 
     return nets
 

@@ -15,6 +15,8 @@ one stack per task. `select_best_combination` fits and ranks any list of
 pairs: the variant search is every compatible pair, a named pair a list of one.
 A train run takes its train/validation row split once (`shared_split`) and
 hands it to every function that fits or scores a network.
+`stage_two_inputs` alone composes the two stages. Each pair's composed row
+is scored once, in the search; `performance_comparison` reads it from there.
 """
 
 from __future__ import annotations
@@ -244,7 +246,7 @@ def stage_two_inputs(
         stage_one = model.ubdf.predict(x_bdf)
     columns = dict(zip(BDF_FEATURES, x_bdf.T))
     columns.update(zip(model.ubdf_outputs, np.atleast_2d(stage_one).T))
-    return _column_matrix(columns, model.bdp_inputs)
+    return np.column_stack([columns[n] for n in model.bdp_inputs])
 
 
 def predict_degradation(
@@ -288,10 +290,6 @@ def _mask_for(names: tuple[str, ...]) -> np.ndarray:
 def _derived_config(cfg: TrainConfig, tag: int) -> TrainConfig:
     seed = int(np.random.SeedSequence([cfg.seed, tag]).generate_state(1)[0])
     return replace(cfg, seed=seed)
-
-
-def _column_matrix(columns: dict[str, np.ndarray], names: tuple[str, ...]) -> np.ndarray:
-    return np.column_stack([columns[n] for n in names])
 
 
 def _select(rows: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
@@ -399,16 +397,6 @@ def fit_networks(
     return fitted
 
 
-def composed_predictions(
-    model: DegradationModel, x_bdf: np.ndarray, stage_one: np.ndarray | None = None
-) -> np.ndarray:
-    """Per-cycle stage-two predictions, stage one supplying the internal features.
-
-    `stage_one` is as for `stage_two_inputs`.
-    """
-    return model.bdp.predict(stage_two_inputs(model, x_bdf, stage_one)).ravel()
-
-
 def accuracy_row(predictions: np.ndarray, targets: np.ndarray, model_id) -> dict:
     """One report-table row: accuracies at the four shared tolerances.
 
@@ -458,8 +446,8 @@ def select_best_combination(
 
     Scoring gathers the dataset's validation rows once and runs each network
     once on its columns of them: a stage-one variant's predictions score its
-    table row and feed every pair it is in. The rows come out as if each
-    pair were scored alone with composed_predictions, bit for bit.
+    table row and feed every pair it is in through stage_two_inputs. The
+    rows come out as if each pair were scored alone, bit for bit.
     """
     pairs = compatible_pairs() if pairs is None else pairs
     for u, b in pairs:
@@ -489,7 +477,7 @@ def select_best_combination(
     for u, b in pairs:
         if ("ubdf", u) in nets and ("bdp", b) in nets:
             pair = DegradationModel(u, b, nets[("ubdf", u)], nets[("bdp", b)])
-            scores = composed_predictions(pair, x_val, predicted[("ubdf", u)])
+            scores = pair.bdp.predict(stage_two_inputs(pair, x_val, predicted[("ubdf", u)]))
             row = accuracy_row(scores, deg_val, f"{u}-{b}")
             report.composed_table.append(row)
             ranked[(row["tol15"], row["tol10"], -u, -b)] = pair
@@ -516,14 +504,18 @@ def train_benchmarks(
 
 def performance_comparison(
     model: DegradationModel,
+    report: SelectionReport,
     benchmarks: dict[str, TrainedNetwork],
     dataset: AgingDataset,
     split: Split,
 ) -> list[dict]:
-    """Composed-model vs benchmark accuracies on the run's validation rows."""
+    """Composed-model vs benchmark accuracies on the run's validation rows;
+    the former is the model's row of the search's `report.composed_table`."""
+    pair = f"{model.ubdf_id}-{model.bdp_id}"
+    [row] = [r for r in report.composed_table if r["model_id"] == pair]
     val = np.take(dataset.data, split[1], axis=0)
     x_val, deg_val = _select(val, BDF_FEATURES), _select(val, DEGRADATION)
-    rows = [accuracy_row(composed_predictions(model, x_val), deg_val, "hdl-bdq")]
+    rows = [{**row, "model_id": "hdl-bdq"}]
     for name in ("nnbd", "nnbd2"):
         rows.append(accuracy_row(benchmarks[name].predict(x_val), deg_val, name))
     return rows

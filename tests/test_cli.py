@@ -14,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 from degradesched import cli, net, quantifier, storage
+from degradesched.aging import DATASET_COLUMNS
 from degradesched.cli import main
 from degradesched.exampleday import load_example_day
 from degradesched.lod import EconParams, LodConfig
@@ -29,7 +30,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    """Shared inputs: a tiny dataset, a 24h case file and a model artifact."""
+    """Shared inputs: a tiny dataset, a 24h case file, a model artifact and
+    that case's traditional schedule."""
     root = tmp_path_factory.mktemp("cli")
     grid = [
         {"soc_high": 0.8, "dod": 0.5, "temp_amb": 25.0, "c_rate": 1.0},
@@ -44,6 +46,12 @@ def workdir(tmp_path_factory):
     assert result.exit_code == 0, result.output
     storage.write_case(root / "case.json", day_case(), series_csv="series.csv")
     storage.write_model_artifact(root / "stub_model.json", constant_model(2e-4))
+    result = runner.invoke(
+        main,
+        ["schedule", "--case", str(root / "case.json"), "--mode", "traditional",
+         "--model", str(root / "stub_model.json"), "--out-dir", str(root / "sched")],
+    )
+    assert result.exit_code == 0, result.output
     return root
 
 
@@ -299,6 +307,31 @@ class TestTrain:
             return {line.split(",")[0]: line.split(",")[1:] for line in lines[1:]}
 
         assert rows("performance_comparison")["hdl-bdq"] == rows("composed_pairs")[selected]
+
+    def test_comparison_row_is_the_saved_pair_recomposed(self, workdir, tmp_path):
+        # Recompose the artifact's pair on the run's validation rows,
+        # independently of the search that the row is read from.
+        result = runner.invoke(
+            main,
+            ["train", "--dataset", str(workdir / "aging.csv"),
+             "--out", str(tmp_path / "model.json"), "--ubdf", "6", "--bdp", "10",
+             "--with-benchmarks", "--epochs", "3", "--seed", "2"],
+        )
+        assert result.exit_code == 0, result.output
+        dataset = storage.read_dataset(workdir / "aging.csv")
+        model = storage.read_model_artifact(tmp_path / "model.json")
+        _, val = quantifier.shared_split(dataset, net.TrainConfig(seed=2))
+
+        def columns(names):
+            return dataset.data[np.ix_(val, [DATASET_COLUMNS.index(n) for n in names])]
+
+        scores = model.bdp.predict(
+            quantifier.stage_two_inputs(model, columns(quantifier.BDF_FEATURES)))
+        want = quantifier.accuracy_row(scores, columns(quantifier.DEGRADATION), "hdl-bdq")
+        header, *lines = (tmp_path / "performance_comparison.csv").read_text().splitlines()
+        [cells] = [line.split(",") for line in lines if line.startswith("hdl-bdq,")]
+        got = dict(zip(header.split(","), [cells[0], *map(float, cells[1:])]))
+        assert got == want
 
     def test_closure_incompatible_rejected_before_training(self, workdir, tmp_path):
         result = runner.invoke(
@@ -915,6 +948,21 @@ class TestReport:
         assert "empty.csv: table has no data rows" in result.output
         assert not (report_out / "cost_vs_iteration.csv").exists()
 
+    def test_mismatched_horizons_name_each_schedule(self, workdir, tmp_path):
+        schedule = workdir / "sched" / "schedule.csv"
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(schedule.read_text().splitlines()[:3]) + "\n")
+        report_out = tmp_path / "report"
+        result = runner.invoke(
+            main,
+            ["report", "--traditional", str(schedule), "--linear", str(short),
+             "--lod", str(schedule), "--out-dir", str(report_out)],
+        )
+        assert result.exit_code == 2
+        assert (f"schedules have mismatched horizons: {schedule} has 24 rows, "
+                f"{short} has 2 rows, {schedule} has 24 rows") in result.output
+        assert not report_out.exists()
+
     def test_missing_input_named(self, tmp_path):
         result = runner.invoke(
             main,
@@ -924,6 +972,7 @@ class TestReport:
         )
         assert result.exit_code == 2
         assert "a.csv" in result.output
+        assert not (tmp_path / "out").exists()
 
 
 # Each command given a path it cannot use: a directory where a file goes, a
@@ -939,8 +988,8 @@ BAD_PATHS = {
                   "--out-dir", "{tmp}/o"],
     "schedule_out_file": ["schedule", "--case", "example-day", "--mode", "lod",
                           "--model", "{model}", "--out-dir", "{file}"],
-    "report_out_file": ["report", "--traditional", "{tmp}/a.csv", "--linear", "{tmp}/b.csv",
-                        "--lod", "{tmp}/c.csv", "--out-dir", "{file}"],
+    "report_out_file": ["report", "--traditional", "{schedule}", "--linear", "{schedule}",
+                        "--lod", "{schedule}", "--out-dir", "{file}"],
     "report_binary_input": ["report", "--traditional", "{binary}", "--linear", "{binary}",
                             "--lod", "{binary}", "--out-dir", "{tmp}/r"],
 }
@@ -954,7 +1003,8 @@ class TestExitCodes:
         paths["dir"].mkdir()
         paths["file"].write_text("")
         paths["binary"].write_bytes(b"\xff\xfe\x00\x01\n")
-        args = [a.format(tmp=tmp_path, model=workdir / "stub_model.json", **paths)
+        args = [a.format(tmp=tmp_path, model=workdir / "stub_model.json",
+                         schedule=workdir / "sched" / "schedule.csv", **paths)
                 for a in argv]
         named = next(str(path) for key, path in paths.items() if f"{{{key}}}" in argv)
         result = runner.invoke(main, args)

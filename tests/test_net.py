@@ -382,7 +382,7 @@ class TestTrain:
 class TestTrainStack:
     SPEC = NetworkSpec((4, 12, 8, 2))
 
-    def job(self, seed, log_target=False, y_scale=1.0, scaled=True):
+    def job(self, seed, log_target=False, y_scale=1.0, scaled=True, lr=TrainConfig.initial_lr):
         """One network's TrainJob and the `train` call that fits it alone,
         both from one (x, y, split).
 
@@ -392,7 +392,7 @@ class TestTrainStack:
         rng = np.random.default_rng(100 + seed)
         x = rng.uniform(-1, 2, size=(612, 4))
         y = y_scale * np.exp(np.sin(x @ rng.normal(size=(4, 2))))
-        cfg = TrainConfig(epochs=7, decay_every_epochs=3, seed=seed)
+        cfg = TrainConfig(initial_lr=lr, epochs=7, decay_every_epochs=3, seed=seed)
         split = net.split_indices(len(x), cfg.train_fraction, cfg.seed)
         y_mask = np.array([True, log_target]) if scaled else None
         job = net.TrainJob(x[split[0]], y[split[0]], x[split[1]], y[split[1]], self.SPEC, cfg,
@@ -417,6 +417,22 @@ class TestTrainStack:
             cases[1][1]()
         assert isinstance(stacked[1], net.TrainingDiverged)
         assert stacked[1].epoch == alone.value.epoch
+        for k in (0, 2):
+            assert_same_network(stacked[k], cases[k][1]())
+
+    def test_members_diverging_after_the_first_epoch(self):
+        # At this rate unscaled targets near 1e10 overflow only after some
+        # epochs, seed 1 at epoch 3 and seed 5 at the last; the diverged
+        # rows keep stepping beside the scaled stack-mates, which train through.
+        cases = [self.job(4, lr=300), self.job(1, y_scale=1e10, scaled=False, lr=300),
+                 self.job(6, lr=300), self.job(5, y_scale=1e10, scaled=False, lr=300)]
+        stacked = net.train_stack([job for job, _ in cases])
+        for k in (1, 3):
+            with pytest.raises(net.TrainingDiverged) as alone:
+                cases[k][1]()
+            assert isinstance(stacked[k], net.TrainingDiverged)
+            assert stacked[k].epoch == alone.value.epoch
+        assert [stacked[k].epoch for k in (1, 3)] == [3, 6]
         for k in (0, 2):
             assert_same_network(stacked[k], cases[k][1]())
 

@@ -23,12 +23,12 @@ from degradesched.quantifier import (
     bdp_required_unobtainables,
     cbup,
     compatible_pairs,
-    composed_predictions,
     fit_networks,
     network_job,
     predict_degradation,
     select_best_combination,
     shared_split,
+    stage_two_inputs,
     train_benchmarks,
 )
 from test_lod import constant_model, constant_network
@@ -249,6 +249,15 @@ class TestPredict:
         with pytest.warns(FeatureRangeWarning):
             predict_degradation(model, self.cycles(1), soh=1.0)
 
+    def test_stage_one_output_outside_stage_two_range_warns(self):
+        # Stage one predicts ir = 60 for every cycle; a stage two fitted on
+        # ir in [0, 1] names that internal feature alone.
+        model = constant_model(1e-4)
+        ir = model.bdp_inputs.index("ir")
+        model.bdp.x_norm.lo[ir], model.bdp.x_norm.hi[ir] = 0.0, 1.0
+        with pytest.warns(FeatureRangeWarning, match=r"inputs \['ir'\] fall outside"):
+            predict_degradation(model, self.cycles(1), soh=1.0)
+
     def test_soh_domain(self):
         model = constant_model(1e-4)
         with pytest.raises(ValueError):
@@ -367,11 +376,13 @@ class TestScoring:
                 for v in variants
             ]
         x_val, deg_val = matrix(BDF_FEATURES), dataset_column(ds, "degradation")[val_idx]
+
+        def composed(u, b):
+            pair = DegradationModel(u, b, fitted[("ubdf", u)], fitted[("bdp", b)])
+            return pair.bdp.predict(stage_two_inputs(pair, x_val))
+
         assert report.composed_table == [
-            accuracy_row(composed_predictions(
-                DegradationModel(u, b, fitted[("ubdf", u)], fitted[("bdp", b)]), x_val),
-                deg_val, f"{u}-{b}")
-            for u, b in compatible_pairs()
+            accuracy_row(composed(u, b), deg_val, f"{u}-{b}") for u, b in compatible_pairs()
         ]
 
 
