@@ -14,22 +14,25 @@ price never exceeds the buy price, and a start never costs less than 0.
 
 The constraint matrix is held sparse, as each family's (row, column,
 coefficient) terms; it is never densified on the way to the solver. The model
-is solved to proven optimality by HiGHS through scipy; an infeasible model is
-diagnosed by an elastic solve over its own constraint rows.
+is solved to proven optimality by HiGHS, called through the binding that
+scipy bundles (scipy.optimize._highspy._core) with the options and status
+classes of scipy's milp function; an infeasible model is diagnosed by an
+elastic solve over its own constraint rows.
 
 scipy loads on the first model build, not with this module: build_model
-imports scipy.sparse and the first solve scipy.optimize. Loading the two
-takes most of the package's import time, which the commands that never
-solve (simulate-aging, train, report) would otherwise pay at start-up.
+imports scipy.sparse, and the first solve imports the binding, which loads
+scipy.optimize with it. Loading the two takes most of the package's import
+time, which the commands that never solve (simulate-aging, train, report)
+would otherwise pay at start-up.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
+from functools import cache
 from numbers import Real
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -300,6 +303,8 @@ def build_model(case: MicrogridCase, linear_bdc_rate: float | None = None) -> Mi
     """
     from scipy import sparse
 
+    if linear_bdc_rate is not None and not math.isfinite(linear_bdc_rate):
+        raise ValueError(f"linear_bdc_rate must be a finite number: {linear_bdc_rate}")
     T, dt = case.horizon, case.dt_hours
     gens, bess = case.generators, case.bess
     G, S = len(gens), len(bess)
@@ -442,39 +447,89 @@ def _row_violation(problem: MilpProblem, x: np.ndarray) -> float:
     return max(0.0, float(np.max(residual[:n_ub])), float(np.max(np.abs(residual[n_ub:]))))
 
 
-# scipy's warning that it passes the feasibility-jump option to HiGHS verbatim.
-_FJ_WARNING = r"Unrecognized options detected: \{'mip_heuristic_run_feasibility_jump'\}"
+class _Solved(NamedTuple):
+    """One HiGHS run: `outcome` classes HiGHS's model status as scipy's milp
+    does ("optimal", "infeasible", "unbounded" or "failed"), `status` is
+    HiGHS's name for it, and x and objective are set only when the outcome
+    is "optimal"."""
+
+    outcome: str
+    status: str
+    x: np.ndarray | None = None
+    objective: float | None = None
 
 
-def _milp(problem: MilpProblem, lb: np.ndarray, ub: np.ndarray, integrality: np.ndarray):
-    """HiGHS on the problem's rows and objective with the given bounds.
+@cache
+def _highs() -> tuple:
+    """scipy's bundled HiGHS binding, the options every solve passes (HiGHS
+    copies them into each solver), the outcome of each model status and the
+    column-type lookup, made on the first solve."""
+    from scipy.optimize._highspy import _core as highs
 
-    The sparse matrix goes to scipy as one constraint, inequality rows bounded
-    below by -inf, so scipy neither converts nor stacks it. HiGHS's
-    feasibility-jump heuristic is off: it takes about 14 ms of a 21 ms call
-    on a 12-binary MILP, and branch and bound proves the optimum anyway.
-    scipy hands that option to HiGHS verbatim and warns that it does; only
-    that warning is silenced.
+    options = highs.HighsOptions()
+    options.log_to_console = False
+    options.mip_rel_gap = 0.0
+    options.presolve = "on"
+    options.mip_heuristic_run_feasibility_jump = False
+    status = highs.HighsModelStatus
+    outcomes = {
+        status.kOptimal: "optimal",
+        status.kInfeasible: "infeasible",
+        status.kModelError: "infeasible",
+        status.kUnbounded: "unbounded",
+    }
+    var_type = np.array([highs.HighsVarType.kContinuous, highs.HighsVarType.kInteger], dtype=object)
+    return highs, options, outcomes, var_type
 
-    scipy.optimize is imported here, on the first solve, so that importing
-    the package stays cheap for the commands that never solve; later calls
-    find it already loaded.
+
+def _milp(problem: MilpProblem, lb: np.ndarray, ub: np.ndarray, is_int: np.ndarray) -> _Solved:
+    """HiGHS on the problem's rows and objective with the given bounds and
+    integer columns.
+
+    The model goes to HiGHS as scipy's milp hands it over: the CSC buffers
+    of `a` as they are, inequality rows bounded below by -inf, and one
+    column type per column. The options are the ones milp sets for this
+    package's call: no console log, a zero relative gap, presolve on, and
+    the feasibility-jump heuristic off (it takes about 14 ms of a 21 ms call
+    on a 12-binary MILP, and branch and bound proves the optimum anyway).
+    The solution is therefore milp's, bit for bit, without milp's per-call
+    argument checks and result assembly.
+
+    Statuses are classed as milp classes them: kOptimal is "optimal";
+    kInfeasible, and kModelError for a model HiGHS refuses, are
+    "infeasible"; kUnbounded is "unbounded"; any other status,
+    kUnboundedOrInfeasible included, is "failed".
+
+    scipy.optimize is imported on the first solve, so that importing the
+    package stays cheap for the commands that never solve.
     """
-    from scipy import optimize
-
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", _FJ_WARNING, RuntimeWarning)
-        return optimize.milp(
-            c=problem.c,
-            constraints=optimize.LinearConstraint(
-                problem.a,
-                np.concatenate((np.full(problem.b_ub.size, -np.inf), problem.b_eq)),
-                np.concatenate((problem.b_ub, problem.b_eq)),
-            ),
-            integrality=integrality,
-            bounds=optimize.Bounds(lb, ub),
-            options=dict(mip_rel_gap=0.0, presolve=True, mip_heuristic_run_feasibility_jump=False),
-        )
+    highs, options, outcomes, var_type = _highs()
+    n_rows, n = problem.a.shape
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = problem.a.indptr
+    lp.a_matrix_.index_ = problem.a.indices
+    lp.a_matrix_.value_ = problem.a.data
+    lp.col_cost_ = problem.c
+    lp.col_lower_ = lb
+    lp.col_upper_ = ub
+    lp.row_lower_ = np.concatenate((np.full(problem.b_ub.size, -np.inf), problem.b_eq))
+    lp.row_upper_ = np.concatenate((problem.b_ub, problem.b_eq))
+    lp.integrality_ = var_type[is_int.view(np.uint8)]
+    solver = highs._Highs()
+    solver.passOptions(options)
+    loaded = solver.passModel(lp) != highs.HighsStatus.kError
+    ran = loaded and solver.run() != highs.HighsStatus.kError
+    status = solver.getModelStatus() if loaded else highs.HighsModelStatus.kModelError
+    solved = _Solved(outcomes.get(status, "failed"), solver.modelStatusToString(status))
+    if solved.outcome != "optimal" or not ran:
+        return solved
+    return solved._replace(
+        x=np.array(solver.getSolution().col_value),
+        objective=solver.getInfo().objective_function_value,
+    )
 
 
 def solve(problem: MilpProblem, cap: UsageCap | None = None) -> DispatchSchedule:
@@ -494,21 +549,21 @@ def solve(problem: MilpProblem, cap: UsageCap | None = None) -> DispatchSchedule
     """
     if cap is not None:
         problem = replace(problem, b_ub=np.append(problem.b_ub[:-1], cap.cap_kwh))
-    res = _milp(problem, problem.lb, problem.ub, problem.is_int.astype(int))
-    if res.status == 2:
+    res = _milp(problem, problem.lb, problem.ub, problem.is_int)
+    if res.outcome == "infeasible":
         raise InfeasibleCaseError(_diagnose(problem))
-    if res.status == 3:
+    if res.outcome == "unbounded":
         raise RuntimeError("model unbounded; case invariants violated")
-    if res.status != 0 or res.x is None:
-        raise RuntimeError(f"solver failed: {res.message}")
-    x, objective = _snap(problem, res.x), res.fun
+    if res.x is None:
+        raise RuntimeError(f"solver failed: HiGHS model status {res.status}")
+    x, objective = _snap(problem, res.x), res.objective
     if _row_violation(problem, x) > FEASIBILITY_TOL:
         lb, ub = problem.lb.copy(), problem.ub.copy()
         lb[problem.is_int] = ub[problem.is_int] = x[problem.is_int]
-        res = _milp(problem, lb, ub, np.zeros(problem.n_variables, dtype=int))
-        if res.status != 0 or res.x is None:
-            raise RuntimeError(f"LP with rounded binaries failed: {res.message}")
-        x, objective = _snap(problem, res.x), res.fun
+        res = _milp(problem, lb, ub, np.zeros(problem.n_variables, dtype=bool))
+        if res.x is None:
+            raise RuntimeError(f"LP with rounded binaries failed: HiGHS model status {res.status}")
+        x, objective = _snap(problem, res.x), res.objective
     return _extract_schedule(problem, x, objective)
 
 
@@ -531,10 +586,10 @@ def _diagnose(problem: MilpProblem) -> list[str]:
         replace(problem, c=np.pad(weights, (n, 0)), a=a),
         np.pad(problem.lb, (0, weights.size)),
         np.pad(problem.ub, (0, weights.size), constant_values=np.inf),
-        np.pad(problem.is_int.astype(int), (0, weights.size)),
+        np.pad(problem.is_int, (0, weights.size)),
     )
     if res.x is None:
-        return [f"elastic diagnosis failed: {res.message}"]
+        return [f"elastic diagnosis failed: HiGHS model status {res.status}"]
     slack = res.x[n : n + n_rows]
     slack[n_ub:] += res.x[n + n_rows :]
     report = []

@@ -93,20 +93,22 @@ def _write_table(path: str | Path, header: tuple[str, ...], columns) -> Path:
 def _block_cells(block: list) -> list[list]:
     """One block of columns as the cell lists `csv.writer` takes.
 
-    The float64 arrays' distinct values are found in one pass over all of
-    them, keyed on their bit patterns, not compared as floats, so -0.0
-    keeps its sign apart from 0.0; each is formatted once, with the repr
-    `csv.writer` would give it. Other arrays go through `.tolist()` and lists
-    pass as they are.
+    The float64 arrays' distinct values are found by one sort of all their
+    bit patterns, not compared as floats, so -0.0 keeps its sign apart from
+    0.0; each is formatted once, with the repr `csv.writer` would give it,
+    and each cell finds its text by binary search (np.unique's inverse
+    costs about 1.5x as much on a 24-row table). Other arrays go through
+    `.tolist()` and lists pass as they are.
     """
     cells = [c.tolist() if isinstance(c, np.ndarray) and c.dtype != np.float64 else c
              for c in block]
     floats = [j for j, c in enumerate(cells) if isinstance(c, np.ndarray)]
     if floats:
         bits = np.stack([cells[j] for j in floats]).view(np.int64)
-        distinct, index = np.unique(bits, return_inverse=True)
+        ordered = np.sort(bits, axis=None)
+        distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
         text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-        for j, column in zip(floats, text[index.reshape(bits.shape)].tolist()):
+        for j, column in zip(floats, text[np.searchsorted(distinct, bits)].tolist()):
             cells[j] = column
     return cells
 

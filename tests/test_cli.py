@@ -550,6 +550,26 @@ class TestSchedule:
         caps = [r["usage_cap_kwh"] for r in rows if r["usage_cap_kwh"] is not None]
         assert all(b < a for a, b in zip(caps, caps[1:]))
 
+    def test_lod_prints_a_range_warning_once(self, workdir, tmp_path):
+        """Under Python's default filter a warning shows once per location,
+        however many passes raise it. A fresh interpreter has that filter;
+        this one has pyproject.toml's, which turns every warning into an error."""
+        narrow = constant_model(2e-4)
+        n_in = narrow.bdp.x_norm.lo.size
+        narrow.bdp.x_norm = net.Normalizer(np.full(n_in, -2.0), np.full(n_in, -1.0),
+                                            np.ones(n_in, bool))
+        storage.write_model_artifact(tmp_path / "narrow.json", narrow)
+        out = tmp_path / "lod"
+        done = run_fresh(
+            "import sys\nfrom degradesched.cli import main\nmain(sys.argv[1:])\n",
+            "schedule", "--case", str(workdir / "case.json"), "--mode", "lod",
+            "--model", str(tmp_path / "narrow.json"), "--out-dir", str(out),
+            "--alpha", "0.1", "--max-iterations", "5", "--patience", "3",
+        )
+        assert done.returncode == 0, done.stderr
+        assert len(storage.read_trace(out / "trace.csv")) > 2
+        assert done.stderr.count("FeatureRangeWarning") == 1, done.stderr
+
     def test_solve_seconds_excludes_reading_inputs(self, workdir, tmp_path, monkeypatch):
         read = storage.read_model_artifact
 

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import optimize, sparse
 
+from degradesched import milp
 from degradesched.exampleday import load_example_day
 from degradesched.milp import (
     Bess,
@@ -151,6 +152,11 @@ class TestBuildModel:
         # A continuous startup indicator is exact only while a start costs >= 0.
         with pytest.raises(ValueError, match=cost):
             Generator(p_min=0, p_max=180, ramp=120, cost_energy=0.3, **{cost: -1.0})
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_non_finite_bdc_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="linear_bdc_rate"):
+            build_model(day_case(), linear_bdc_rate=rate)
 
 
 class TestReadOffFields:
@@ -318,6 +324,94 @@ class TestOracleEquivalence:
             assert abs(sched.objective - expected) <= 1e-6 * scale
             assert validate_schedule(case, sched) == []
             checked += 1
+
+
+def scipy_milp(problem, lb, ub, is_int):
+    """`milp._milp` through scipy's public optimize.milp on the same arrays and
+    options: the reference that the direct call into scipy's binding matches."""
+    res = optimize.milp(
+        c=problem.c,
+        constraints=optimize.LinearConstraint(
+            problem.a,
+            np.concatenate((np.full(problem.b_ub.size, -np.inf), problem.b_eq)),
+            np.concatenate((problem.b_ub, problem.b_eq)),
+        ),
+        integrality=is_int.astype(int),
+        bounds=optimize.Bounds(lb, ub),
+        options=dict(mip_rel_gap=0.0, presolve=True, mip_heuristic_run_feasibility_jump=False),
+    )
+    outcome = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, "failed")
+    if outcome != "optimal":
+        return milp._Solved(outcome, res.message)
+    return milp._Solved(outcome, res.message, res.x, res.fun)
+
+
+class TestScipyReference:
+    """`_milp` calls HiGHS through scipy's private `_highspy._core`. The public
+    optimize.milp must give the same schedules, bit for bit, so that a scipy
+    release that changes the binding fails here."""
+
+    @pytest.mark.filterwarnings("ignore:Unrecognized options detected:RuntimeWarning")
+    def test_schedules_match_scipy_milp_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(2024)  # TestOracleEquivalence's micro cases
+        runs = [(build_model(random_micro_case(rng)), None) for _ in range(12)]
+        day = build_model(day_case())
+        tau = solve(day).bess_throughput_kwh(day.case)
+        runs += [(day, None), *((day, UsageCap(f * tau)) for f in (0.5, 0.2, 0.0))]
+        runs.append((build_model(week_case()), None))  # solved through the rounded-binary LP
+        direct = [solve(problem, cap) for problem, cap in runs]
+
+        monkeypatch.setattr(milp, "_milp", scipy_milp)
+        for (problem, cap), got in zip(runs, direct):
+            want = solve(problem, cap)
+            for field in dataclasses.fields(want):
+                a, b = np.asarray(getattr(got, field.name)), np.asarray(getattr(want, field.name))
+                assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), field.name
+
+    @pytest.mark.filterwarnings("ignore:Unrecognized options detected:RuntimeWarning")
+    def test_infeasible_reports_match_scipy_milp(self, monkeypatch):
+        problem = build_model(dataclasses.replace(load_example_day(), p_grid_max=700.0))
+        with pytest.raises(InfeasibleCaseError) as direct:
+            solve(problem)
+        monkeypatch.setattr(milp, "_milp", scipy_milp)
+        with pytest.raises(InfeasibleCaseError) as reference:
+            solve(problem)
+        assert direct.value.report == reference.value.report
+
+
+class TestSolverStatuses:
+    """Each HiGHS model status ends as scipy.optimize.milp classes it."""
+
+    def test_unbounded_milp_fails_as_unbounded_or_infeasible(self):
+        # HiGHS's presolve cannot tell these two apart with integers present.
+        problem = build_model(day_case())
+        free = np.where(problem.is_int, problem.ub, np.inf)
+        unbounded = dataclasses.replace(problem, c=-np.ones(problem.n_variables), ub=free)
+        with pytest.raises(RuntimeError) as exc:
+            solve(unbounded)
+        assert not isinstance(exc.value, InfeasibleCaseError)
+        assert str(exc.value) == "solver failed: HiGHS model status Primal infeasible or unbounded"
+
+    def test_unbounded_lp_is_reported_unbounded(self):
+        problem = build_model(day_case())
+        unbounded = dataclasses.replace(
+            problem, c=-np.ones(problem.n_variables),
+            ub=np.where(problem.is_int, problem.ub, np.inf), is_int=np.zeros_like(problem.is_int),
+        )
+        with pytest.raises(RuntimeError, match="^model unbounded; case invariants violated$"):
+            solve(unbounded)
+
+    def test_model_error_is_infeasible(self):
+        # HiGHS refuses an infinite coefficient when the model is passed.
+        problem = build_model(day_case())
+        a = problem.a.copy()
+        a.data[0] = np.inf
+        refused = dataclasses.replace(problem, a=a)
+        res = milp._milp(refused, refused.lb, refused.ub, refused.is_int)
+        assert (res.outcome, res.status, res.x) == ("infeasible", "Model error", None)
+        with pytest.raises(InfeasibleCaseError) as exc:
+            solve(refused)
+        assert exc.value.report == ["elastic diagnosis failed: HiGHS model status Model error"]
 
 
 def week_case():
