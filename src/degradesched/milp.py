@@ -171,8 +171,8 @@ class UsageCap:
     cap_kwh: float
 
     def __post_init__(self) -> None:
-        if self.cap_kwh < 0:
-            raise ValueError(f"cap_kwh must be >= 0: {self.cap_kwh}")
+        if not self.cap_kwh >= 0:  # NaN too; +inf is no cap
+            raise ValueError(f"cap_kwh must be a number >= 0: {self.cap_kwh}")
 
 
 @dataclass

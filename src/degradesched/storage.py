@@ -2,16 +2,17 @@
 
 CSV and JSON readers/writers for aging datasets, trained model artifacts,
 scheduling cases, dispatch schedules, iteration traces, report tables and
-run manifests. Every CSV is written by one table writer and every numeric
-CSV that is read back (datasets, case series, schedules, traces) goes
-through one header-checked table reader that rejects undecodable text,
-wrong column counts, non-numeric or non-finite cells and tables with no
-data rows, naming the file and the row of the first fault in file order
-and quoting a bad cell as written. Every JSON document is written by
-`write_json` and read by `read_json` (or, for the array of an aging grid,
-`read_grid`), which turns undecodable text or a top level of the wrong type
-into a `FileFormatError`. Everything else in the package is pure;
-filesystem side effects live here and in the CLI.
+run manifests. Every CSV is written by one table writer, byte for byte as
+`csv.writer` would write it, and every numeric CSV that is read back
+(datasets, case series, schedules, traces) goes through one header-checked
+table reader that rejects undecodable text, wrong column counts,
+non-numeric or non-finite cells and tables with no data rows, naming the
+file and the row of the first fault in file order and quoting a bad cell
+as written. Every JSON document is written by `write_json` and read by
+`read_json` (or, for the array of an aging grid, `read_grid`), which turns
+undecodable text or a top level of the wrong type into a `FileFormatError`.
+Everything else in the package is pure; filesystem side effects live here
+and in the CLI.
 """
 
 from __future__ import annotations
@@ -74,33 +75,40 @@ def _write_table(path: str | Path, header: tuple[str, ...], columns) -> Path:
     The bytes are those of `csv.writer` over each column's `.tolist()`:
     floats print as their shortest round-trip repr, integer arrays as
     integers, and `None` as an empty cell, which `_read_table(blank=...)`
-    reads back. Rows go out in blocks of WRITE_BLOCK_ROWS, so no whole
-    column is ever held as Python objects, and each distinct float of a
-    block is formatted once (see `_block_cells`).
+    reads back. The header and then each block of WRITE_BLOCK_ROWS rows go
+    out as text, every row one `",".join` of its cells ended by "\\r\\n" and
+    every block one write, so no whole column is ever held as Python
+    objects. `_block_cells` and `_text` make each cell's text as
+    `csv.writer` would, quoting included, and each distinct float of a
+    block is formatted once.
     """
     path = Path(path)
     columns = list(columns)
     n = min(map(len, columns), default=0)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(_text(header, len(header) == 1)) + "\r\n")
         for start in range(0, n, WRITE_BLOCK_ROWS):
-            stop = min(start + WRITE_BLOCK_ROWS, n)  # zip's rows: the shortest column's
-            writer.writerows(zip(*_block_cells([c[start:stop] for c in columns])))
+            block = _block_cells([c[start:start + WRITE_BLOCK_ROWS] for c in columns])
+            # zip's rows: the shortest column's, as csv.writer's would be
+            fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
     return path
 
 
-def _block_cells(block: list) -> list[list]:
-    """One block of columns as the cell lists `csv.writer` takes.
+def _block_cells(block: list) -> list[list[str]]:
+    """One block of columns as the text of each cell, as `csv.writer` writes it.
 
     The float64 arrays' distinct values are found by one sort of all their
     bit patterns, not compared as floats, so -0.0 keeps its sign apart from
     0.0; each is formatted once, with the repr `csv.writer` would give it,
     and each cell finds its text by binary search (np.unique's inverse
-    costs about 1.5x as much on a 24-row table). Other arrays go through
-    `.tolist()` and lists pass as they are.
+    costs about 1.5x as much on a 24-row table). A float repr never needs
+    quoting. Every other cell, of a list or of another array's `.tolist()`,
+    becomes "" if it is None and str(cell) otherwise; a text holding a
+    comma, a quote or a line end is wrapped in quotes with each inner quote
+    doubled, and in a table of one column an empty cell is written `""`.
     """
-    cells = [c.tolist() if isinstance(c, np.ndarray) and c.dtype != np.float64 else c
+    cells = [c if isinstance(c, np.ndarray) and c.dtype == np.float64 else
+             _text(c.tolist() if isinstance(c, np.ndarray) else c, len(block) == 1)
              for c in block]
     floats = [j for j, c in enumerate(cells) if isinstance(c, np.ndarray)]
     if floats:
@@ -111,6 +119,19 @@ def _block_cells(block: list) -> list[list]:
         for j, column in zip(floats, text[np.searchsorted(distinct, bits)].tolist()):
             cells[j] = column
     return cells
+
+
+def _text(values, alone: bool) -> list[str]:
+    """`csv.writer`'s text for each of `values`; `alone`: each is the only cell of its row.
+
+    Cells are scanned one by one for quoting only when the joined text holds
+    a character that calls for it, or an `alone` cell is empty.
+    """
+    text = ["" if v is None else str(v) for v in values]
+    if not (any(ch in "".join(text) for ch in ',"\r\n') or alone and "" in text):
+        return text
+    return ['"' + t.replace('"', '""') + '"' if any(ch in t for ch in ',"\r\n') or alone and not t
+            else t for t in text]
 
 
 def write_json(path: str | Path, doc: dict) -> Path:

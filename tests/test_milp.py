@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -478,6 +479,16 @@ class TestUsageCap:
             assert capped.objective >= free.objective - 1e-6
             assert capped.bess_throughput_kwh(case) <= fraction * tau + 1e-6
             assert validate_schedule(case, capped, cap=UsageCap(fraction * tau)) == []
+
+    @pytest.mark.parametrize("cap", [math.nan, -1.0, -math.inf])
+    def test_cap_must_be_a_number_at_least_zero(self, cap):
+        with pytest.raises(ValueError, match=re.escape(f"cap_kwh must be a number >= 0: {cap}")):
+            UsageCap(cap)
+
+    def test_infinite_cap_is_no_cap(self):
+        problem = build_model(day_case())
+        free = solve(problem)
+        assert solve(problem, UsageCap(math.inf)).objective == pytest.approx(free.objective)
 
     def test_cap_leaves_the_problem_unchanged(self):
         problem = build_model(day_case())

@@ -207,6 +207,38 @@ def test_table_writer_matches_csv_writer(tmp_path):
     assert (tmp_path / "dataset.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+# Tables whose cells csv.writer quotes, or writes apart from str(cell): a
+# header and its columns.
+EDGE_TABLES = {
+    "quoted_text": (("text", "n"), [["a,b", 'say "hi"', "two\nlines", "crlf\r\nend", "\r", ""],
+                                    np.arange(6)]),
+    "one_column": (("maybe",), [[None, "", "x", None]]),
+    "quoted_header": (("a,b", 'q"', "line\nend", ""), [[1], [2], [3], [4]]),
+    "scalars": (("bool", "int64", "float64"), [[True, False], [np.int64(-3), np.int64(7)],
+                                               [np.float64(0.1), np.float64(-0.0)]]),
+    "no_rows": (("a", "b"), [np.array([]), []]),
+    "empty_header": (("",), [np.array([1.5, -0.0])]),
+}
+
+
+@pytest.mark.parametrize("header, columns", EDGE_TABLES.values(), ids=EDGE_TABLES)
+def test_table_writer_edge_cells(tmp_path, header, columns):
+    reference_write(tmp_path / "want.csv", header, columns)
+    storage._write_table(tmp_path / "got.csv", header, columns)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_default_dataset_written_as_csv_writer_writes_it(tmp_path):
+    dataset = aging.generate_dataset(aging.default_grid(), noise_sigma=0.02, seed=0)
+    assert len(dataset) > 12 * storage.WRITE_BLOCK_ROWS  # blocks, and a part block at the end
+    path = storage.write_dataset(tmp_path / "aging.csv", dataset)
+    reference_write(tmp_path / "want.csv", aging.DATASET_COLUMNS, dataset.data.T)
+    assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    back = storage.read_dataset(path).data
+    assert back.shape == dataset.data.shape
+    assert back.tobytes() == dataset.data.tobytes()  # bit for bit
+
+
 
 # Ways to break a model artifact document that a reader must reject.
 MALFORMED_ARTIFACTS = {
