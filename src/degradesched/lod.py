@@ -1,12 +1,18 @@
 """Iterative scheduling loop that prices learned battery degradation.
 
-Each pass solves the scheduling MILP, reduces the scheduled battery profile
-to half cycles, prices the predicted degradation against the battery's net
-capital value, and tightens a cap on total battery throughput for the next
-pass. The loop keeps the iteration with the lowest combined operation +
-degradation cost. The two single-solve benchmarks are pass 0 of the same
-loop: the traditional run on the model that ignores degradation, and the
-linear-bdc run on one that prices throughput at a flat $/kWh rate.
+Each pass solves the scheduling problem under its cap, reduces the scheduled
+battery profile to half cycles, prices the predicted degradation against the
+battery's net capital value, and tightens a cap on total battery throughput
+for the next pass. The loop keeps the iteration with the lowest combined
+operation + degradation cost. The two single-solve benchmarks are pass 0 of
+the same loop: the traditional run on the model that ignores degradation, and
+the linear-bdc run on one that prices throughput at a flat $/kWh rate.
+
+Pass 0 solves the MILP. So does each pass whose cap falls below the cap
+range of the last MILP's commitment, and a pass whose cap is at solver
+tolerance scale. Every other pass re-solves the last MILP's commitment-fixed
+LP under its own cap (`milp.CapSession`), and a chosen pass that came from
+the LP is checked against the MILP at its cap.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .milp import (
+    CapSession,
     DispatchSchedule,
     InfeasibleCaseError,
     MicrogridCase,
@@ -31,6 +38,17 @@ IDLE_THROUGHPUT_KWH = 1e-9
 
 # A total cost must drop by more than this to count as an improvement ($).
 IMPROVEMENT_TOL = 1e-9
+
+# Caps at most this share of the model's never-binding default cap
+# (2*T*dt*sum(p_max)) solve as MILPs. The share is HiGHS's MIP feasibility
+# tolerance: at such a cap the MILP may leave a charge binary inside its
+# integrality tolerance, and rounding it idles the battery, where the LP
+# would keep throughput at the cap.
+TINY_CAP_SHARE = 1e-6
+
+# The MILP re-solve of a chosen LP pass must undercut its operation cost by
+# more than this share of that cost, taken as at least $1, to void the LP walk.
+GUARD_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -92,13 +110,15 @@ class LodTrace:
 
     `infeasible_report` is the diagnosis of the pass that ended the loop as
     "infeasible", and empty for any other stop. A single-solve strategy's
-    one pass ends as "single_solve".
+    one pass ends as "single_solve". `milp_solves` counts the MILPs the run
+    solved, the check of an LP-derived chosen pass included.
     """
 
     iterations: list[LodIteration]
     best_index: int
     termination_reason: str  # converged|cap_exhausted|max_iterations|infeasible|single_solve
     infeasible_report: list[str]
+    milp_solves: int
 
     @property
     def best(self) -> LodIteration:
@@ -107,8 +127,8 @@ class LodTrace:
 
 def degradation_cost(degradation: float, econ: EconParams) -> float:
     """Dollar cost of a degradation fraction against net capital value."""
-    if degradation < 0:
-        raise ValueError(f"degradation must be >= 0: {degradation}")
+    if not 0 <= degradation < math.inf:  # NaN too
+        raise ValueError(f"degradation must be a finite number >= 0: {degradation}")
     return (
         (econ.capital_cost - econ.salvage_value) / (1.0 - econ.soh_eol) * degradation
     )
@@ -134,23 +154,42 @@ def _passes(
     econ: EconParams,
     cfg: LodConfig,
     soh: float,
+    lp_passes: bool = True,
 ) -> LodTrace:
-    """The loop of `run_lod` on a built model of `problem.case`, under `cfg`."""
+    """The loop of `run_lod` on a built model of `problem.case`, under `cfg`.
+
+    With `lp_passes` false, every pass solves the MILP.
+    """
     case = problem.case
     iterations: list[LodIteration] = []
     best_index = 0
     cap: UsageCap | None = None
     reason = "max_iterations"
     report: list[str] = []
+    session: CapSession | None = None
+    from_lp: set[int] = set()
+    milp_solves = 0
+    tiny_cap = TINY_CAP_SHARE * problem.b_ub[-1]
 
     for index in range(cfg.max_iterations + 1):
-        try:
-            sched = solve(problem, cap)
-        except InfeasibleCaseError as exc:
-            if not iterations:
-                raise
-            reason, report = "infeasible", exc.report
-            break
+        lp_cap = lp_passes and cap is not None and cap.cap_kwh > tiny_cap
+        sched = None
+        if lp_cap and session is not None and session.cap_floor <= cap.cap_kwh:
+            sched = session.at(cap.cap_kwh)
+        if sched is None:
+            session = None  # free its HiGHS instance before the MILP
+            milp_solves += 1
+            try:
+                sched = solve(problem, cap)
+            except InfeasibleCaseError as exc:
+                if not iterations:
+                    raise
+                reason, report = "infeasible", exc.report
+                break
+            if lp_cap:
+                session = CapSession(problem, sched, cap.cap_kwh)
+        else:
+            from_lp.add(index)
         deg = schedule_degradation(case, sched, model, soh)
         it = LodIteration(
             index=index,
@@ -172,12 +211,25 @@ def _passes(
             reason = "cap_exhausted"
             break
         cap = UsageCap((1.0 - cfg.alpha) * it.bess_throughput_kwh)
+    session = None  # before the guard's MILP
+
+    if best_index in from_lp:
+        # The LP is optimal for its commitment only; a cheaper one at the
+        # chosen cap voids the LP passes, and the walk reruns on MILPs.
+        best = iterations[best_index]
+        milp_solves += 1
+        check = operation_cost(solve(problem, UsageCap(best.usage_cap_kwh)), case)["total"]
+        if check < best.operation_cost - GUARD_REL_TOL * max(1.0, abs(best.operation_cost)):
+            trace = _passes(problem, model, econ, cfg, soh, lp_passes=False)
+            trace.milp_solves += milp_solves
+            return trace
 
     return LodTrace(
         iterations=iterations,
         best_index=best_index,
         termination_reason=reason,
         infeasible_report=report,
+        milp_solves=milp_solves,
     )
 
 
@@ -222,9 +274,18 @@ def run_lod(
     iteration's throughput. The model is built once; each pass solves it
     under that pass's cap. The loop stops once `patience` consecutive
     iterations fail to improve the best combined cost, when the battery goes
-    idle, or at the iteration bound; the best iteration is the answer. An
-    infeasible first pass raises InfeasibleCaseError with the solver's
-    diagnosis; an infeasible later pass ends the loop as "infeasible" and
-    its diagnosis is kept on the trace.
+    idle, or at the iteration bound; the best iteration is the answer.
+
+    Iteration 0 is a MILP. So is each pass whose cap lies below the ranging
+    interval of the open commitment-fixed LP, or is at most TINY_CAP_SHARE
+    of the model's default cap. A capped MILP above that share opens the LP
+    of its commitment, and the passes after it whose caps stay inside that
+    LP's range take its solution at their own caps. If the best iteration
+    came from the LP and the MILP at its cap costs less to operate (beyond
+    GUARD_REL_TOL), the loop reruns with a MILP at every pass.
+    `milp_solves` on the trace counts them all. An infeasible first pass
+    raises InfeasibleCaseError with the solver's diagnosis; an infeasible
+    later pass ends the loop as "infeasible" and its diagnosis is kept on
+    the trace.
     """
     return _passes(build_model(case), model, econ, cfg or LodConfig(), soh)

@@ -17,7 +17,10 @@ coefficient) terms; it is never densified on the way to the solver. The model
 is solved to proven optimality by HiGHS, called through the binding that
 scipy bundles (scipy.optimize._highspy._core) with the options and status
 classes of scipy's milp function; an infeasible model is diagnosed by an
-elastic solve over its own constraint rows.
+elastic solve over its own constraint rows. A `CapSession` keeps the LP of
+one solved schedule's commitment loaded in HiGHS, so that a loop moving the
+usage cap inside the cap row's ranging interval re-solves that LP from its
+basis instead of the MILP.
 
 scipy loads on the first model build, not with this module: build_model
 imports scipy.sparse, and the first solve imports the binding, which loads
@@ -255,8 +258,10 @@ class MilpProblem:
         return int(self.is_int.sum())
 
 
-# DispatchSchedule fields that hold binary decisions.
+# DispatchSchedule fields that hold binary decisions, and those of them that
+# are integer columns of the model.
 _BINARY_FIELDS = ("u_gen", "v_gen", "u_buy", "u_sell", "u_char", "u_disc")
+_INTEGER_FIELDS = ("u_gen", "u_char", "u_disc")
 
 
 def _blocks(
@@ -323,7 +328,7 @@ def build_model(case: MicrogridCase, linear_bdc_rate: float | None = None) -> Mi
     lb = np.zeros(n)
     ub = np.full(n, np.inf)
     is_int = np.zeros(n, dtype=bool)
-    for name in ("u_gen", "u_char", "u_disc"):
+    for name in _INTEGER_FIELDS:
         is_int[col[name]] = True
     ub[is_int] = ub[col["v_gen"]] = 1.0
 
@@ -426,7 +431,7 @@ def _extract_schedule(problem: MilpProblem, x: np.ndarray, objective: float) -> 
     buy, sell = f["p_buy"], f["p_sell"]
     f["p_buy"], f["p_sell"] = np.maximum(buy - sell, 0.0), np.maximum(sell - buy, 0.0)
     f["u_buy"], f["u_sell"] = (f["p_buy"] > 0).astype(int), (f["p_sell"] > 0).astype(int)
-    for name in ("u_gen", "u_char", "u_disc"):
+    for name in _INTEGER_FIELDS:
         f[name] = f[name].astype(int)
     u_prev = np.hstack([_per_unit(problem.case.generators, "initially_on"), f["u_gen"][:, :-1]])
     f["v_gen"] = np.maximum(f["u_gen"] - u_prev, 0).astype(int)
@@ -482,9 +487,10 @@ def _highs() -> tuple:
     return highs, options, outcomes, var_type
 
 
-def _milp(problem: MilpProblem, lb: np.ndarray, ub: np.ndarray, is_int: np.ndarray) -> _Solved:
-    """HiGHS on the problem's rows and objective with the given bounds and
-    integer columns.
+def _load(problem: MilpProblem, lb: np.ndarray, ub: np.ndarray, is_int: np.ndarray):
+    """A HiGHS instance holding the problem's rows and objective with the
+    given bounds and integer columns, or None if HiGHS refuses the model
+    (kModelError).
 
     The model goes to HiGHS as scipy's milp hands it over: the CSC buffers
     of `a` as they are, inequality rows bounded below by -inf, and one
@@ -492,18 +498,11 @@ def _milp(problem: MilpProblem, lb: np.ndarray, ub: np.ndarray, is_int: np.ndarr
     package's call: no console log, a zero relative gap, presolve on, and
     the feasibility-jump heuristic off (it takes about 14 ms of a 21 ms call
     on a 12-binary MILP, and branch and bound proves the optimum anyway).
-    The solution is therefore milp's, bit for bit, without milp's per-call
-    argument checks and result assembly.
 
-    Statuses are classed as milp classes them: kOptimal is "optimal";
-    kInfeasible, and kModelError for a model HiGHS refuses, are
-    "infeasible"; kUnbounded is "unbounded"; any other status,
-    kUnboundedOrInfeasible included, is "failed".
-
-    scipy.optimize is imported on the first solve, so that importing the
+    scipy.optimize is imported on the first load, so that importing the
     package stays cheap for the commands that never solve.
     """
-    highs, options, outcomes, var_type = _highs()
+    highs, options, _, var_type = _highs()
     n_rows, n = problem.a.shape
     lp = highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n
@@ -520,9 +519,21 @@ def _milp(problem: MilpProblem, lb: np.ndarray, ub: np.ndarray, is_int: np.ndarr
     lp.integrality_ = var_type[is_int.view(np.uint8)]
     solver = highs._Highs()
     solver.passOptions(options)
-    loaded = solver.passModel(lp) != highs.HighsStatus.kError
-    ran = loaded and solver.run() != highs.HighsStatus.kError
-    status = solver.getModelStatus() if loaded else highs.HighsModelStatus.kModelError
+    return solver if solver.passModel(lp) != highs.HighsStatus.kError else None
+
+
+def _run(solver) -> _Solved:
+    """Run a loaded HiGHS instance, from its kept basis if it has one, and
+    read the result.
+
+    Statuses are classed as milp classes them: kOptimal is "optimal";
+    kInfeasible, and kModelError for a model HiGHS refuses, are
+    "infeasible"; kUnbounded is "unbounded"; any other status,
+    kUnboundedOrInfeasible included, is "failed".
+    """
+    highs, _, outcomes, _ = _highs()
+    ran = solver.run() != highs.HighsStatus.kError
+    status = solver.getModelStatus()
     solved = _Solved(outcomes.get(status, "failed"), solver.modelStatusToString(status))
     if solved.outcome != "optimal" or not ran:
         return solved
@@ -530,6 +541,64 @@ def _milp(problem: MilpProblem, lb: np.ndarray, ub: np.ndarray, is_int: np.ndarr
         x=np.array(solver.getSolution().col_value),
         objective=solver.getInfo().objective_function_value,
     )
+
+
+def _milp(problem: MilpProblem, lb: np.ndarray, ub: np.ndarray, is_int: np.ndarray) -> _Solved:
+    """HiGHS on the problem's rows and objective with the given bounds and
+    integer columns: `_load`, then `_run`.
+
+    The solution is scipy's milp's, bit for bit, without milp's per-call
+    argument checks and result assembly. A model HiGHS refuses is
+    "infeasible" with HiGHS's name for kModelError.
+    """
+    solver = _load(problem, lb, ub, is_int)
+    return _Solved("infeasible", "Model error") if solver is None else _run(solver)
+
+
+class CapSession:
+    """The LP of one solved schedule's commitment, kept warm while the usage
+    cap moves.
+
+    Opening it fixes the schedule's binaries (u_gen, u_char, u_disc) in the
+    problem's bounds and solves that LP once under `cap_kwh`. `cap_floor` is
+    then the least cap down to which the cap row's optimal basis stays
+    primal feasible, from HiGHS's ranging (`row_bound_dn`); it is +inf if
+    the LP did not solve to optimality or HiGHS gave no ranging. Inside [cap_floor, cap_kwh] the LP's
+    solution, and with it the operation cost, is affine in the cap. This is
+    the commitment-fixed LP of O'Neill et al., "Efficient market-clearing
+    prices in markets with nonconvexities", EJOR 164(1), 2005.
+
+    `at(cap)` moves the cap row's bound and re-runs HiGHS from the kept
+    basis. It proves the schedule optimal for this commitment only: a MILP
+    under the same cap may find a cheaper one.
+    """
+
+    def __init__(self, problem: MilpProblem, sched: DispatchSchedule, cap_kwh: float):
+        lb, ub = problem.lb.copy(), problem.ub.copy()
+        for name in _INTEGER_FIELDS:
+            lb[problem.index[name]] = ub[problem.index[name]] = getattr(sched, name)
+        self._problem = replace(problem, b_ub=np.append(problem.b_ub[:-1], cap_kwh))
+        self._solver = _load(self._problem, lb, ub, np.zeros(problem.n_variables, dtype=bool))
+        self.cap_floor = math.inf
+        if self._solver is not None and _run(self._solver).outcome == "optimal":
+            ranging = self._solver.getRanging()[1]
+            if ranging.valid:
+                self.cap_floor = ranging.row_bound_dn.value_[problem.b_ub.size - 1]
+
+    def at(self, cap_kwh: float) -> DispatchSchedule | None:
+        """The LP's schedule under a usage cap of cap_kwh, read as `solve`
+        reads a MILP's; None if the LP is not solved to optimality or its
+        snapped point violates a row by more than FEASIBILITY_TOL."""
+        problem = self._problem
+        problem.b_ub[-1] = cap_kwh
+        self._solver.changeRowBounds(problem.b_ub.size - 1, -np.inf, cap_kwh)
+        res = _run(self._solver)
+        if res.x is None:
+            return None
+        x = _snap(problem, res.x)
+        if _row_violation(problem, x) > FEASIBILITY_TOL:
+            return None
+        return _extract_schedule(problem, x, res.objective)
 
 
 def solve(problem: MilpProblem, cap: UsageCap | None = None) -> DispatchSchedule:

@@ -586,6 +586,7 @@ def summary_from_trace(trace: LodTrace, solve_seconds: float) -> dict:
         "bess_throughput_kwh": best.bess_throughput_kwh,
         "solve_seconds": solve_seconds,
         "iterations": len(trace.iterations),
+        "milp_solves": trace.milp_solves,
         "best_index": trace.best_index,
         "termination_reason": trace.termination_reason,
     }

@@ -508,6 +508,21 @@ class TestSchedule:
             "manifest.json", "schedule.csv", "summary.json", "trace.csv"]
         assert keys["traditional"] == keys["linear-bdc"] == keys["lod"]
 
+    def test_summary_counts_milp_solves(self, workdir, tmp_path):
+        counts = {}
+        for mode in ("traditional", "linear-bdc", "lod"):
+            result = runner.invoke(
+                main,
+                ["schedule", "--case", "example-day", "--mode", mode,
+                 "--model", str(workdir / "stub_model.json"), "--out-dir", str(tmp_path / mode)],
+            )
+            assert result.exit_code == 0, result.output
+            summary = json.loads((tmp_path / mode / "summary.json").read_text())
+            counts[mode] = (summary["milp_solves"], summary["iterations"])
+        assert counts["traditional"] == counts["linear-bdc"] == (1, 1)
+        solves, iterations = counts["lod"]
+        assert 1 < solves < iterations
+
     def test_lod_pass_0_alone_is_the_traditional_schedule(self, workdir, tmp_path):
         for mode, flags in (("traditional", []), ("lod", ["--max-iterations", "0"])):
             result = runner.invoke(

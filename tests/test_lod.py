@@ -1,6 +1,7 @@
 """Tests for the iterative degradation-aware scheduling loop."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from degradesched.milp import (
 )
 from degradesched.net import NetworkSpec, Normalizer, TrainedNetwork, TrainConfig
 from degradesched.quantifier import BDF_FEATURES, BDP_VARIANTS, DegradationModel
+from test_milp import day_case as milp_day_case
 
 
 def constant_network(n_in: int, out_values) -> TrainedNetwork:
@@ -93,6 +95,12 @@ class TestDegradationCost:
     def test_reference_arithmetic(self):
         # (120000 - 0) / (1 - 0.8) * 1.6533e-5 = 9.9198
         assert lod.degradation_cost(1.6533e-5, ECON) == pytest.approx(9.92, abs=0.005)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9])
+    def test_non_finite_or_negative_rejected(self, value):
+        # NaN or inf would reach summary.json as NaN or Infinity, which is no JSON.
+        with pytest.raises(ValueError, match=f"degradation must be a finite number >= 0: {value}"):
+            lod.degradation_cost(value, ECON)
 
 
 class TestBenchmarkRuns:
@@ -238,6 +246,124 @@ class TestRunLod:
         )
         assert len(trace.iterations) <= 6
         assert trace.termination_reason == "max_iterations"
+
+
+def milp_only(case, model, cfg):
+    """The loop with a MILP at every pass, for reference."""
+    return lod._passes(build_model(case), model, ECON, cfg, 1.0, lp_passes=False)
+
+
+def lp_schedules(monkeypatch) -> list:
+    """Record every schedule the loop takes from a fixed-commitment LP."""
+    taken = []
+
+    class Recording(lod.CapSession):
+        def at(self, cap_kwh):
+            sched = super().at(cap_kwh)
+            if sched is not None:
+                taken.append(sched)
+            return sched
+
+    monkeypatch.setattr(lod, "CapSession", Recording)
+    return taken
+
+
+class TestLpPasses:
+    """Passes inside the last MILP's cap range re-solve its fixed-commitment LP."""
+
+    @pytest.mark.parametrize("case", [load_example_day(), arbitrage_case(), milp_day_case()],
+                             ids=["example_day", "arbitrage", "testbed_day"])
+    @pytest.mark.parametrize("per_half_cycle", [1e-4, 5e-4])
+    @pytest.mark.parametrize("alpha", [0.03, 0.1])
+    def test_every_pass_costs_what_the_milp_at_its_cap_costs(self, case, per_half_cycle, alpha):
+        problem = build_model(case)
+        trace = lod.run_lod(case, constant_model(per_half_cycle), ECON, LodConfig(alpha=alpha))
+        assert trace.milp_solves < len(trace.iterations)
+        for it in trace.iterations[1:]:
+            cap = UsageCap(it.usage_cap_kwh)
+            want = operation_cost(solve(problem, cap), case)["total"]
+            assert it.operation_cost == pytest.approx(want, rel=1e-6), it.index
+            assert validate_schedule(case, it.schedule, cap=cap) == [], it.index
+
+    def test_failed_lp_falls_back_to_the_milp(self, monkeypatch):
+        monkeypatch.setattr(lod.CapSession, "at", lambda self, cap_kwh: None)
+        case, model, cfg = arbitrage_case(), constant_model(5e-4), LodConfig(alpha=0.1)
+        trace = lod.run_lod(case, model, ECON, cfg)
+        assert trace.milp_solves == len(trace.iterations)
+        reference = milp_only(case, model, cfg)
+        assert [it.total_cost for it in trace.iterations] == [
+            it.total_cost for it in reference.iterations]
+
+    def test_each_session_is_freed_before_the_next_milp(self, monkeypatch):
+        live = weakref.WeakSet()
+        live_at_milp = []
+
+        class Tracked(lod.CapSession):
+            def __init__(self, *args):
+                super().__init__(*args)
+                live.add(self)
+
+        def counting_solve(problem, cap=None):
+            live_at_milp.append(len(live))
+            return solve(problem, cap)
+
+        monkeypatch.setattr(lod, "CapSession", Tracked)
+        monkeypatch.setattr(lod, "solve", counting_solve)
+        trace = lod.run_lod(load_example_day(), constant_model(5e-4), ECON, LodConfig(alpha=0.1))
+        assert len(live_at_milp) == trace.milp_solves > 2
+        assert live_at_milp == [0] * trace.milp_solves
+        assert len(live) == 0
+
+    def test_guard_reruns_the_walk_on_milps(self, monkeypatch):
+        # LP schedules look degradation-free, so an LP pass wins, and $10
+        # dearer to operate, so the MILP at the winner's cap undercuts it.
+        taken = lp_schedules(monkeypatch)
+
+        def from_lp(sched):
+            return any(sched is s for s in taken)
+
+        def scripted_degradation(case, sched, model, soh):
+            return 0.0 if from_lp(sched) else 1e-3
+
+        def scripted_cost(sched, case):
+            cost = operation_cost(sched, case)
+            return {**cost, "total": cost["total"] + 10.0 * from_lp(sched)}
+
+        solves = []
+
+        def counting_solve(problem, cap=None):
+            solves.append(cap)
+            return solve(problem, cap)
+
+        monkeypatch.setattr(lod, "schedule_degradation", scripted_degradation)
+        monkeypatch.setattr(lod, "operation_cost", scripted_cost)
+        monkeypatch.setattr(lod, "solve", counting_solve)
+        case, model, cfg = arbitrage_case(), constant_model(5e-4), LodConfig(alpha=0.1)
+        trace = lod.run_lod(case, model, ECON, cfg)
+        assert taken  # the first walk took LP passes
+        assert trace.milp_solves == len(solves) > len(trace.iterations)
+
+        solves.clear()
+        taken.clear()
+        reference = milp_only(case, model, cfg)
+        assert not taken and reference.milp_solves == len(solves) == len(reference.iterations)
+        assert trace.milp_solves > reference.milp_solves
+        for got, want in zip(trace.iterations, reference.iterations, strict=True):
+            assert (got.usage_cap_kwh, got.total_cost) == (want.usage_cap_kwh, want.total_cost)
+        assert (trace.best_index, trace.termination_reason) == (
+            reference.best_index, reference.termination_reason)
+
+    def test_guard_keeps_a_chosen_lp_pass_the_milp_confirms(self, monkeypatch):
+        # Degradation quadratic in throughput puts the best pass inside an LP
+        # range; a constant per half cycle only drops where the commitment does.
+        taken = lp_schedules(monkeypatch)
+        monkeypatch.setattr(lod, "schedule_degradation", lambda case, sched, model, soh:
+                            1e-10 * sched.bess_throughput_kwh(case) ** 2)
+        trace = lod.run_lod(load_example_day(), constant_model(0.0), ECON)
+        assert any(trace.best.schedule is s for s in taken)
+        lp_passes = sum(any(it.schedule is s for s in taken) for it in trace.iterations)
+        # one MILP per pass not taken from the LP, and the guard's
+        assert trace.milp_solves == len(trace.iterations) - lp_passes + 1
 
 
 class TestOnePath:

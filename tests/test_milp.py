@@ -506,6 +506,51 @@ class TestUsageCap:
         assert problem.b_ub[-1] == 2 * case.horizon * case.dt_hours * case.bess[0].p_max
 
 
+class TestCapSession:
+    """The fixed-commitment LP kept warm across usage caps."""
+
+    @staticmethod
+    def opened(case, fraction):
+        problem = build_model(case)
+        cap = fraction * solve(problem).bess_throughput_kwh(case)
+        sched = solve(problem, UsageCap(cap))
+        return problem, sched, cap, milp.CapSession(problem, sched, cap)
+
+    def test_warm_lp_is_the_cold_fixed_commitment_lp_and_affine_in_the_cap(self):
+        problem, sched, cap, session = self.opened(load_example_day(), 0.9)
+        assert session.cap_floor < cap
+        lb, ub = problem.lb.copy(), problem.ub.copy()
+        for name in ("u_gen", "u_char", "u_disc"):
+            lb[problem.index[name]] = ub[problem.index[name]] = getattr(sched, name)
+        lp = np.zeros(problem.n_variables, dtype=bool)
+        objectives = []
+        for share in (1.0, 0.5, 0.0):  # down from the cap to the range's floor
+            at = session.cap_floor + share * (cap - session.cap_floor)
+            warm = session.at(at)
+            cold = milp._milp(dataclasses.replace(problem, b_ub=np.append(problem.b_ub[:-1], at)),
+                              lb, ub, lp)
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
+            assert validate_schedule(problem.case, warm, cap=UsageCap(at)) == []
+            for name in ("u_gen", "u_char", "u_disc"):
+                assert np.array_equal(getattr(warm, name), getattr(sched, name)), name
+            objectives.append(warm.objective)
+        assert objectives[1] == pytest.approx((objectives[0] + objectives[2]) / 2, rel=1e-12)
+
+    def test_session_leaves_the_problem_unchanged(self):
+        problem, _, cap, session = self.opened(day_case(), 0.5)
+        b_ub = problem.b_ub.copy()
+        session.at(0.9 * cap)
+        assert np.array_equal(problem.b_ub, b_ub)
+
+    def test_refused_model_opens_an_empty_range(self):
+        problem, sched, cap, _ = self.opened(day_case(), 0.5)
+        a = problem.a.copy()
+        a.data[0] = np.inf
+        refused = dataclasses.replace(problem, a=a)
+        assert milp._load(refused, refused.lb, refused.ub, refused.is_int) is None
+        assert milp.CapSession(refused, sched, cap).cap_floor == math.inf
+
+
 class TestValidateSchedule:
     def test_solver_output_is_clean(self):
         case = day_case()
