@@ -12,7 +12,9 @@ Pass 0 solves the MILP. So does each pass whose cap falls below the cap
 range of the last MILP's commitment, and a pass whose cap is at solver
 tolerance scale. Every other pass re-solves the last MILP's commitment-fixed
 LP under its own cap (`milp.CapSession`), and a chosen pass that came from
-the LP is checked against the MILP at its cap.
+the LP is checked against the MILP at its cap. Each capped MILP above
+solver tolerance scale starts from that LP's schedule at its cap, and the
+check from the chosen pass's own schedule.
 """
 
 from __future__ import annotations
@@ -173,14 +175,23 @@ def _passes(
 
     for index in range(cfg.max_iterations + 1):
         lp_cap = lp_passes and cap is not None and cap.cap_kwh > tiny_cap
-        sched = None
-        if lp_cap and session is not None and session.cap_floor <= cap.cap_kwh:
-            sched = session.at(cap.cap_kwh)
+        sched = start = None
+        if lp_cap:
+            # The last MILP's commitment at this cap: the pass itself inside
+            # the session's range, else the MILP's start. Pass 1 has no
+            # session; one opened on pass 0's schedule only gives the start.
+            lp_sched = (session or CapSession(problem, iterations[0].schedule, cap.cap_kwh)).at(
+                cap.cap_kwh
+            )
+            if session is not None and session.cap_floor <= cap.cap_kwh:
+                sched = lp_sched
+            else:
+                start = lp_sched
         if sched is None:
             session = None  # free its HiGHS instance before the MILP
             milp_solves += 1
             try:
-                sched = solve(problem, cap)
+                sched = solve(problem, cap, start=start)
             except InfeasibleCaseError as exc:
                 if not iterations:
                     raise
@@ -218,8 +229,9 @@ def _passes(
         # chosen cap voids the LP passes, and the walk reruns on MILPs.
         best = iterations[best_index]
         milp_solves += 1
-        check = operation_cost(solve(problem, UsageCap(best.usage_cap_kwh)), case)["total"]
-        if check < best.operation_cost - GUARD_REL_TOL * max(1.0, abs(best.operation_cost)):
+        check = solve(problem, UsageCap(best.usage_cap_kwh), start=best.schedule)
+        cost = operation_cost(check, case)["total"]
+        if cost < best.operation_cost - GUARD_REL_TOL * max(1.0, abs(best.operation_cost)):
             trace = _passes(problem, model, econ, cfg, soh, lp_passes=False)
             trace.milp_solves += milp_solves
             return trace
@@ -280,9 +292,14 @@ def run_lod(
     interval of the open commitment-fixed LP, or is at most TINY_CAP_SHARE
     of the model's default cap. A capped MILP above that share opens the LP
     of its commitment, and the passes after it whose caps stay inside that
-    LP's range take its solution at their own caps. If the best iteration
-    came from the LP and the MILP at its cap costs less to operate (beyond
-    GUARD_REL_TOL), the loop reruns with a MILP at every pass.
+    LP's range take its solution at their own caps. Each capped MILP above
+    that share starts from the LP of the last MILP's commitment at its cap
+    (pass 1 from pass 0's), so HiGHS has an incumbent before its root node;
+    the start changes no cost, but on a tie it may change which schedule,
+    and so which degradation, a pass reports. If the best iteration came
+    from the LP and the MILP at its cap, started from that iteration's
+    schedule, costs less to operate (beyond GUARD_REL_TOL), the loop reruns
+    with a MILP at every pass and no starts.
     `milp_solves` on the trace counts them all. An infeasible first pass
     raises InfeasibleCaseError with the solver's diagnosis; an infeasible
     later pass ends the loop as "infeasible" and its diagnosis is kept on

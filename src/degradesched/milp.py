@@ -20,7 +20,9 @@ classes of scipy's milp function; an infeasible model is diagnosed by an
 elastic solve over its own constraint rows. A `CapSession` keeps the LP of
 one solved schedule's commitment loaded in HiGHS, so that a loop moving the
 usage cap inside the cap row's ranging interval re-solves that LP from its
-basis instead of the MILP.
+basis instead of the MILP. Below that interval, the LP's schedule is still a
+feasible point under the new cap, and `solve` takes it as the MILP's start:
+HiGHS then has an incumbent before its root node, and only proves it.
 
 scipy loads on the first model build, not with this module: build_model
 imports scipy.sparse, and the first solve imports the binding, which loads
@@ -543,16 +545,40 @@ def _run(solver) -> _Solved:
     )
 
 
-def _milp(problem: MilpProblem, lb: np.ndarray, ub: np.ndarray, is_int: np.ndarray) -> _Solved:
+def _columns(problem: MilpProblem, sched: DispatchSchedule) -> np.ndarray:
+    """The model's column vector of a schedule, read through `problem.index`."""
+    x = np.empty(problem.n_variables)
+    for name, cols in problem.index.items():
+        x[cols] = getattr(sched, name)
+    return x
+
+
+def _milp(
+    problem: MilpProblem,
+    lb: np.ndarray,
+    ub: np.ndarray,
+    is_int: np.ndarray,
+    start: DispatchSchedule | None = None,
+) -> _Solved:
     """HiGHS on the problem's rows and objective with the given bounds and
     integer columns: `_load`, then `_run`.
 
-    The solution is scipy's milp's, bit for bit, without milp's per-call
-    argument checks and result assembly. A model HiGHS refuses is
+    Without a start, the solution is scipy's milp's, bit for bit, without
+    milp's per-call argument checks and result assembly. A start is handed
+    to HiGHS (`setSolution`) as the schedule's columns before the run; HiGHS
+    takes it as its first incumbent if it is feasible and drops it if not.
+    The optimum is still proven at a zero gap, but among equal-cost optima
+    HiGHS may then return another one. A model HiGHS refuses is
     "infeasible" with HiGHS's name for kModelError.
     """
     solver = _load(problem, lb, ub, is_int)
-    return _Solved("infeasible", "Model error") if solver is None else _run(solver)
+    if solver is None:
+        return _Solved("infeasible", "Model error")
+    if start is not None:
+        solution = _highs()[0].HighsSolution()
+        solution.col_value = _columns(problem, start)
+        solver.setSolution(solution)
+    return _run(solver)
 
 
 class CapSession:
@@ -570,7 +596,8 @@ class CapSession:
 
     `at(cap)` moves the cap row's bound and re-runs HiGHS from the kept
     basis. It proves the schedule optimal for this commitment only: a MILP
-    under the same cap may find a cheaper one.
+    under the same cap may find a cheaper one. Below cap_floor the basis
+    changes, but the schedule is still feasible, and so a MILP's start.
     """
 
     def __init__(self, problem: MilpProblem, sched: DispatchSchedule, cap_kwh: float):
@@ -587,8 +614,11 @@ class CapSession:
 
     def at(self, cap_kwh: float) -> DispatchSchedule | None:
         """The LP's schedule under a usage cap of cap_kwh, read as `solve`
-        reads a MILP's; None if the LP is not solved to optimality or its
-        snapped point violates a row by more than FEASIBILITY_TOL."""
+        reads a MILP's; None if HiGHS refused the LP, the LP is not solved
+        to optimality or its snapped point violates a row by more than
+        FEASIBILITY_TOL."""
+        if self._solver is None:
+            return None
         problem = self._problem
         problem.b_ub[-1] = cap_kwh
         self._solver.changeRowBounds(problem.b_ub.size - 1, -np.inf, cap_kwh)
@@ -601,12 +631,20 @@ class CapSession:
         return _extract_schedule(problem, x, res.objective)
 
 
-def solve(problem: MilpProblem, cap: UsageCap | None = None) -> DispatchSchedule:
+def solve(
+    problem: MilpProblem, cap: UsageCap | None = None, start: DispatchSchedule | None = None
+) -> DispatchSchedule:
     """Solve a built model to proven optimality with HiGHS (zero relative gap).
 
     With a cap, total battery charge+discharge energy is bounded by
     cap.cap_kwh: the cap row's right-hand side is set on a copy of b_ub, so
     the problem is never changed and can be solved again under another cap.
+
+    A start is a schedule that HiGHS takes as its first incumbent if it is
+    feasible under this cap, and drops if not (see `_milp`). It changes no
+    optimal cost, but it may change which of several equal-cost optima is
+    returned. `_extract_schedule`'s netted exchange and v_gen keep a
+    schedule read off a feasible point feasible.
 
     HiGHS returns binaries within its integrality tolerance of 0/1, and the
     continuous values they bound may lean on that slack: a binary of 2.6e-7
@@ -618,7 +656,7 @@ def solve(problem: MilpProblem, cap: UsageCap | None = None) -> DispatchSchedule
     """
     if cap is not None:
         problem = replace(problem, b_ub=np.append(problem.b_ub[:-1], cap.cap_kwh))
-    res = _milp(problem, problem.lb, problem.ub, problem.is_int)
+    res = _milp(problem, problem.lb, problem.ub, problem.is_int, start)
     if res.outcome == "infeasible":
         raise InfeasibleCaseError(_diagnose(problem))
     if res.outcome == "unbounded":

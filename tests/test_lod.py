@@ -285,6 +285,33 @@ class TestLpPasses:
             assert it.operation_cost == pytest.approx(want, rel=1e-6), it.index
             assert validate_schedule(case, it.schedule, cap=cap) == [], it.index
 
+    @pytest.mark.parametrize("case", [load_example_day(), arbitrage_case(), milp_day_case()],
+                             ids=["example_day", "arbitrage", "testbed_day"])
+    def test_capped_milps_start_from_the_lp(self, case, monkeypatch):
+        solves = []
+
+        def recording_solve(problem, cap=None, start=None):
+            solves.append((cap, start))
+            return solve(problem, cap, start)
+
+        monkeypatch.setattr(lod, "solve", recording_solve)
+        model, cfg = constant_model(5e-4), LodConfig()
+        trace = lod.run_lod(case, model, ECON, cfg)
+        tiny_cap = lod.TINY_CAP_SHARE * build_model(case).b_ub[-1]
+        assert solves[0] == (None, None)
+        assert len(solves) == trace.milp_solves > 1
+        assert any(start is not None for _, start in solves)
+        for cap, start in solves[1:]:
+            assert (start is not None) == (cap.cap_kwh > tiny_cap), cap
+
+        solves.clear()
+        reference = milp_only(case, model, cfg)
+        assert len(solves) == len(reference.iterations)
+        assert all(start is None for _, start in solves)
+        for got, want in zip(trace.iterations, reference.iterations, strict=True):
+            assert got.usage_cap_kwh == pytest.approx(want.usage_cap_kwh, rel=1e-9), got.index
+            assert got.operation_cost == pytest.approx(want.operation_cost, rel=1e-9), got.index
+
     def test_failed_lp_falls_back_to_the_milp(self, monkeypatch):
         monkeypatch.setattr(lod.CapSession, "at", lambda self, cap_kwh: None)
         case, model, cfg = arbitrage_case(), constant_model(5e-4), LodConfig(alpha=0.1)
@@ -303,9 +330,9 @@ class TestLpPasses:
                 super().__init__(*args)
                 live.add(self)
 
-        def counting_solve(problem, cap=None):
+        def counting_solve(problem, cap=None, start=None):
             live_at_milp.append(len(live))
-            return solve(problem, cap)
+            return solve(problem, cap, start)
 
         monkeypatch.setattr(lod, "CapSession", Tracked)
         monkeypatch.setattr(lod, "solve", counting_solve)
@@ -331,9 +358,9 @@ class TestLpPasses:
 
         solves = []
 
-        def counting_solve(problem, cap=None):
+        def counting_solve(problem, cap=None, start=None):
             solves.append(cap)
-            return solve(problem, cap)
+            return solve(problem, cap, start)
 
         monkeypatch.setattr(lod, "schedule_degradation", scripted_degradation)
         monkeypatch.setattr(lod, "operation_cost", scripted_cost)
@@ -357,13 +384,22 @@ class TestLpPasses:
         # Degradation quadratic in throughput puts the best pass inside an LP
         # range; a constant per half cycle only drops where the commitment does.
         taken = lp_schedules(monkeypatch)
+        starts = []
+
+        def recording_solve(problem, cap=None, start=None):
+            starts.append(start)
+            return solve(problem, cap, start)
+
+        monkeypatch.setattr(lod, "solve", recording_solve)
         monkeypatch.setattr(lod, "schedule_degradation", lambda case, sched, model, soh:
                             1e-10 * sched.bess_throughput_kwh(case) ** 2)
         trace = lod.run_lod(load_example_day(), constant_model(0.0), ECON)
         assert any(trace.best.schedule is s for s in taken)
         lp_passes = sum(any(it.schedule is s for s in taken) for it in trace.iterations)
-        # one MILP per pass not taken from the LP, and the guard's
+        # one MILP per pass not taken from the LP, and the guard's, which
+        # starts from the chosen pass
         assert trace.milp_solves == len(trace.iterations) - lp_passes + 1
+        assert starts[-1] is trace.best.schedule
 
 
 class TestOnePath:

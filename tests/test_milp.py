@@ -327,9 +327,11 @@ class TestOracleEquivalence:
             checked += 1
 
 
-def scipy_milp(problem, lb, ub, is_int):
+def scipy_milp(problem, lb, ub, is_int, start=None):
     """`milp._milp` through scipy's public optimize.milp on the same arrays and
-    options: the reference that the direct call into scipy's binding matches."""
+    options: the reference that the direct call into scipy's binding matches.
+    optimize.milp takes no start."""
+    assert start is None
     res = optimize.milp(
         c=problem.c,
         constraints=optimize.LinearConstraint(
@@ -548,7 +550,51 @@ class TestCapSession:
         a.data[0] = np.inf
         refused = dataclasses.replace(problem, a=a)
         assert milp._load(refused, refused.lb, refused.ub, refused.is_int) is None
-        assert milp.CapSession(refused, sched, cap).cap_floor == math.inf
+        session = milp.CapSession(refused, sched, cap)
+        assert session.cap_floor == math.inf
+        assert session.at(cap) is None
+
+
+class TestStart:
+    """A MILP started from the fixed-commitment LP of another schedule."""
+
+    @staticmethod
+    def started(case, fraction):
+        """The model, the cap at a share of the uncapped throughput, and the
+        LP of the uncapped schedule's commitment under that cap."""
+        problem = build_model(case)
+        free = solve(problem)
+        cap = fraction * free.bess_throughput_kwh(case)
+        return problem, free, cap, milp.CapSession(problem, free, cap).at(cap)
+
+    @pytest.mark.filterwarnings("ignore:Unrecognized options detected:RuntimeWarning")
+    @pytest.mark.parametrize("case, fraction",
+                             [(day_case(), 0.5), (day_case(), 0.2), (week_case(), 0.5)],
+                             ids=["day-0.5", "day-0.2", "week-0.5"])
+    def test_started_solve_is_the_start_free_optimum(self, case, fraction):
+        problem, _, cap, start = self.started(case, fraction)
+        assert start is not None
+        got = solve(problem, UsageCap(cap), start=start)
+        assert got.objective == pytest.approx(solve(problem, UsageCap(cap)).objective, rel=1e-9)
+        capped = dataclasses.replace(problem, b_ub=np.append(problem.b_ub[:-1], cap))
+        reference = scipy_milp(capped, capped.lb, capped.ub, capped.is_int)
+        assert got.objective == pytest.approx(reference.objective, rel=1e-9)
+        assert validate_schedule(case, got, cap=UsageCap(cap)) == []
+
+    def test_optimal_start_is_the_incumbent_highs_returns(self):
+        # Here the start is optimal, and it lies on another vertex of the
+        # optimal face than the one the start-free solve returns.
+        problem, _, cap, start = self.started(day_case(), 0.5)
+        x = milp._columns(problem, start)
+        assert not np.array_equal(milp._columns(problem, solve(problem, UsageCap(cap))), x)
+        assert np.array_equal(milp._columns(problem, solve(problem, UsageCap(cap), start=start)), x)
+
+    def test_start_that_breaks_the_cap_is_dropped(self):
+        problem, free, cap, _ = self.started(day_case(), 0.5)
+        assert validate_schedule(problem.case, free, cap=UsageCap(cap)) != []
+        got = solve(problem, UsageCap(cap), start=free)
+        assert got.objective == pytest.approx(solve(problem, UsageCap(cap)).objective, rel=1e-9)
+        assert validate_schedule(problem.case, got, cap=UsageCap(cap)) == []
 
 
 class TestValidateSchedule:
