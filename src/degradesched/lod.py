@@ -14,7 +14,10 @@ tolerance scale. Every other pass re-solves the last MILP's commitment-fixed
 LP under its own cap (`milp.CapSession`), and a chosen pass that came from
 the LP is checked against the MILP at its cap. Each capped MILP above
 solver tolerance scale starts from that LP's schedule at its cap, and the
-check from the chosen pass's own schedule.
+check from the chosen pass's own schedule. One session serves a commitment
+for the whole run: a MILP that keeps it only moves the session's range down
+(`CapSession.rerange`), and a new session opens only on a new commitment or
+after the old one's LP failed.
 """
 
 from __future__ import annotations
@@ -177,18 +180,23 @@ def _passes(
         lp_cap = lp_passes and cap is not None and cap.cap_kwh > tiny_cap
         sched = start = None
         if lp_cap:
-            # The last MILP's commitment at this cap: the pass itself inside
-            # the session's range, else the MILP's start. Pass 1 has no
-            # session; one opened on pass 0's schedule only gives the start.
-            lp_sched = (session or CapSession(problem, iterations[0].schedule, cap.cap_kwh)).at(
-                cap.cap_kwh
-            )
-            if session is not None and session.cap_floor <= cap.cap_kwh:
+            # The LP of the last MILP's commitment at this cap: the pass
+            # itself inside the session's range, else the MILP's start. At
+            # pass 1 the session opens on pass 0's schedule, a commitment no
+            # MILP chose under a cap, so there it only gives the start.
+            opened = session is None
+            if opened:
+                session = CapSession(problem, iterations[0].schedule, cap.cap_kwh)
+            lp_sched = session.at(cap.cap_kwh)
+            if lp_sched is None:
+                session = None
+            elif not opened and session.cap_floor <= cap.cap_kwh:
                 sched = lp_sched
             else:
                 start = lp_sched
         if sched is None:
-            session = None  # free its HiGHS instance before the MILP
+            if not lp_cap:
+                session = None  # free its HiGHS instance before the MILP
             milp_solves += 1
             try:
                 sched = solve(problem, cap, start=start)
@@ -197,7 +205,8 @@ def _passes(
                     raise
                 reason, report = "infeasible", exc.report
                 break
-            if lp_cap:
+            if lp_cap and not (session is not None and session.rerange(sched)):
+                session = None  # free the old instance before the new one loads
                 session = CapSession(problem, sched, cap.cap_kwh)
         else:
             from_lp.add(index)
@@ -290,16 +299,18 @@ def run_lod(
 
     Iteration 0 is a MILP. So is each pass whose cap lies below the ranging
     interval of the open commitment-fixed LP, or is at most TINY_CAP_SHARE
-    of the model's default cap. A capped MILP above that share opens the LP
-    of its commitment, and the passes after it whose caps stay inside that
-    LP's range take its solution at their own caps. Each capped MILP above
-    that share starts from the LP of the last MILP's commitment at its cap
-    (pass 1 from pass 0's), so HiGHS has an incumbent before its root node;
-    the start changes no cost, but on a tie it may change which schedule,
-    and so which degradation, a pass reports. If the best iteration came
-    from the LP and the MILP at its cap, started from that iteration's
-    schedule, costs less to operate (beyond GUARD_REL_TOL), the loop reruns
-    with a MILP at every pass and no starts.
+    of the model's default cap. Each capped MILP above that share starts
+    from the LP of the last MILP's commitment at its cap (pass 1 from pass
+    0's), so HiGHS has an incumbent before its root node; the start changes
+    no cost, but on a tie it may change which schedule, and so which
+    degradation, a pass reports. After the MILP, that LP's session stays
+    open if the MILP kept its commitment, its range re-read at the new cap;
+    otherwise, or if the LP had no solution at the cap, the MILP's own
+    commitment opens a new one. The passes whose caps stay inside the
+    session's range take the LP's solution at their own caps. If the best
+    iteration came from the LP and the MILP at its cap, started from that
+    iteration's schedule, costs less to operate (beyond GUARD_REL_TOL), the
+    loop reruns with a MILP at every pass and no starts.
     `milp_solves` on the trace counts them all. An infeasible first pass
     raises InfeasibleCaseError with the solver's diagnosis; an infeasible
     later pass ends the loop as "infeasible" and its diagnosis is kept on

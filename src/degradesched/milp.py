@@ -16,13 +16,15 @@ The constraint matrix is held sparse, as each family's (row, column,
 coefficient) terms; it is never densified on the way to the solver. The model
 is solved to proven optimality by HiGHS, called through the binding that
 scipy bundles (scipy.optimize._highspy._core) with the options and status
-classes of scipy's milp function; an infeasible model is diagnosed by an
-elastic solve over its own constraint rows. A `CapSession` keeps the LP of
-one solved schedule's commitment loaded in HiGHS, so that a loop moving the
-usage cap inside the cap row's ranging interval re-solves that LP from its
-basis instead of the MILP. Below that interval, the LP's schedule is still a
-feasible point under the new cap, and `solve` takes it as the MILP's start:
-HiGHS then has an incumbent before its root node, and only proves it.
+classes of scipy's milp function, and handed to it as arrays that HiGHS
+reads in place; an infeasible model is diagnosed by an elastic solve over its
+own constraint rows. A `CapSession` keeps the LP of one solved schedule's
+commitment loaded in HiGHS, so that a loop moving the usage cap inside the
+cap row's ranging interval re-solves that LP from its basis instead of the
+MILP. Below that interval, the LP's schedule is still a feasible point under
+the new cap, and `solve` takes it as the MILP's start: HiGHS then has an
+incumbent before its root node, and only proves it. If the MILP keeps the
+commitment, the session re-reads its ranging there and serves on.
 
 scipy loads on the first model build, not with this module: build_model
 imports scipy.sparse, and the first solve imports the binding, which loads
@@ -469,8 +471,8 @@ class _Solved(NamedTuple):
 @cache
 def _highs() -> tuple:
     """scipy's bundled HiGHS binding, the options every solve passes (HiGHS
-    copies them into each solver), the outcome of each model status and the
-    column-type lookup, made on the first solve."""
+    copies them into each solver) and the outcome of each model status, made
+    on the first solve."""
     from scipy.optimize._highspy import _core as highs
 
     options = highs.HighsOptions()
@@ -485,43 +487,40 @@ def _highs() -> tuple:
         status.kModelError: "infeasible",
         status.kUnbounded: "unbounded",
     }
-    var_type = np.array([highs.HighsVarType.kContinuous, highs.HighsVarType.kInteger], dtype=object)
-    return highs, options, outcomes, var_type
+    return highs, options, outcomes
 
 
 def _load(problem: MilpProblem, lb: np.ndarray, ub: np.ndarray, is_int: np.ndarray):
     """A HiGHS instance holding the problem's rows and objective with the
     given bounds and integer columns, or None if HiGHS refuses the model
-    (kModelError).
+    (kError, as for an infinite coefficient).
 
-    The model goes to HiGHS as scipy's milp hands it over: the CSC buffers
-    of `a` as they are, inequality rows bounded below by -inf, and one
-    column type per column. The options are the ones milp sets for this
-    package's call: no console log, a zero relative gap, presolve on, and
-    the feasibility-jump heuristic off (it takes about 14 ms of a 21 ms call
-    on a 12-binary MILP, and branch and bound proves the optimum anyway).
+    The model goes to HiGHS as the arrays scipy's milp builds its HighsLp
+    from, through the binding's array overload of passModel: the CSC
+    buffers of `a` as they are, inequality rows bounded below by -inf, and
+    one column type per column (0 continuous, 1 integer). HiGHS reads the
+    buffers in place, where filling a HighsLp copies each one element by
+    element. The options are the ones milp sets for this package's call: no
+    console log, a zero relative gap, presolve on, and the feasibility-jump
+    heuristic off (it takes about 14 ms of a 21 ms call on a 12-binary MILP,
+    and branch and bound proves the optimum anyway).
 
     scipy.optimize is imported on the first load, so that importing the
     package stays cheap for the commands that never solve.
     """
-    highs, options, _, var_type = _highs()
-    n_rows, n = problem.a.shape
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = problem.a.indptr
-    lp.a_matrix_.index_ = problem.a.indices
-    lp.a_matrix_.value_ = problem.a.data
-    lp.col_cost_ = problem.c
-    lp.col_lower_ = lb
-    lp.col_upper_ = ub
-    lp.row_lower_ = np.concatenate((np.full(problem.b_ub.size, -np.inf), problem.b_eq))
-    lp.row_upper_ = np.concatenate((problem.b_ub, problem.b_eq))
-    lp.integrality_ = var_type[is_int.view(np.uint8)]
+    highs, options, _ = _highs()
+    a = problem.a
+    n_rows, n = a.shape
     solver = highs._Highs()
     solver.passOptions(options)
-    return solver if solver.passModel(lp) != highs.HighsStatus.kError else None
+    status = solver.passModel(
+        n, n_rows, a.nnz, int(highs.MatrixFormat.kColwise), int(highs.ObjSense.kMinimize), 0.0,
+        problem.c, lb, ub,
+        np.concatenate((np.full(problem.b_ub.size, -np.inf), problem.b_eq)),
+        np.concatenate((problem.b_ub, problem.b_eq)),
+        a.indptr, a.indices, a.data, is_int.astype(np.int32),
+    )
+    return solver if status != highs.HighsStatus.kError else None
 
 
 def _run(solver) -> _Solved:
@@ -533,7 +532,7 @@ def _run(solver) -> _Solved:
     "infeasible"; kUnbounded is "unbounded"; any other status,
     kUnboundedOrInfeasible included, is "failed".
     """
-    highs, _, outcomes, _ = _highs()
+    highs, _, outcomes = _highs()
     ran = solver.run() != highs.HighsStatus.kError
     status = solver.getModelStatus()
     solved = _Solved(outcomes.get(status, "failed"), solver.modelStatusToString(status))
@@ -589,28 +588,59 @@ class CapSession:
     problem's bounds and solves that LP once under `cap_kwh`. `cap_floor` is
     then the least cap down to which the cap row's optimal basis stays
     primal feasible, from HiGHS's ranging (`row_bound_dn`); it is +inf if
-    the LP did not solve to optimality or HiGHS gave no ranging. Inside [cap_floor, cap_kwh] the LP's
-    solution, and with it the operation cost, is affine in the cap. This is
-    the commitment-fixed LP of O'Neill et al., "Efficient market-clearing
-    prices in markets with nonconvexities", EJOR 164(1), 2005.
+    the LP did not solve to optimality or HiGHS gave no ranging. Inside
+    [cap_floor, cap_kwh] the LP's solution, and with it the operation cost,
+    is affine in the cap. This is the commitment-fixed LP of O'Neill et al.,
+    "Efficient market-clearing prices in markets with nonconvexities", EJOR
+    164(1), 2005.
 
     `at(cap)` moves the cap row's bound and re-runs HiGHS from the kept
     basis. It proves the schedule optimal for this commitment only: a MILP
     under the same cap may find a cheaper one. Below cap_floor the basis
     changes, but the schedule is still feasible, and so a MILP's start.
+    When that MILP keeps this commitment, `rerange` reads the cap row's
+    ranging at the new basis, and the session serves the caps below much
+    as one opened there would, without loading and presolving the LP again.
     """
 
     def __init__(self, problem: MilpProblem, sched: DispatchSchedule, cap_kwh: float):
-        lb, ub = problem.lb.copy(), problem.ub.copy()
+        self._lb, ub = problem.lb.copy(), problem.ub.copy()
         for name in _INTEGER_FIELDS:
-            lb[problem.index[name]] = ub[problem.index[name]] = getattr(sched, name)
+            self._lb[problem.index[name]] = ub[problem.index[name]] = getattr(sched, name)
         self._problem = replace(problem, b_ub=np.append(problem.b_ub[:-1], cap_kwh))
-        self._solver = _load(self._problem, lb, ub, np.zeros(problem.n_variables, dtype=bool))
+        self._solver = _load(
+            self._problem, self._lb, ub, np.zeros(problem.n_variables, dtype=bool)
+        )
         self.cap_floor = math.inf
-        if self._solver is not None and _run(self._solver).outcome == "optimal":
+        if self._solver is not None:
+            _run(self._solver)
+            self._range()
+
+    def _range(self) -> None:
+        """Set cap_floor from the cap row's ranging at the kept basis, or to
+        +inf if the last run did not end optimal or HiGHS gave no ranging."""
+        self.cap_floor = math.inf
+        if self._solver.getModelStatus() == _highs()[0].HighsModelStatus.kOptimal:
             ranging = self._solver.getRanging()[1]
             if ranging.valid:
-                self.cap_floor = ranging.row_bound_dn.value_[problem.b_ub.size - 1]
+                self.cap_floor = ranging.row_bound_dn.value_[self._problem.b_ub.size - 1]
+
+    def rerange(self, sched: DispatchSchedule) -> bool:
+        """If sched commits as this session's LP does, re-read cap_floor at
+        the session's cap (the last `at`'s, else the opening one) and return
+        True; otherwise return False and leave the session as it was.
+
+        The basis is the one the last run left, optimal at that cap, so
+        inside the new [cap_floor, cap] the LP is again affine in the cap, as
+        it is after opening.
+        """
+        index = self._problem.index
+        if self._solver is None or not all(
+            np.array_equal(self._lb[index[name]], getattr(sched, name)) for name in _INTEGER_FIELDS
+        ):
+            return False
+        self._range()
+        return True
 
     def at(self, cap_kwh: float) -> DispatchSchedule | None:
         """The LP's schedule under a usage cap of cap_kwh, read as `solve`

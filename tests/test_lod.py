@@ -321,9 +321,13 @@ class TestLpPasses:
         assert [it.total_cost for it in trace.iterations] == [
             it.total_cost for it in reference.iterations]
 
-    def test_each_session_is_freed_before_the_next_milp(self, monkeypatch):
+    @pytest.mark.parametrize("quadratic", [False, True], ids=["constant", "quadratic"])
+    def test_at_most_one_session_is_live_at_a_milp(self, quadratic, monkeypatch):
+        # Degradation quadratic in throughput makes an LP pass the best, so
+        # the guard's MILP runs (see the test below).
         live = weakref.WeakSet()
         live_at_milp = []
+        taken = lp_schedules(monkeypatch)
 
         class Tracked(lod.CapSession):
             def __init__(self, *args):
@@ -336,10 +340,56 @@ class TestLpPasses:
 
         monkeypatch.setattr(lod, "CapSession", Tracked)
         monkeypatch.setattr(lod, "solve", counting_solve)
-        trace = lod.run_lod(load_example_day(), constant_model(5e-4), ECON, LodConfig(alpha=0.1))
+        if quadratic:
+            monkeypatch.setattr(lod, "schedule_degradation", lambda case, sched, model, soh:
+                                1e-10 * sched.bess_throughput_kwh(case) ** 2)
+        model = constant_model(0.0 if quadratic else 5e-4)
+        cfg = LodConfig() if quadratic else LodConfig(alpha=0.1)
+        trace = lod.run_lod(load_example_day(), model, ECON, cfg)
         assert len(live_at_milp) == trace.milp_solves > 2
-        assert live_at_milp == [0] * trace.milp_solves
+        assert live_at_milp[0] == 0  # pass 0
+        assert max(live_at_milp) <= 1
+        lp_passes = sum(any(it.schedule is s for s in taken) for it in trace.iterations)
+        guarded = trace.milp_solves > len(trace.iterations) - lp_passes
+        assert guarded == quadratic
+        if guarded:
+            assert live_at_milp[-1] == 0
         assert len(live) == 0
+
+    def test_a_lost_commitment_reopens_the_session(self, monkeypatch):
+        # A minimum battery power ties throughput to the battery's binaries:
+        # as the cap tightens, a MILP drops the cheaper peak's discharge hour,
+        # and later the last commitment's LP has no point under the cap.
+        opened, kept, lp = [], [], []
+
+        class Recording(lod.CapSession):
+            def __init__(self, *args):
+                super().__init__(*args)
+                opened.append(self)
+
+            def at(self, cap_kwh):
+                sched = super().at(cap_kwh)
+                lp.append(sched)
+                return sched
+
+            def rerange(self, sched):
+                kept.append(super().rerange(sched))
+                return kept[-1]
+
+        base = arbitrage_case()
+        buy = np.array([0.05, 0.05, 0.05, 1.2, 0.6, 0.05])
+        case = dataclasses.replace(base, price_buy=buy, price_sell=0.5 * buy,
+                                   bess=[dataclasses.replace(base.bess[0], p_min=10.0)])
+        model, cfg = constant_model(5e-4), LodConfig(alpha=0.3)
+        monkeypatch.setattr(lod, "CapSession", Recording)
+        trace = lod.run_lod(case, model, ECON, cfg)
+        assert len(opened) > 1
+        assert False in kept  # a MILP left the session's commitment
+        assert None in lp  # a commitment's LP found no point under the cap
+        reference = milp_only(case, model, cfg)
+        for got, want in zip(trace.iterations, reference.iterations, strict=True):
+            assert got.usage_cap_kwh == pytest.approx(want.usage_cap_kwh, rel=1e-9), got.index
+            assert got.operation_cost == pytest.approx(want.operation_cost, rel=1e-9), got.index
 
     def test_guard_reruns_the_walk_on_milps(self, monkeypatch):
         # LP schedules look degradation-free, so an LP pass wins, and $10

@@ -382,6 +382,29 @@ class TestScipyReference:
         assert direct.value.report == reference.value.report
 
 
+class TestLoad:
+    def test_highs_holds_the_problems_buffers(self):
+        problem = build_model(day_case())
+        lp = milp._load(problem, problem.lb, problem.ub, problem.is_int).getLp()
+        a = lp.a_matrix_
+        assert str(a.format_) == "MatrixFormat.kColwise"
+        assert (lp.num_col_, lp.num_row_) == problem.a.shape[::-1]
+        n_ub = problem.b_ub.size
+        pairs = {
+            "start_": (a.start_, problem.a.indptr),
+            "index_": (a.index_, problem.a.indices),
+            "value_": (a.value_, problem.a.data),
+            "col_cost_": (lp.col_cost_, problem.c),
+            "col_lower_": (lp.col_lower_, problem.lb),
+            "col_upper_": (lp.col_upper_, problem.ub),
+            "row_lower_": (lp.row_lower_, np.r_[np.full(n_ub, -np.inf), problem.b_eq]),
+            "row_upper_": (lp.row_upper_, np.r_[problem.b_ub, problem.b_eq]),
+            "integrality_": ([int(t) for t in lp.integrality_], problem.is_int.astype(int)),
+        }
+        for name, (got, want) in pairs.items():
+            assert np.array_equal(np.asarray(got), want), name
+
+
 class TestSolverStatuses:
     """Each HiGHS model status ends as scipy.optimize.milp classes it."""
 
@@ -537,6 +560,28 @@ class TestCapSession:
                 assert np.array_equal(getattr(warm, name), getattr(sched, name)), name
             objectives.append(warm.objective)
         assert objectives[1] == pytest.approx((objectives[0] + objectives[2]) / 2, rel=1e-12)
+
+    @pytest.mark.parametrize("case", [load_example_day(), week_case()], ids=["example_day", "week"])
+    def test_reranged_session_below_its_floor_is_a_fresh_one(self, case):
+        problem, sched, _, session = self.opened(case, 0.9)
+        below = 0.9 * session.cap_floor
+        assert session.at(below) is not None
+        assert session.rerange(sched)
+        assert session.cap_floor <= below
+        fresh = milp.CapSession(problem, sched, below)
+        for share in (1.0, 0.5, 0.0):  # down from the new cap to the new floor
+            at = session.cap_floor + share * (below - session.cap_floor)
+            kept = session.at(at)
+            assert kept.objective == pytest.approx(fresh.at(at).objective, rel=1e-9)
+            assert validate_schedule(case, kept, cap=UsageCap(at)) == []
+
+    def test_other_commitment_leaves_the_range_as_it_was(self):
+        problem, sched, cap, session = self.opened(day_case(), 0.5)
+        floor = session.cap_floor
+        session.at(0.5 * floor)
+        other = dataclasses.replace(sched, u_disc=1 - sched.u_disc)
+        assert not session.rerange(other)
+        assert session.cap_floor == floor
 
     def test_session_leaves_the_problem_unchanged(self):
         problem, _, cap, session = self.opened(day_case(), 0.5)
