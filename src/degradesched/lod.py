@@ -303,7 +303,9 @@ def run_lod(
     from the LP of the last MILP's commitment at its cap (pass 1 from pass
     0's), so HiGHS has an incumbent before its root node; the start changes
     no cost, but on a tie it may change which schedule, and so which
-    degradation, a pass reports. After the MILP, that LP's session stays
+    degradation, a pass reports. Iteration 0 has no start, and on a tie its
+    schedule is the vertex HiGHS returns with ZI rounding on
+    (`milp._milp`). After the MILP, that LP's session stays
     open if the MILP kept its commitment, its range re-read at the new cap;
     otherwise, or if the LP had no solution at the cap, the MILP's own
     commitment opens a new one. The passes whose caps stay inside the

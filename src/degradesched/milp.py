@@ -503,7 +503,9 @@ def _load(problem: MilpProblem, lb: np.ndarray, ub: np.ndarray, is_int: np.ndarr
     element. The options are the ones milp sets for this package's call: no
     console log, a zero relative gap, presolve on, and the feasibility-jump
     heuristic off (it takes about 14 ms of a 21 ms call on a 12-binary MILP,
-    and branch and bound proves the optimum anyway).
+    and branch and bound proves the optimum anyway). ZI rounding
+    (mip_heuristic_run_zi_round) stays at HiGHS's default, off; `_milp`
+    turns it on for a solve without a start.
 
     scipy.optimize is imported on the first load, so that importing the
     package stays cheap for the commands that never solve.
@@ -562,18 +564,29 @@ def _milp(
     """HiGHS on the problem's rows and objective with the given bounds and
     integer columns: `_load`, then `_run`.
 
-    Without a start, the solution is scipy's milp's, bit for bit, without
-    milp's per-call argument checks and result assembly. A start is handed
-    to HiGHS (`setSolution`) as the schedule's columns before the run; HiGHS
-    takes it as its first incumbent if it is feasible and drops it if not.
-    The optimum is still proven at a zero gap, but among equal-cost optima
-    HiGHS may then return another one. A model HiGHS refuses is
-    "infeasible" with HiGHS's name for kModelError.
+    Without a start, HiGHS also runs its ZI rounding heuristic
+    (mip_heuristic_run_zi_round, off by default; C. Wallace, "ZI round, a
+    MIP rounding heuristic", J. Heuristics 16, 2010). On these models the
+    root LP bound is already the optimum, and ZI rounding finds the
+    incumbent at the root that HiGHS would otherwise search sub-MIPs for.
+    The solution is then scipy's milp's under the same options, bit for
+    bit, without milp's per-call argument checks and result assembly.
+
+    A start is handed to HiGHS (`setSolution`) as the schedule's columns
+    before the run, and ZI rounding stays off: it would only slow the run,
+    and could return another vertex a rounding error cheaper than the
+    start. HiGHS takes a start as its first incumbent if it is feasible and
+    drops it if not. The optimum is proven at a zero gap either way, but
+    among equal-cost optima the options and the start decide which one
+    HiGHS returns. A model HiGHS refuses is "infeasible" with HiGHS's name
+    for kModelError.
     """
     solver = _load(problem, lb, ub, is_int)
     if solver is None:
         return _Solved("infeasible", "Model error")
-    if start is not None:
+    if start is None:
+        solver.setOptionValue("mip_heuristic_run_zi_round", True)
+    else:
         solution = _highs()[0].HighsSolution()
         solution.col_value = _columns(problem, start)
         solver.setSolution(solution)

@@ -341,7 +341,8 @@ def scipy_milp(problem, lb, ub, is_int, start=None):
         ),
         integrality=is_int.astype(int),
         bounds=optimize.Bounds(lb, ub),
-        options=dict(mip_rel_gap=0.0, presolve=True, mip_heuristic_run_feasibility_jump=False),
+        options=dict(mip_rel_gap=0.0, presolve=True, mip_heuristic_run_feasibility_jump=False,
+                     mip_heuristic_run_zi_round=True),
     )
     outcome = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, "failed")
     if outcome != "optimal":
@@ -640,6 +641,20 @@ class TestStart:
         got = solve(problem, UsageCap(cap), start=free)
         assert got.objective == pytest.approx(solve(problem, UsageCap(cap)).objective, rel=1e-9)
         assert validate_schedule(problem.case, got, cap=UsageCap(cap)) == []
+
+    def test_zi_rounding_runs_only_without_a_start(self, monkeypatch):
+        load, loaded = milp._load, []
+
+        def keep(*args):
+            loaded.append(load(*args))
+            return loaded[-1]
+
+        monkeypatch.setattr(milp, "_load", keep)
+        problem = build_model(day_case())
+        free = solve(problem)
+        solve(problem, start=free)
+        zi = [solver.getOptionValue("mip_heuristic_run_zi_round")[1] for solver in loaded]
+        assert zi == [True, False]
 
 
 class TestValidateSchedule:
