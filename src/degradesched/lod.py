@@ -8,16 +8,19 @@ operation + degradation cost. The two single-solve benchmarks are pass 0 of
 the same loop: the traditional run on the model that ignores degradation, and
 the linear-bdc run on one that prices throughput at a flat $/kWh rate.
 
-Pass 0 solves the MILP. So does each pass whose cap falls below the cap
-range of the last MILP's commitment, and a pass whose cap is at solver
+Pass 0 solves the MILP, and so does a pass whose cap is at solver
 tolerance scale. Every other pass re-solves the last MILP's commitment-fixed
 LP under its own cap (`milp.CapSession`), and a chosen pass that came from
-the LP is checked against the MILP at its cap. Each capped MILP above
-solver tolerance scale starts from that LP's schedule at its cap, and the
-check from the chosen pass's own schedule. One session serves a commitment
-for the whole run: a MILP that keeps it only moves the session's range down
-(`CapSession.rerange`), and a new session opens only on a new commitment or
-after the old one's LP failed.
+the LP is checked against the MILP at its cap. Where the cap falls below
+the LP's cap range (a range exit), the LP's schedule at the cap is the
+MILP's start, and the check's start is the chosen pass's own schedule.
+Before either MILP, one LP relaxation of the model, kept warm for the whole
+run, bounds the MILP's objective at that cap. If the start's objective is
+within HiGHS's mip_abs_gap of the bound, the start is the MILP's optimum
+(`CapSession.proves`): the pass takes it, or the check passes, and no MILP
+runs. One session serves a commitment for the whole run: a range exit that
+keeps it only moves the session's range down (`CapSession.rerange`), and a
+new session opens only on a new commitment or after the old one's LP failed.
 """
 
 from __future__ import annotations
@@ -116,7 +119,9 @@ class LodTrace:
     `infeasible_report` is the diagnosis of the pass that ended the loop as
     "infeasible", and empty for any other stop. A single-solve strategy's
     one pass ends as "single_solve". `milp_solves` counts the MILPs the run
-    solved, the check of an LP-derived chosen pass included.
+    solved, the check of an LP-derived chosen pass included. `bound_proofs`
+    counts the range exits and checks that the LP relaxation's bound closed
+    instead of a MILP, each within HiGHS's mip_abs_gap.
     """
 
     iterations: list[LodIteration]
@@ -124,6 +129,7 @@ class LodTrace:
     termination_reason: str  # converged|cap_exhausted|max_iterations|infeasible|single_solve
     infeasible_report: list[str]
     milp_solves: int
+    bound_proofs: int
 
     @property
     def best(self) -> LodIteration:
@@ -172,18 +178,22 @@ def _passes(
     reason = "max_iterations"
     report: list[str] = []
     session: CapSession | None = None
+    relaxation: CapSession | None = None
     from_lp: set[int] = set()
-    milp_solves = 0
+    milp_solves = bound_proofs = 0
     tiny_cap = TINY_CAP_SHARE * problem.b_ub[-1]
 
     for index in range(cfg.max_iterations + 1):
         lp_cap = lp_passes and cap is not None and cap.cap_kwh > tiny_cap
         sched = start = None
         if lp_cap:
+            if relaxation is None:
+                relaxation = CapSession(problem, None, cap.cap_kwh)
             # The LP of the last MILP's commitment at this cap: the pass
-            # itself inside the session's range, else the MILP's start. At
-            # pass 1 the session opens on pass 0's schedule, a commitment no
-            # MILP chose under a cap, so there it only gives the start.
+            # itself inside the session's range, else a start that the
+            # relaxation proves or the MILP runs from. At pass 1 the session
+            # opens on pass 0's schedule, a commitment no MILP chose under a
+            # cap, so there it only gives the start.
             opened = session is None
             if opened:
                 session = CapSession(problem, iterations[0].schedule, cap.cap_kwh)
@@ -192,6 +202,12 @@ def _passes(
                 session = None
             elif not opened and session.cap_floor <= cap.cap_kwh:
                 sched = lp_sched
+            elif relaxation.proves(lp_sched, cap.cap_kwh):
+                # A range exit the relaxation closes: the start is a MILP
+                # optimum at this cap, on the session's own commitment.
+                sched = lp_sched
+                bound_proofs += 1
+                session.rerange(sched)
             else:
                 start = lp_sched
         if sched is None:
@@ -233,16 +249,21 @@ def _passes(
         cap = UsageCap((1.0 - cfg.alpha) * it.bess_throughput_kwh)
     session = None  # before the guard's MILP
 
-    if best_index in from_lp:
-        # The LP is optimal for its commitment only; a cheaper one at the
-        # chosen cap voids the LP passes, and the walk reruns on MILPs.
-        best = iterations[best_index]
+    # The LP is optimal for its commitment only. Unless the relaxation proves
+    # the chosen pass optimal at its cap, a cheaper commitment there voids
+    # the LP passes, and the walk reruns on MILPs.
+    best = iterations[best_index]
+    if best_index in from_lp and relaxation.proves(best.schedule, best.usage_cap_kwh):
+        bound_proofs += 1
+    elif best_index in from_lp:
+        relaxation = None  # free its HiGHS instance before the MILP
         milp_solves += 1
         check = solve(problem, UsageCap(best.usage_cap_kwh), start=best.schedule)
         cost = operation_cost(check, case)["total"]
         if cost < best.operation_cost - GUARD_REL_TOL * max(1.0, abs(best.operation_cost)):
             trace = _passes(problem, model, econ, cfg, soh, lp_passes=False)
             trace.milp_solves += milp_solves
+            trace.bound_proofs += bound_proofs
             return trace
 
     return LodTrace(
@@ -251,6 +272,7 @@ def _passes(
         termination_reason=reason,
         infeasible_report=report,
         milp_solves=milp_solves,
+        bound_proofs=bound_proofs,
     )
 
 
@@ -297,25 +319,29 @@ def run_lod(
     iterations fail to improve the best combined cost, when the battery goes
     idle, or at the iteration bound; the best iteration is the answer.
 
-    Iteration 0 is a MILP. So is each pass whose cap lies below the ranging
-    interval of the open commitment-fixed LP, or is at most TINY_CAP_SHARE
-    of the model's default cap. Each capped MILP above that share starts
-    from the LP of the last MILP's commitment at its cap (pass 1 from pass
-    0's), so HiGHS has an incumbent before its root node; the start changes
-    no cost, but on a tie it may change which schedule, and so which
-    degradation, a pass reports. Iteration 0 has no start, and on a tie its
-    schedule is the vertex HiGHS returns with ZI rounding on
-    (`milp._milp`). After the MILP, that LP's session stays
-    open if the MILP kept its commitment, its range re-read at the new cap;
-    otherwise, or if the LP had no solution at the cap, the MILP's own
-    commitment opens a new one. The passes whose caps stay inside the
-    session's range take the LP's solution at their own caps. If the best
-    iteration came from the LP and the MILP at its cap, started from that
-    iteration's schedule, costs less to operate (beyond GUARD_REL_TOL), the
-    loop reruns with a MILP at every pass and no starts.
-    `milp_solves` on the trace counts them all. An infeasible first pass
-    raises InfeasibleCaseError with the solver's diagnosis; an infeasible
-    later pass ends the loop as "infeasible" and its diagnosis is kept on
-    the trace.
+    Iteration 0 is a MILP. So is each pass whose cap is at most
+    TINY_CAP_SHARE of the model's default cap. A pass whose cap lies below
+    the ranging interval of the open commitment-fixed LP takes the LP of
+    the last MILP's commitment at its cap (at pass 1, of pass 0's) as its
+    start. If the model's LP relaxation at that cap, re-solved warm, bounds
+    the objective to within HiGHS's mip_abs_gap of the start's (read from
+    `milp._highs()`'s options), the start is the MILP's optimum and the
+    pass takes it; otherwise the MILP runs from the start, so HiGHS has an
+    incumbent before its root node. The start changes no cost, but on a tie
+    it may change which schedule, and so which degradation, a pass reports.
+    Iteration 0 has no start, and on a tie its schedule is the vertex HiGHS
+    returns with ZI rounding on (`milp._milp`). After a range exit, the
+    LP's session stays open if the pass kept its commitment, its range
+    re-read at the new cap; otherwise, or if the LP had no solution at the
+    cap, the MILP's own commitment opens a new one. The passes whose caps
+    stay inside the session's range take the LP's solution at their own
+    caps. If the best iteration came from the LP, the relaxation does not
+    prove its schedule optimal at its cap, and the MILP there, started from
+    that schedule, costs less to operate (beyond GUARD_REL_TOL), the loop
+    reruns with a MILP at every pass and no starts. `milp_solves` on the
+    trace counts the MILPs and `bound_proofs` the relaxation's proofs. An
+    infeasible first pass raises InfeasibleCaseError with the solver's
+    diagnosis; an infeasible later pass ends the loop as "infeasible" and
+    its diagnosis is kept on the trace.
     """
     return _passes(build_model(case), model, econ, cfg or LodConfig(), soh)

@@ -22,8 +22,12 @@ own constraint rows. A `CapSession` keeps the LP of one solved schedule's
 commitment loaded in HiGHS, so that a loop moving the usage cap inside the
 cap row's ranging interval re-solves that LP from its basis instead of the
 MILP. Below that interval, the LP's schedule is still a feasible point under
-the new cap, and `solve` takes it as the MILP's start: HiGHS then has an
-incumbent before its root node, and only proves it. If the MILP keeps the
+the new cap. A `CapSession` opened with no schedule keeps the model's LP
+relaxation loaded the same way, and its optimum bounds the MILP's: a start
+whose objective is within HiGHS's own mip_abs_gap of that bound, the gap at
+which HiGHS closes a MILP, is proven optimal without a MILP run
+(`CapSession.proves`). Otherwise `solve` takes the start as the MILP's
+first incumbent, and HiGHS searches from there. If the pass keeps the
 commitment, the session re-reads its ranging there and serves on.
 
 scipy loads on the first model build, not with this module: build_model
@@ -594,38 +598,47 @@ def _milp(
 
 
 class CapSession:
-    """The LP of one solved schedule's commitment, kept warm while the usage
-    cap moves.
+    """The LP of one solved schedule's commitment, or the MILP's LP
+    relaxation, kept warm while the usage cap moves.
 
-    Opening it fixes the schedule's binaries (u_gen, u_char, u_disc) in the
-    problem's bounds and solves that LP once under `cap_kwh`. `cap_floor` is
-    then the least cap down to which the cap row's optimal basis stays
-    primal feasible, from HiGHS's ranging (`row_bound_dn`); it is +inf if
-    the LP did not solve to optimality or HiGHS gave no ranging. Inside
-    [cap_floor, cap_kwh] the LP's solution, and with it the operation cost,
-    is affine in the cap. This is the commitment-fixed LP of O'Neill et al.,
-    "Efficient market-clearing prices in markets with nonconvexities", EJOR
-    164(1), 2005.
+    Opening it with a schedule fixes the schedule's binaries (u_gen, u_char,
+    u_disc) in the problem's bounds and solves that LP once under `cap_kwh`.
+    `cap_floor` is then the least cap down to which the cap row's optimal
+    basis stays primal feasible, from HiGHS's ranging (`row_bound_dn`); it
+    is +inf if the LP did not solve to optimality or HiGHS gave no ranging.
+    Inside [cap_floor, cap_kwh] the LP's solution, and with it the operation
+    cost, is affine in the cap. This is the commitment-fixed LP of O'Neill et
+    al., "Efficient market-clearing prices in markets with nonconvexities",
+    EJOR 164(1), 2005.
 
     `at(cap)` moves the cap row's bound and re-runs HiGHS from the kept
     basis. It proves the schedule optimal for this commitment only: a MILP
     under the same cap may find a cheaper one. Below cap_floor the basis
     changes, but the schedule is still feasible, and so a MILP's start.
-    When that MILP keeps this commitment, `rerange` reads the cap row's
+    When the pass there keeps this commitment, `rerange` reads the cap row's
     ranging at the new basis, and the session serves the caps below much
     as one opened there would, without loading and presolving the LP again.
+
+    Opened with no schedule, it only loads the relaxation: the same rows,
+    bounds and objective, with the binaries continuous in [0, 1].
+    `bound(cap)` runs it at a cap, warm after its first run, and `proves`
+    compares a start with that bound. By weak duality a feasible start whose
+    objective meets the relaxation's optimum is the MILP's optimum (Wolsey,
+    *Integer Programming*, 1998, section 2.2); the MILP run would only prove
+    it, through MIP presolve and a cold root LP.
     """
 
-    def __init__(self, problem: MilpProblem, sched: DispatchSchedule, cap_kwh: float):
+    def __init__(self, problem: MilpProblem, sched: DispatchSchedule | None, cap_kwh: float):
         self._lb, ub = problem.lb.copy(), problem.ub.copy()
-        for name in _INTEGER_FIELDS:
-            self._lb[problem.index[name]] = ub[problem.index[name]] = getattr(sched, name)
+        if sched is not None:
+            for name in _INTEGER_FIELDS:
+                self._lb[problem.index[name]] = ub[problem.index[name]] = getattr(sched, name)
         self._problem = replace(problem, b_ub=np.append(problem.b_ub[:-1], cap_kwh))
         self._solver = _load(
             self._problem, self._lb, ub, np.zeros(problem.n_variables, dtype=bool)
         )
         self.cap_floor = math.inf
-        if self._solver is not None:
+        if self._solver is not None and sched is not None:
             _run(self._solver)
             self._range()
 
@@ -655,6 +668,12 @@ class CapSession:
         self._range()
         return True
 
+    def _run_at(self, cap_kwh: float) -> _Solved:
+        """Move the cap row's bound to cap_kwh and re-run HiGHS from the kept basis."""
+        self._problem.b_ub[-1] = cap_kwh
+        self._solver.changeRowBounds(self._problem.b_ub.size - 1, -np.inf, cap_kwh)
+        return _run(self._solver)
+
     def at(self, cap_kwh: float) -> DispatchSchedule | None:
         """The LP's schedule under a usage cap of cap_kwh, read as `solve`
         reads a MILP's; None if HiGHS refused the LP, the LP is not solved
@@ -662,16 +681,33 @@ class CapSession:
         FEASIBILITY_TOL."""
         if self._solver is None:
             return None
-        problem = self._problem
-        problem.b_ub[-1] = cap_kwh
-        self._solver.changeRowBounds(problem.b_ub.size - 1, -np.inf, cap_kwh)
-        res = _run(self._solver)
+        res = self._run_at(cap_kwh)
         if res.x is None:
             return None
+        problem = self._problem
         x = _snap(problem, res.x)
         if _row_violation(problem, x) > FEASIBILITY_TOL:
             return None
         return _extract_schedule(problem, x, res.objective)
+
+    def bound(self, cap_kwh: float) -> float:
+        """The LP's optimal objective under a usage cap of cap_kwh, or -inf if
+        HiGHS refused the LP or did not solve it to optimality. For the
+        relaxation, no schedule feasible under that cap costs less."""
+        if self._solver is None:
+            return -math.inf
+        res = self._run_at(cap_kwh)
+        return -math.inf if res.objective is None else res.objective
+
+    def proves(self, start: DispatchSchedule, cap_kwh: float) -> bool:
+        """Whether the relaxation proves start, feasible under a usage cap of
+        cap_kwh, optimal for the MILP there: its objective, c·x of its own
+        columns as HiGHS evaluates a MIP start, lies within HiGHS's
+        mip_abs_gap of `bound(cap_kwh)`, the gap at which HiGHS itself
+        closes the MILP. Only a session opened with no schedule proves."""
+        gap = _highs()[1].mip_abs_gap
+        objective = float(self._problem.c @ _columns(self._problem, start))
+        return self.bound(cap_kwh) >= objective - gap
 
 
 def solve(

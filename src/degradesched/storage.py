@@ -587,6 +587,7 @@ def summary_from_trace(trace: LodTrace, solve_seconds: float) -> dict:
         "solve_seconds": solve_seconds,
         "iterations": len(trace.iterations),
         "milp_solves": trace.milp_solves,
+        "bound_proofs": trace.bound_proofs,
         "best_index": trace.best_index,
         "termination_reason": trace.termination_reason,
     }

@@ -518,10 +518,12 @@ class TestSchedule:
             )
             assert result.exit_code == 0, result.output
             summary = json.loads((tmp_path / mode / "summary.json").read_text())
-            counts[mode] = (summary["milp_solves"], summary["iterations"])
-        assert counts["traditional"] == counts["linear-bdc"] == (1, 1)
-        solves, iterations = counts["lod"]
-        assert 1 < solves < iterations
+            counts[mode] = (summary["milp_solves"], summary["bound_proofs"], summary["iterations"])
+        assert counts["traditional"] == counts["linear-bdc"] == (1, 0, 1)
+        solves, proofs, iterations = counts["lod"]
+        # Every pass leaving a cap range solves a MILP or proves its start.
+        assert 1 <= solves < iterations
+        assert solves + proofs > 1
 
     def test_lod_pass_0_alone_is_the_traditional_schedule(self, workdir, tmp_path):
         for mode, flags in (("traditional", []), ("lod", ["--max-iterations", "0"])):

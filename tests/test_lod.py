@@ -1,6 +1,7 @@
 """Tests for the iterative degradation-aware scheduling loop."""
 
 import dataclasses
+import math
 import weakref
 
 import numpy as np
@@ -23,6 +24,7 @@ from degradesched.milp import (
 from degradesched.net import NetworkSpec, Normalizer, TrainedNetwork, TrainConfig
 from degradesched.quantifier import BDF_FEATURES, BDP_VARIANTS, DegradationModel
 from test_milp import day_case as milp_day_case
+from test_milp import week_case as milp_week_case
 
 
 def constant_network(n_in: int, out_values) -> TrainedNetwork:
@@ -253,6 +255,23 @@ def milp_only(case, model, cfg):
     return lod._passes(build_model(case), model, ECON, cfg, 1.0, lp_passes=False)
 
 
+@pytest.fixture
+def no_bound_proofs(monkeypatch):
+    """The LP relaxation proves no start, so every range exit and the guard
+    solve their MILP."""
+    monkeypatch.setattr(lod.CapSession, "bound", lambda self, cap_kwh: -math.inf)
+
+
+def lost_commitment_case():
+    """arbitrage_case() with a 10 kW minimum battery power and a cheaper
+    second peak: a minimum power ties throughput to the battery's binaries,
+    which the LP relaxation relaxes."""
+    base = arbitrage_case()
+    buy = np.array([0.05, 0.05, 0.05, 1.2, 0.6, 0.05])
+    return dataclasses.replace(base, price_buy=buy, price_sell=0.5 * buy,
+                               bess=[dataclasses.replace(base.bess[0], p_min=10.0)])
+
+
 def lp_schedules(monkeypatch) -> list:
     """Record every schedule the loop takes from a fixed-commitment LP."""
     taken = []
@@ -287,6 +306,7 @@ class TestLpPasses:
 
     @pytest.mark.parametrize("case", [load_example_day(), arbitrage_case(), milp_day_case()],
                              ids=["example_day", "arbitrage", "testbed_day"])
+    @pytest.mark.usefixtures("no_bound_proofs")
     def test_capped_milps_start_from_the_lp(self, case, monkeypatch):
         solves = []
 
@@ -322,20 +342,23 @@ class TestLpPasses:
             it.total_cost for it in reference.iterations]
 
     @pytest.mark.parametrize("quadratic", [False, True], ids=["constant", "quadratic"])
+    @pytest.mark.usefixtures("no_bound_proofs")
     def test_at_most_one_session_is_live_at_a_milp(self, quadratic, monkeypatch):
         # Degradation quadratic in throughput makes an LP pass the best, so
-        # the guard's MILP runs (see the test below).
-        live = weakref.WeakSet()
-        live_at_milp = []
+        # the guard's MILP runs (see the test below). Beside the commitment
+        # sessions (`live`), a run keeps one LP relaxation.
+        live, relaxations = weakref.WeakSet(), weakref.WeakSet()
+        live_at_milp, relaxations_at_milp = [], []
         taken = lp_schedules(monkeypatch)
 
         class Tracked(lod.CapSession):
-            def __init__(self, *args):
-                super().__init__(*args)
-                live.add(self)
+            def __init__(self, problem, sched, cap_kwh):
+                super().__init__(problem, sched, cap_kwh)
+                (relaxations if sched is None else live).add(self)
 
         def counting_solve(problem, cap=None, start=None):
             live_at_milp.append(len(live))
+            relaxations_at_milp.append(len(relaxations))
             return solve(problem, cap, start)
 
         monkeypatch.setattr(lod, "CapSession", Tracked)
@@ -347,14 +370,15 @@ class TestLpPasses:
         cfg = LodConfig() if quadratic else LodConfig(alpha=0.1)
         trace = lod.run_lod(load_example_day(), model, ECON, cfg)
         assert len(live_at_milp) == trace.milp_solves > 2
-        assert live_at_milp[0] == 0  # pass 0
+        assert live_at_milp[0] == relaxations_at_milp[0] == 0  # pass 0
         assert max(live_at_milp) <= 1
+        assert max(relaxations_at_milp) <= 1
         lp_passes = sum(any(it.schedule is s for s in taken) for it in trace.iterations)
         guarded = trace.milp_solves > len(trace.iterations) - lp_passes
         assert guarded == quadratic
         if guarded:
             assert live_at_milp[-1] == 0
-        assert len(live) == 0
+        assert len(live) == len(relaxations) == 0
 
     def test_a_lost_commitment_reopens_the_session(self, monkeypatch):
         # A minimum battery power ties throughput to the battery's binaries:
@@ -363,9 +387,10 @@ class TestLpPasses:
         opened, kept, lp = [], [], []
 
         class Recording(lod.CapSession):
-            def __init__(self, *args):
-                super().__init__(*args)
-                opened.append(self)
+            def __init__(self, problem, sched, cap_kwh):
+                super().__init__(problem, sched, cap_kwh)
+                if sched is not None:  # a commitment's session, not the relaxation
+                    opened.append(self)
 
             def at(self, cap_kwh):
                 sched = super().at(cap_kwh)
@@ -376,11 +401,7 @@ class TestLpPasses:
                 kept.append(super().rerange(sched))
                 return kept[-1]
 
-        base = arbitrage_case()
-        buy = np.array([0.05, 0.05, 0.05, 1.2, 0.6, 0.05])
-        case = dataclasses.replace(base, price_buy=buy, price_sell=0.5 * buy,
-                                   bess=[dataclasses.replace(base.bess[0], p_min=10.0)])
-        model, cfg = constant_model(5e-4), LodConfig(alpha=0.3)
+        case, model, cfg = lost_commitment_case(), constant_model(5e-4), LodConfig(alpha=0.3)
         monkeypatch.setattr(lod, "CapSession", Recording)
         trace = lod.run_lod(case, model, ECON, cfg)
         assert len(opened) > 1
@@ -391,6 +412,7 @@ class TestLpPasses:
             assert got.usage_cap_kwh == pytest.approx(want.usage_cap_kwh, rel=1e-9), got.index
             assert got.operation_cost == pytest.approx(want.operation_cost, rel=1e-9), got.index
 
+    @pytest.mark.usefixtures("no_bound_proofs")
     def test_guard_reruns_the_walk_on_milps(self, monkeypatch):
         # LP schedules look degradation-free, so an LP pass wins, and $10
         # dearer to operate, so the MILP at the winner's cap undercuts it.
@@ -430,6 +452,7 @@ class TestLpPasses:
         assert (trace.best_index, trace.termination_reason) == (
             reference.best_index, reference.termination_reason)
 
+    @pytest.mark.usefixtures("no_bound_proofs")
     def test_guard_keeps_a_chosen_lp_pass_the_milp_confirms(self, monkeypatch):
         # Degradation quadratic in throughput puts the best pass inside an LP
         # range; a constant per half cycle only drops where the commitment does.
@@ -464,6 +487,59 @@ class TestLpPasses:
         trace = lod.run_lod(case, model, ECON, cfg)
         reference = milp_only(case, model, cfg)
         assert trace.best.total_cost <= reference.best.total_cost + lod.IMPROVEMENT_TOL
+
+
+class TestBoundProofs:
+    """A range exit, or the guard, whose start the LP relaxation proves
+    optimal takes the start and solves no MILP."""
+
+    @pytest.mark.parametrize("case", [load_example_day(), arbitrage_case(), milp_day_case(),
+                                      milp_week_case()],
+                             ids=["example_day", "arbitrage", "testbed_day", "week"])
+    def test_proofs_change_no_pass(self, case, monkeypatch):
+        model = constant_model(5e-4)
+        proven = lod.run_lod(case, model, ECON)
+        monkeypatch.setattr(lod.CapSession, "bound", lambda self, cap_kwh: -math.inf)
+        solved = lod.run_lod(case, model, ECON)
+        assert proven.bound_proofs > 0 and solved.bound_proofs == 0
+        for name in ("usage_cap_kwh", "operation_cost", "degradation"):
+            assert [getattr(it, name) for it in proven.iterations] == [
+                getattr(it, name) for it in solved.iterations], name
+        assert (proven.best_index, proven.termination_reason) == (
+            solved.best_index, solved.termination_reason)
+        if case.horizon == 168:
+            assert proven.milp_solves < solved.milp_solves
+
+    def test_a_gap_falls_back_to_the_started_milp(self, monkeypatch):
+        # The relaxation may run the battery below its minimum power, so at
+        # one range exit its bound falls short of the LP start's cost.
+        checked, solves = [], []
+
+        class Recording(lod.CapSession):
+            def proves(self, start, cap_kwh):
+                checked.append((cap_kwh, start, super().proves(start, cap_kwh)))
+                return checked[-1][-1]
+
+        def recording_solve(problem, cap=None, start=None):
+            solves.append((cap, start))
+            return solve(problem, cap, start)
+
+        monkeypatch.setattr(lod, "CapSession", Recording)
+        monkeypatch.setattr(lod, "solve", recording_solve)
+        case, model, cfg = lost_commitment_case(), constant_model(5e-4), LodConfig(alpha=0.3)
+        trace = lod.run_lod(case, model, ECON, cfg)
+        gaps = [(cap, start) for cap, start, proven in checked if not proven]
+        assert len(gaps) == 1 and trace.bound_proofs == len(checked) - 1 > 0
+        cap_kwh, start = gaps[0]
+        assert any(cap is not None and cap.cap_kwh == cap_kwh and got is start
+                   for cap, got in solves)
+        assert trace.milp_solves == len(solves)
+        reference = milp_only(case, model, cfg)
+        for got, want in zip(trace.iterations, reference.iterations, strict=True):
+            assert got.usage_cap_kwh == pytest.approx(want.usage_cap_kwh, rel=1e-9), got.index
+            assert got.operation_cost == pytest.approx(want.operation_cost, rel=1e-9), got.index
+        assert (trace.best_index, trace.termination_reason) == (
+            reference.best_index, reference.termination_reason)
 
 
 class TestOnePath:
