@@ -9,18 +9,14 @@ the same loop: the traditional run on the model that ignores degradation, and
 the linear-bdc run on one that prices throughput at a flat $/kWh rate.
 
 Pass 0 solves the MILP, and so does a pass whose cap is at solver
-tolerance scale. Every other pass re-solves the last MILP's commitment-fixed
-LP under its own cap (`milp.CapSession`), and a chosen pass that came from
-the LP is checked against the MILP at its cap. Where the cap falls below
-the LP's cap range (a range exit), the LP's schedule at the cap is the
-MILP's start, and the check's start is the chosen pass's own schedule.
-Before either MILP, one LP relaxation of the model, kept warm for the whole
-run, bounds the MILP's objective at that cap. If the start's objective is
-within HiGHS's mip_abs_gap of the bound, the start is the MILP's optimum
-(`CapSession.proves`): the pass takes it, or the check passes, and no MILP
-runs. One session serves a commitment for the whole run: a range exit that
-keeps it only moves the session's range down (`CapSession.rerange`), and a
-new session opens only on a new commitment or after the old one's LP failed.
+tolerance scale. Every other pass first re-solves the LP of the last MILP's
+commitment under its own cap (`milp.CapSession`). One LP relaxation of the
+model, kept warm for the whole run, bounds the MILP's objective at that cap.
+If the LP's objective is within HiGHS's mip_abs_gap of the bound, the LP's
+schedule is the MILP's optimum (`CapSession.proves`) and the pass takes it.
+Otherwise the MILP runs from that schedule as its start, and the next pass
+opens a session on the MILP's commitment. Every pass is thus the MILP's
+optimum at its cap, within HiGHS's mip_abs_gap.
 """
 
 from __future__ import annotations
@@ -53,10 +49,6 @@ IMPROVEMENT_TOL = 1e-9
 # integrality tolerance, and rounding it idles the battery, where the LP
 # would keep throughput at the cap.
 TINY_CAP_SHARE = 1e-6
-
-# The MILP re-solve of a chosen LP pass must undercut its operation cost by
-# more than this share of that cost, taken as at least $1, to void the LP walk.
-GUARD_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -118,10 +110,9 @@ class LodTrace:
 
     `infeasible_report` is the diagnosis of the pass that ended the loop as
     "infeasible", and empty for any other stop. A single-solve strategy's
-    one pass ends as "single_solve". `milp_solves` counts the MILPs the run
-    solved, the check of an LP-derived chosen pass included. `bound_proofs`
-    counts the range exits and checks that the LP relaxation's bound closed
-    instead of a MILP, each within HiGHS's mip_abs_gap.
+    one pass ends as "single_solve". `milp_solves` counts the passes that
+    solved a MILP, and `bound_proofs` those that took a commitment LP's
+    schedule the LP relaxation proved optimal, within HiGHS's mip_abs_gap.
     """
 
     iterations: list[LodIteration]
@@ -165,12 +156,8 @@ def _passes(
     econ: EconParams,
     cfg: LodConfig,
     soh: float,
-    lp_passes: bool = True,
 ) -> LodTrace:
-    """The loop of `run_lod` on a built model of `problem.case`, under `cfg`.
-
-    With `lp_passes` false, every pass solves the MILP.
-    """
+    """The loop of `run_lod` on a built model of `problem.case`, under `cfg`."""
     case = problem.case
     iterations: list[LodIteration] = []
     best_index = 0
@@ -179,40 +166,24 @@ def _passes(
     report: list[str] = []
     session: CapSession | None = None
     relaxation: CapSession | None = None
-    from_lp: set[int] = set()
     milp_solves = bound_proofs = 0
     tiny_cap = TINY_CAP_SHARE * problem.b_ub[-1]
 
     for index in range(cfg.max_iterations + 1):
-        lp_cap = lp_passes and cap is not None and cap.cap_kwh > tiny_cap
         sched = start = None
-        if lp_cap:
+        if cap is not None and cap.cap_kwh > tiny_cap:
+            # The LP of the last MILP's commitment at this cap: the pass if
+            # the relaxation proves it optimal, else the MILP's start.
             if relaxation is None:
-                relaxation = CapSession(problem, None, cap.cap_kwh)
-            # The LP of the last MILP's commitment at this cap: the pass
-            # itself inside the session's range, else a start that the
-            # relaxation proves or the MILP runs from. At pass 1 the session
-            # opens on pass 0's schedule, a commitment no MILP chose under a
-            # cap, so there it only gives the start.
-            opened = session is None
-            if opened:
-                session = CapSession(problem, iterations[0].schedule, cap.cap_kwh)
-            lp_sched = session.at(cap.cap_kwh)
-            if lp_sched is None:
-                session = None
-            elif not opened and session.cap_floor <= cap.cap_kwh:
-                sched = lp_sched
-            elif relaxation.proves(lp_sched, cap.cap_kwh):
-                # A range exit the relaxation closes: the start is a MILP
-                # optimum at this cap, on the session's own commitment.
-                sched = lp_sched
+                relaxation = CapSession(problem)
+            if session is None:
+                session = CapSession(problem, iterations[-1].schedule)
+            start = session.at(cap.cap_kwh)
+            if start is not None and relaxation.proves(start, cap.cap_kwh):
+                sched, start = start, None
                 bound_proofs += 1
-                session.rerange(sched)
-            else:
-                start = lp_sched
         if sched is None:
-            if not lp_cap:
-                session = None  # free its HiGHS instance before the MILP
+            session = None  # freed before the MILP; the next pass opens its commitment's
             milp_solves += 1
             try:
                 sched = solve(problem, cap, start=start)
@@ -221,11 +192,6 @@ def _passes(
                     raise
                 reason, report = "infeasible", exc.report
                 break
-            if lp_cap and not (session is not None and session.rerange(sched)):
-                session = None  # free the old instance before the new one loads
-                session = CapSession(problem, sched, cap.cap_kwh)
-        else:
-            from_lp.add(index)
         deg = schedule_degradation(case, sched, model, soh)
         it = LodIteration(
             index=index,
@@ -247,24 +213,6 @@ def _passes(
             reason = "cap_exhausted"
             break
         cap = UsageCap((1.0 - cfg.alpha) * it.bess_throughput_kwh)
-    session = None  # before the guard's MILP
-
-    # The LP is optimal for its commitment only. Unless the relaxation proves
-    # the chosen pass optimal at its cap, a cheaper commitment there voids
-    # the LP passes, and the walk reruns on MILPs.
-    best = iterations[best_index]
-    if best_index in from_lp and relaxation.proves(best.schedule, best.usage_cap_kwh):
-        bound_proofs += 1
-    elif best_index in from_lp:
-        relaxation = None  # free its HiGHS instance before the MILP
-        milp_solves += 1
-        check = solve(problem, UsageCap(best.usage_cap_kwh), start=best.schedule)
-        cost = operation_cost(check, case)["total"]
-        if cost < best.operation_cost - GUARD_REL_TOL * max(1.0, abs(best.operation_cost)):
-            trace = _passes(problem, model, econ, cfg, soh, lp_passes=False)
-            trace.milp_solves += milp_solves
-            trace.bound_proofs += bound_proofs
-            return trace
 
     return LodTrace(
         iterations=iterations,
@@ -320,28 +268,25 @@ def run_lod(
     idle, or at the iteration bound; the best iteration is the answer.
 
     Iteration 0 is a MILP. So is each pass whose cap is at most
-    TINY_CAP_SHARE of the model's default cap. A pass whose cap lies below
-    the ranging interval of the open commitment-fixed LP takes the LP of
-    the last MILP's commitment at its cap (at pass 1, of pass 0's) as its
-    start. If the model's LP relaxation at that cap, re-solved warm, bounds
-    the objective to within HiGHS's mip_abs_gap of the start's (read from
-    `milp._highs()`'s options), the start is the MILP's optimum and the
-    pass takes it; otherwise the MILP runs from the start, so HiGHS has an
-    incumbent before its root node. The start changes no cost, but on a tie
-    it may change which schedule, and so which degradation, a pass reports.
-    Iteration 0 has no start, and on a tie its schedule is the vertex HiGHS
-    returns with ZI rounding on (`milp._milp`). After a range exit, the
-    LP's session stays open if the pass kept its commitment, its range
-    re-read at the new cap; otherwise, or if the LP had no solution at the
-    cap, the MILP's own commitment opens a new one. The passes whose caps
-    stay inside the session's range take the LP's solution at their own
-    caps. If the best iteration came from the LP, the relaxation does not
-    prove its schedule optimal at its cap, and the MILP there, started from
-    that schedule, costs less to operate (beyond GUARD_REL_TOL), the loop
-    reruns with a MILP at every pass and no starts. `milp_solves` on the
-    trace counts the MILPs and `bound_proofs` the relaxation's proofs. An
-    infeasible first pass raises InfeasibleCaseError with the solver's
-    diagnosis; an infeasible later pass ends the loop as "infeasible" and
-    its diagnosis is kept on the trace.
+    TINY_CAP_SHARE of the model's default cap. Every other pass first solves
+    the LP of the last MILP's commitment at its cap (at pass 1, pass 0's). If
+    the model's LP relaxation at that cap bounds the objective to within
+    HiGHS's mip_abs_gap of the LP schedule's (read from `milp._highs()`'s
+    options), that schedule is the MILP's optimum and the pass takes it;
+    otherwise the MILP runs from it as a start, so HiGHS has an incumbent
+    before its root node. The relaxation's bound comes from the cap-row
+    dual of its last warm solve where that suffices, else from a warm
+    re-solve at the cap. The next pass after a MILP opens the LP of that
+    MILP's commitment; the LP session closes before each MILP, and one
+    with no solution at the cap leaves the MILP without a start. Every pass
+    is the MILP's optimum at its cap. The start changes no cost, but on a
+    tie it may change which schedule, and so which degradation, a pass
+    reports. Iteration 0 has no start, and on a tie its schedule is the
+    vertex HiGHS returns with ZI rounding on (`milp._milp`). `milp_solves`
+    on the trace counts the MILPs and `bound_proofs` the relaxation's
+    proofs; the two sum to the passes, plus the MILP of an "infeasible"
+    stop. An infeasible first pass raises InfeasibleCaseError with the
+    solver's diagnosis; an infeasible later pass ends the loop as
+    "infeasible" and its diagnosis is kept on the trace.
     """
     return _passes(build_model(case), model, econ, cfg or LodConfig(), soh)

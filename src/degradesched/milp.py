@@ -18,17 +18,16 @@ is solved to proven optimality by HiGHS, called through the binding that
 scipy bundles (scipy.optimize._highspy._core) with the options and status
 classes of scipy's milp function, and handed to it as arrays that HiGHS
 reads in place; an infeasible model is diagnosed by an elastic solve over its
-own constraint rows. A `CapSession` keeps the LP of one solved schedule's
-commitment loaded in HiGHS, so that a loop moving the usage cap inside the
-cap row's ranging interval re-solves that LP from its basis instead of the
-MILP. Below that interval, the LP's schedule is still a feasible point under
-the new cap. A `CapSession` opened with no schedule keeps the model's LP
-relaxation loaded the same way, and its optimum bounds the MILP's: a start
-whose objective is within HiGHS's own mip_abs_gap of that bound, the gap at
-which HiGHS closes a MILP, is proven optimal without a MILP run
-(`CapSession.proves`). Otherwise `solve` takes the start as the MILP's
-first incumbent, and HiGHS searches from there. If the pass keeps the
-commitment, the session re-reads its ranging there and serves on.
+own constraint rows. A `CapSession` keeps one LP loaded in HiGHS while a loop
+moves the usage cap, re-solving it from its basis instead of loading it
+again. Opened on a solved schedule, it holds the LP of that schedule's
+commitment, whose schedule at a cap, where it has one, is feasible for the
+MILP there. Opened with no schedule, it holds the model's LP relaxation,
+whose optimum bounds the MILP's: a start whose objective is within HiGHS's
+own mip_abs_gap of that bound, the gap at which HiGHS closes a MILP, is
+proven optimal without a MILP run (`CapSession.proves`). Otherwise `solve`
+takes the start as the MILP's first incumbent, and HiGHS searches from
+there.
 
 scipy loads on the first model build, not with this module: build_model
 imports scipy.sparse, and the first solve imports the binding, which loads
@@ -598,75 +597,35 @@ def _milp(
 
 
 class CapSession:
-    """The LP of one solved schedule's commitment, or the MILP's LP
-    relaxation, kept warm while the usage cap moves.
+    """The LP of one schedule's commitment, or the MILP's LP relaxation,
+    kept loaded in HiGHS while the usage cap moves.
 
     Opening it with a schedule fixes the schedule's binaries (u_gen, u_char,
-    u_disc) in the problem's bounds and solves that LP once under `cap_kwh`.
-    `cap_floor` is then the least cap down to which the cap row's optimal
-    basis stays primal feasible, from HiGHS's ranging (`row_bound_dn`); it
-    is +inf if the LP did not solve to optimality or HiGHS gave no ranging.
-    Inside [cap_floor, cap_kwh] the LP's solution, and with it the operation
-    cost, is affine in the cap. This is the commitment-fixed LP of O'Neill et
+    u_disc) in the problem's bounds: the commitment-fixed LP of O'Neill et
     al., "Efficient market-clearing prices in markets with nonconvexities",
-    EJOR 164(1), 2005.
+    EJOR 164(1), 2005. Opened with no schedule, it holds the relaxation: the
+    same rows, bounds and objective, with the binaries continuous in [0, 1].
+    Either way it loads without a run. Each run moves the cap row's bound
+    and starts from the basis the last run left.
 
-    `at(cap)` moves the cap row's bound and re-runs HiGHS from the kept
-    basis. It proves the schedule optimal for this commitment only: a MILP
-    under the same cap may find a cheaper one. Below cap_floor the basis
-    changes, but the schedule is still feasible, and so a MILP's start.
-    When the pass there keeps this commitment, `rerange` reads the cap row's
-    ranging at the new basis, and the session serves the caps below much
-    as one opened there would, without loading and presolving the LP again.
-
-    Opened with no schedule, it only loads the relaxation: the same rows,
-    bounds and objective, with the binaries continuous in [0, 1].
-    `bound(cap)` runs it at a cap, warm after its first run, and `proves`
-    compares a start with that bound. By weak duality a feasible start whose
+    `at(cap)` is the commitment LP's schedule under that cap. It is optimal
+    for this commitment only, but feasible for the MILP, and so a MILP's
+    start. `bound(cap)` is the relaxation's optimum there, and `proves`
+    compares a start with it. By weak duality a feasible start whose
     objective meets the relaxation's optimum is the MILP's optimum (Wolsey,
     *Integer Programming*, 1998, section 2.2); the MILP run would only prove
     it, through MIP presolve and a cold root LP.
     """
 
-    def __init__(self, problem: MilpProblem, sched: DispatchSchedule | None, cap_kwh: float):
-        self._lb, ub = problem.lb.copy(), problem.ub.copy()
+    def __init__(self, problem: MilpProblem, sched: DispatchSchedule | None = None):
+        lb, ub = problem.lb.copy(), problem.ub.copy()
         if sched is not None:
             for name in _INTEGER_FIELDS:
-                self._lb[problem.index[name]] = ub[problem.index[name]] = getattr(sched, name)
-        self._problem = replace(problem, b_ub=np.append(problem.b_ub[:-1], cap_kwh))
-        self._solver = _load(
-            self._problem, self._lb, ub, np.zeros(problem.n_variables, dtype=bool)
-        )
-        self.cap_floor = math.inf
-        if self._solver is not None and sched is not None:
-            _run(self._solver)
-            self._range()
-
-    def _range(self) -> None:
-        """Set cap_floor from the cap row's ranging at the kept basis, or to
-        +inf if the last run did not end optimal or HiGHS gave no ranging."""
-        self.cap_floor = math.inf
-        if self._solver.getModelStatus() == _highs()[0].HighsModelStatus.kOptimal:
-            ranging = self._solver.getRanging()[1]
-            if ranging.valid:
-                self.cap_floor = ranging.row_bound_dn.value_[self._problem.b_ub.size - 1]
-
-    def rerange(self, sched: DispatchSchedule) -> bool:
-        """If sched commits as this session's LP does, re-read cap_floor at
-        the session's cap (the last `at`'s, else the opening one) and return
-        True; otherwise return False and leave the session as it was.
-
-        The basis is the one the last run left, optimal at that cap, so
-        inside the new [cap_floor, cap] the LP is again affine in the cap, as
-        it is after opening.
-        """
-        index = self._problem.index
-        if self._solver is None or not all(
-            np.array_equal(self._lb[index[name]], getattr(sched, name)) for name in _INTEGER_FIELDS
-        ):
-            return False
-        self._range()
-        return True
+                lb[problem.index[name]] = ub[problem.index[name]] = getattr(sched, name)
+        self._problem = replace(problem, b_ub=problem.b_ub.copy())
+        self._solver = _load(self._problem, lb, ub, np.zeros(problem.n_variables, dtype=bool))
+        # (cap, optimum, cap-row dual) of the last optimal run, for `_kept_bound`.
+        self._dual = (0.0, -math.inf, 0.0)
 
     def _run_at(self, cap_kwh: float) -> _Solved:
         """Move the cap row's bound to cap_kwh and re-run HiGHS from the kept basis."""
@@ -697,17 +656,29 @@ class CapSession:
         if self._solver is None:
             return -math.inf
         res = self._run_at(cap_kwh)
-        return -math.inf if res.objective is None else res.objective
+        if res.objective is None:
+            return -math.inf
+        dual = self._solver.getSolution().row_dual[self._problem.b_ub.size - 1]
+        self._dual = (cap_kwh, res.objective, dual)
+        return res.objective
+
+    def _kept_bound(self, cap_kwh: float) -> float:
+        """The last optimal run's bound moved to cap_kwh along its cap-row
+        dual, without a run; -inf before one. Moving one row's bound leaves
+        the run's duals feasible, so by weak duality this bounds the LP at
+        any cap, if less tightly than `bound` there."""
+        cap, optimum, dual = self._dual
+        return optimum + dual * (cap_kwh - cap)
 
     def proves(self, start: DispatchSchedule, cap_kwh: float) -> bool:
         """Whether the relaxation proves start, feasible under a usage cap of
         cap_kwh, optimal for the MILP there: its objective, c·x of its own
         columns as HiGHS evaluates a MIP start, lies within HiGHS's
-        mip_abs_gap of `bound(cap_kwh)`, the gap at which HiGHS itself
-        closes the MILP. Only a session opened with no schedule proves."""
-        gap = _highs()[1].mip_abs_gap
-        objective = float(self._problem.c @ _columns(self._problem, start))
-        return self.bound(cap_kwh) >= objective - gap
+        mip_abs_gap of the kept bound or, failing that, of
+        `bound(cap_kwh)`, the gap at which HiGHS itself closes the MILP.
+        Only a session opened with no schedule proves."""
+        floor = float(self._problem.c @ _columns(self._problem, start)) - _highs()[1].mip_abs_gap
+        return self._kept_bound(cap_kwh) >= floor or self.bound(cap_kwh) >= floor
 
 
 def solve(

@@ -521,9 +521,9 @@ class TestSchedule:
             counts[mode] = (summary["milp_solves"], summary["bound_proofs"], summary["iterations"])
         assert counts["traditional"] == counts["linear-bdc"] == (1, 0, 1)
         solves, proofs, iterations = counts["lod"]
-        # Every pass leaving a cap range solves a MILP or proves its start.
+        # Every pass solves a MILP or takes a commitment LP the relaxation proves.
         assert 1 <= solves < iterations
-        assert solves + proofs > 1
+        assert solves + proofs == iterations
 
     def test_lod_pass_0_alone_is_the_traditional_schedule(self, workdir, tmp_path):
         for mode, flags in (("traditional", []), ("lod", ["--max-iterations", "0"])):

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from degradesched import lod
+from degradesched import lod, milp
 from degradesched.exampleday import load_example_day
 from degradesched.lod import EconParams, LodConfig
 from degradesched.milp import (
@@ -251,14 +251,16 @@ class TestRunLod:
 
 
 def milp_only(case, model, cfg):
-    """The loop with a MILP at every pass, for reference."""
-    return lod._passes(build_model(case), model, ECON, cfg, 1.0, lp_passes=False)
+    """The loop with a start-free MILP at every pass, for reference: no
+    commitment LP has a schedule, so there is nothing to prove or start from."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lod.CapSession, "at", lambda self, cap_kwh: None)
+        return lod.run_lod(case, model, ECON, cfg)
 
 
 @pytest.fixture
 def no_bound_proofs(monkeypatch):
-    """The LP relaxation proves no start, so every range exit and the guard
-    solve their MILP."""
+    """The LP relaxation proves no start, so every capped pass solves its MILP."""
     monkeypatch.setattr(lod.CapSession, "bound", lambda self, cap_kwh: -math.inf)
 
 
@@ -272,23 +274,8 @@ def lost_commitment_case():
                                bess=[dataclasses.replace(base.bess[0], p_min=10.0)])
 
 
-def lp_schedules(monkeypatch) -> list:
-    """Record every schedule the loop takes from a fixed-commitment LP."""
-    taken = []
-
-    class Recording(lod.CapSession):
-        def at(self, cap_kwh):
-            sched = super().at(cap_kwh)
-            if sched is not None:
-                taken.append(sched)
-            return sched
-
-    monkeypatch.setattr(lod, "CapSession", Recording)
-    return taken
-
-
 class TestLpPasses:
-    """Passes inside the last MILP's cap range re-solve its fixed-commitment LP."""
+    """Capped passes re-solve the last MILP's fixed-commitment LP."""
 
     @pytest.mark.parametrize("case", [load_example_day(), arbitrage_case(), milp_day_case()],
                              ids=["example_day", "arbitrage", "testbed_day"])
@@ -298,6 +285,7 @@ class TestLpPasses:
         problem = build_model(case)
         trace = lod.run_lod(case, constant_model(per_half_cycle), ECON, LodConfig(alpha=alpha))
         assert trace.milp_solves < len(trace.iterations)
+        assert trace.milp_solves + trace.bound_proofs == len(trace.iterations)
         for it in trace.iterations[1:]:
             cap = UsageCap(it.usage_cap_kwh)
             want = operation_cost(solve(problem, cap), case)["total"]
@@ -344,16 +332,15 @@ class TestLpPasses:
     @pytest.mark.parametrize("quadratic", [False, True], ids=["constant", "quadratic"])
     @pytest.mark.usefixtures("no_bound_proofs")
     def test_at_most_one_session_is_live_at_a_milp(self, quadratic, monkeypatch):
-        # Degradation quadratic in throughput makes an LP pass the best, so
-        # the guard's MILP runs (see the test below). Beside the commitment
-        # sessions (`live`), a run keeps one LP relaxation.
+        # Beside the commitment sessions (`live`), a run keeps one LP
+        # relaxation. Degradation quadratic in throughput walks the caps
+        # another way than a constant per half cycle does.
         live, relaxations = weakref.WeakSet(), weakref.WeakSet()
         live_at_milp, relaxations_at_milp = [], []
-        taken = lp_schedules(monkeypatch)
 
         class Tracked(lod.CapSession):
-            def __init__(self, problem, sched, cap_kwh):
-                super().__init__(problem, sched, cap_kwh)
+            def __init__(self, problem, sched=None):
+                super().__init__(problem, sched)
                 (relaxations if sched is None else live).add(self)
 
         def counting_solve(problem, cap=None, start=None):
@@ -371,24 +358,19 @@ class TestLpPasses:
         trace = lod.run_lod(load_example_day(), model, ECON, cfg)
         assert len(live_at_milp) == trace.milp_solves > 2
         assert live_at_milp[0] == relaxations_at_milp[0] == 0  # pass 0
-        assert max(live_at_milp) <= 1
+        assert max(live_at_milp) == 0  # each closes before its MILP
         assert max(relaxations_at_milp) <= 1
-        lp_passes = sum(any(it.schedule is s for s in taken) for it in trace.iterations)
-        guarded = trace.milp_solves > len(trace.iterations) - lp_passes
-        assert guarded == quadratic
-        if guarded:
-            assert live_at_milp[-1] == 0
         assert len(live) == len(relaxations) == 0
 
     def test_a_lost_commitment_reopens_the_session(self, monkeypatch):
         # A minimum battery power ties throughput to the battery's binaries:
-        # as the cap tightens, a MILP drops the cheaper peak's discharge hour,
-        # and later the last commitment's LP has no point under the cap.
-        opened, kept, lp = [], [], []
+        # as the cap tightens, the last commitment's LP has no point under
+        # the cap, and the start-free MILP there opens a new session.
+        opened, lp = [], []
 
         class Recording(lod.CapSession):
-            def __init__(self, problem, sched, cap_kwh):
-                super().__init__(problem, sched, cap_kwh)
+            def __init__(self, problem, sched=None):
+                super().__init__(problem, sched)
                 if sched is not None:  # a commitment's session, not the relaxation
                     opened.append(self)
 
@@ -397,90 +379,24 @@ class TestLpPasses:
                 lp.append(sched)
                 return sched
 
-            def rerange(self, sched):
-                kept.append(super().rerange(sched))
-                return kept[-1]
-
         case, model, cfg = lost_commitment_case(), constant_model(5e-4), LodConfig(alpha=0.3)
         monkeypatch.setattr(lod, "CapSession", Recording)
         trace = lod.run_lod(case, model, ECON, cfg)
         assert len(opened) > 1
-        assert False in kept  # a MILP left the session's commitment
         assert None in lp  # a commitment's LP found no point under the cap
         reference = milp_only(case, model, cfg)
         for got, want in zip(trace.iterations, reference.iterations, strict=True):
             assert got.usage_cap_kwh == pytest.approx(want.usage_cap_kwh, rel=1e-9), got.index
             assert got.operation_cost == pytest.approx(want.operation_cost, rel=1e-9), got.index
 
-    @pytest.mark.usefixtures("no_bound_proofs")
-    def test_guard_reruns_the_walk_on_milps(self, monkeypatch):
-        # LP schedules look degradation-free, so an LP pass wins, and $10
-        # dearer to operate, so the MILP at the winner's cap undercuts it.
-        taken = lp_schedules(monkeypatch)
-
-        def from_lp(sched):
-            return any(sched is s for s in taken)
-
-        def scripted_degradation(case, sched, model, soh):
-            return 0.0 if from_lp(sched) else 1e-3
-
-        def scripted_cost(sched, case):
-            cost = operation_cost(sched, case)
-            return {**cost, "total": cost["total"] + 10.0 * from_lp(sched)}
-
-        solves = []
-
-        def counting_solve(problem, cap=None, start=None):
-            solves.append(cap)
-            return solve(problem, cap, start)
-
-        monkeypatch.setattr(lod, "schedule_degradation", scripted_degradation)
-        monkeypatch.setattr(lod, "operation_cost", scripted_cost)
-        monkeypatch.setattr(lod, "solve", counting_solve)
-        case, model, cfg = arbitrage_case(), constant_model(5e-4), LodConfig(alpha=0.1)
-        trace = lod.run_lod(case, model, ECON, cfg)
-        assert taken  # the first walk took LP passes
-        assert trace.milp_solves == len(solves) > len(trace.iterations)
-
-        solves.clear()
-        taken.clear()
-        reference = milp_only(case, model, cfg)
-        assert not taken and reference.milp_solves == len(solves) == len(reference.iterations)
-        assert trace.milp_solves > reference.milp_solves
-        for got, want in zip(trace.iterations, reference.iterations, strict=True):
-            assert (got.usage_cap_kwh, got.total_cost) == (want.usage_cap_kwh, want.total_cost)
-        assert (trace.best_index, trace.termination_reason) == (
-            reference.best_index, reference.termination_reason)
-
-    @pytest.mark.usefixtures("no_bound_proofs")
-    def test_guard_keeps_a_chosen_lp_pass_the_milp_confirms(self, monkeypatch):
-        # Degradation quadratic in throughput puts the best pass inside an LP
-        # range; a constant per half cycle only drops where the commitment does.
-        taken = lp_schedules(monkeypatch)
-        starts = []
-
-        def recording_solve(problem, cap=None, start=None):
-            starts.append(start)
-            return solve(problem, cap, start)
-
-        monkeypatch.setattr(lod, "solve", recording_solve)
-        monkeypatch.setattr(lod, "schedule_degradation", lambda case, sched, model, soh:
-                            1e-10 * sched.bess_throughput_kwh(case) ** 2)
-        trace = lod.run_lod(load_example_day(), constant_model(0.0), ECON)
-        assert any(trace.best.schedule is s for s in taken)
-        lp_passes = sum(any(it.schedule is s for s in taken) for it in trace.iterations)
-        # one MILP per pass not taken from the LP, and the guard's, which
-        # starts from the chosen pass
-        assert trace.milp_solves == len(trace.iterations) - lp_passes + 1
-        assert starts[-1] is trace.best.schedule
-
-    @pytest.mark.xfail(strict=True, reason="the guard checks only a chosen LP pass, and only "
-                       "its operation cost; LP passes keep pass 0's commitment and its cycling")
+    @pytest.mark.xfail(strict=True, reason="the relaxation proves a commitment LP that ties "
+                       "the MILP's operation cost, and the walk takes it; breaking that tie "
+                       "on degradation is ROADMAP item 8")
     def test_lp_walk_is_no_worse_than_the_milp_walk(self):
-        # With a minimum battery power, the MILP at pass 7 picks an equal-cost
-        # schedule that cycles less ($300 of degradation against $450); the LP
-        # at the same cap keeps the old commitment, so the walk never sees it
-        # and ends at pass 0.
+        # With a minimum battery power, the start-free MILP at pass 7 picks an
+        # equal-cost schedule that cycles less ($300 of degradation against
+        # $450); the LP at the same cap keeps the old commitment and is
+        # proven optimal, so the walk never sees the other and ends at pass 0.
         base = arbitrage_case()
         case = dataclasses.replace(base, bess=[dataclasses.replace(base.bess[0], p_min=10.0)])
         model, cfg = constant_model(5e-4), LodConfig(alpha=0.1)
@@ -490,25 +406,57 @@ class TestLpPasses:
 
 
 class TestBoundProofs:
-    """A range exit, or the guard, whose start the LP relaxation proves
-    optimal takes the start and solves no MILP."""
+    """A capped pass whose commitment LP the relaxation proves optimal takes
+    that LP's schedule and solves no MILP."""
 
     @pytest.mark.parametrize("case", [load_example_day(), arbitrage_case(), milp_day_case(),
                                       milp_week_case()],
                              ids=["example_day", "arbitrage", "testbed_day", "week"])
     def test_proofs_change_no_pass(self, case, monkeypatch):
-        model = constant_model(5e-4)
-        proven = lod.run_lod(case, model, ECON)
-        monkeypatch.setattr(lod.CapSession, "bound", lambda self, cap_kwh: -math.inf)
-        solved = lod.run_lod(case, model, ECON)
-        assert proven.bound_proofs > 0 and solved.bound_proofs == 0
+        model, cfg = constant_model(5e-4), LodConfig()
+        kept = lod.run_lod(case, model, ECON, cfg)
+        reference = milp_only(case, model, cfg)
+        monkeypatch.setattr(lod.CapSession, "_kept_bound", lambda self, cap_kwh: -math.inf)
+        fresh = lod.run_lod(case, model, ECON, cfg)
+        assert kept.bound_proofs > 0
+        assert (kept.milp_solves, kept.bound_proofs) == (fresh.milp_solves, fresh.bound_proofs)
         for name in ("usage_cap_kwh", "operation_cost", "degradation"):
-            assert [getattr(it, name) for it in proven.iterations] == [
-                getattr(it, name) for it in solved.iterations], name
-        assert (proven.best_index, proven.termination_reason) == (
-            solved.best_index, solved.termination_reason)
-        if case.horizon == 168:
-            assert proven.milp_solves < solved.milp_solves
+            assert [getattr(it, name) for it in kept.iterations] == [
+                getattr(it, name) for it in fresh.iterations], name
+        for got, want in zip(kept.iterations, reference.iterations, strict=True):
+            assert got.usage_cap_kwh == pytest.approx(want.usage_cap_kwh, rel=1e-9), got.index
+            assert got.operation_cost == pytest.approx(want.operation_cost, rel=1e-9), got.index
+        for trace in (fresh, reference):
+            assert (kept.best_index, kept.termination_reason) == (
+                trace.best_index, trace.termination_reason)
+
+    @pytest.mark.parametrize("case", [load_example_day(), milp_week_case()],
+                             ids=["example_day", "week"])
+    def test_kept_bound_is_at_most_a_fresh_one(self, case, monkeypatch):
+        # The kept dual's bound holds only as far as HiGHS's duals are
+        # feasible; above the fresh bound by more than the gap, it could
+        # prove a start that is not optimal. Where it proves, it spares the
+        # relaxation's run.
+        checked, runs = [], []
+        kept_bound, bound = lod.CapSession._kept_bound, lod.CapSession.bound
+
+        def recording(self, cap_kwh):
+            checked.append((cap_kwh, kept_bound(self, cap_kwh)))
+            return checked[-1][1]
+
+        def counting(self, cap_kwh):
+            runs.append(cap_kwh)
+            return bound(self, cap_kwh)
+
+        monkeypatch.setattr(lod.CapSession, "_kept_bound", recording)
+        monkeypatch.setattr(lod.CapSession, "bound", counting)
+        lod.run_lod(case, constant_model(5e-4), ECON)
+        monkeypatch.undo()
+        assert 0 < len(runs) < len(checked)
+        relaxation = lod.CapSession(build_model(case))
+        gap = milp._highs()[1].mip_abs_gap
+        for cap_kwh, bound in checked:
+            assert bound <= relaxation.bound(cap_kwh) + gap, cap_kwh
 
     def test_a_gap_falls_back_to_the_started_milp(self, monkeypatch):
         # The relaxation may run the battery below its minimum power, so at

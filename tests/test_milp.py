@@ -540,18 +540,16 @@ class TestCapSession:
         problem = build_model(case)
         cap = fraction * solve(problem).bess_throughput_kwh(case)
         sched = solve(problem, UsageCap(cap))
-        return problem, sched, cap, milp.CapSession(problem, sched, cap)
+        return problem, sched, cap, milp.CapSession(problem, sched)
 
     def test_warm_lp_is_the_cold_fixed_commitment_lp_and_affine_in_the_cap(self):
         problem, sched, cap, session = self.opened(load_example_day(), 0.9)
-        assert session.cap_floor < cap
         lb, ub = problem.lb.copy(), problem.ub.copy()
         for name in ("u_gen", "u_char", "u_disc"):
             lb[problem.index[name]] = ub[problem.index[name]] = getattr(sched, name)
         lp = np.zeros(problem.n_variables, dtype=bool)
-        objectives = []
-        for share in (1.0, 0.5, 0.0):  # down from the cap to the range's floor
-            at = session.cap_floor + share * (cap - session.cap_floor)
+        for share in (1.0, 0.7, 0.4):  # down from the MILP's cap, warm after the first
+            at = share * cap
             warm = session.at(at)
             cold = milp._milp(dataclasses.replace(problem, b_ub=np.append(problem.b_ub[:-1], at)),
                               lb, ub, lp)
@@ -559,30 +557,6 @@ class TestCapSession:
             assert validate_schedule(problem.case, warm, cap=UsageCap(at)) == []
             for name in ("u_gen", "u_char", "u_disc"):
                 assert np.array_equal(getattr(warm, name), getattr(sched, name)), name
-            objectives.append(warm.objective)
-        assert objectives[1] == pytest.approx((objectives[0] + objectives[2]) / 2, rel=1e-12)
-
-    @pytest.mark.parametrize("case", [load_example_day(), week_case()], ids=["example_day", "week"])
-    def test_reranged_session_below_its_floor_is_a_fresh_one(self, case):
-        problem, sched, _, session = self.opened(case, 0.9)
-        below = 0.9 * session.cap_floor
-        assert session.at(below) is not None
-        assert session.rerange(sched)
-        assert session.cap_floor <= below
-        fresh = milp.CapSession(problem, sched, below)
-        for share in (1.0, 0.5, 0.0):  # down from the new cap to the new floor
-            at = session.cap_floor + share * (below - session.cap_floor)
-            kept = session.at(at)
-            assert kept.objective == pytest.approx(fresh.at(at).objective, rel=1e-9)
-            assert validate_schedule(case, kept, cap=UsageCap(at)) == []
-
-    def test_other_commitment_leaves_the_range_as_it_was(self):
-        problem, sched, cap, session = self.opened(day_case(), 0.5)
-        floor = session.cap_floor
-        session.at(0.5 * floor)
-        other = dataclasses.replace(sched, u_disc=1 - sched.u_disc)
-        assert not session.rerange(other)
-        assert session.cap_floor == floor
 
     def test_session_leaves_the_problem_unchanged(self):
         problem, _, cap, session = self.opened(day_case(), 0.5)
@@ -596,9 +570,7 @@ class TestCapSession:
         a.data[0] = np.inf
         refused = dataclasses.replace(problem, a=a)
         assert milp._load(refused, refused.lb, refused.ub, refused.is_int) is None
-        session = milp.CapSession(refused, sched, cap)
-        assert session.cap_floor == math.inf
-        assert session.at(cap) is None
+        assert milp.CapSession(refused, sched).at(cap) is None
 
 
 class TestStart:
@@ -611,7 +583,7 @@ class TestStart:
         problem = build_model(case)
         free = solve(problem)
         cap = fraction * free.bess_throughput_kwh(case)
-        return problem, free, cap, milp.CapSession(problem, free, cap).at(cap)
+        return problem, free, cap, milp.CapSession(problem, free).at(cap)
 
     @pytest.mark.filterwarnings("ignore:Unrecognized options detected:RuntimeWarning")
     @pytest.mark.parametrize("case, fraction",
