@@ -17,8 +17,8 @@ coefficient) terms; it is never densified on the way to the solver. The model
 is solved to proven optimality by HiGHS, called through the binding that
 scipy bundles (scipy.optimize._highspy._core) with the options and status
 classes of scipy's milp function, and handed to it as arrays that HiGHS
-reads in place; an infeasible model is diagnosed by an elastic solve over its
-own constraint rows. A `CapSession` keeps one LP loaded in HiGHS while a loop
+reads in place; an infeasible model is diagnosed by HiGHS's own feasibility
+relaxation of it. A `CapSession` keeps one LP loaded in HiGHS while a loop
 moves the usage cap, re-solving it from its basis instead of loading it
 again. Opened on a solved schedule, it holds the LP of that schedule's
 commitment, whose schedule at a cap, where it has one, is feasible for the
@@ -452,11 +452,14 @@ def _snap(problem: MilpProblem, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _row_violation(problem: MilpProblem, x: np.ndarray) -> float:
-    """Largest amount by which x violates a constraint row (0 if none)."""
-    residual = problem.a @ x - np.concatenate((problem.b_ub, problem.b_eq))
+def _row_excess(problem: MilpProblem, x: np.ndarray) -> np.ndarray:
+    """How far x exceeds each constraint row: a x - b_ub on an inequality row,
+    negative where the row holds with room to spare, and |a x - b_eq| on an
+    equality row."""
+    excess = problem.a @ x - np.concatenate((problem.b_ub, problem.b_eq))
     n_ub = problem.b_ub.size
-    return max(0.0, float(np.max(residual[:n_ub])), float(np.max(np.abs(residual[n_ub:]))))
+    excess[n_ub:] = np.abs(excess[n_ub:])
+    return excess
 
 
 class _Solved(NamedTuple):
@@ -508,7 +511,8 @@ def _load(problem: MilpProblem, lb: np.ndarray, ub: np.ndarray, is_int: np.ndarr
     heuristic off (it takes about 14 ms of a 21 ms call on a 12-binary MILP,
     and branch and bound proves the optimum anyway). ZI rounding
     (mip_heuristic_run_zi_round) stays at HiGHS's default, off; `_milp`
-    turns it on for a solve without a start.
+    turns it on for a solve without a start, and `_diagnose` for its
+    relaxation.
 
     scipy.optimize is imported on the first load, so that importing the
     package stays cheap for the commands that never solve.
@@ -557,15 +561,9 @@ def _columns(problem: MilpProblem, sched: DispatchSchedule) -> np.ndarray:
     return x
 
 
-def _milp(
-    problem: MilpProblem,
-    lb: np.ndarray,
-    ub: np.ndarray,
-    is_int: np.ndarray,
-    start: DispatchSchedule | None = None,
-) -> _Solved:
-    """HiGHS on the problem's rows and objective with the given bounds and
-    integer columns: `_load`, then `_run`.
+def _milp(problem: MilpProblem, start: DispatchSchedule | None = None) -> _Solved:
+    """HiGHS on the problem as built, its bounds and integer columns
+    included: `_load`, then `_run`.
 
     Without a start, HiGHS also runs its ZI rounding heuristic
     (mip_heuristic_run_zi_round, off by default; C. Wallace, "ZI round, a
@@ -584,7 +582,7 @@ def _milp(
     HiGHS returns. A model HiGHS refuses is "infeasible" with HiGHS's name
     for kModelError.
     """
-    solver = _load(problem, lb, ub, is_int)
+    solver = _load(problem, problem.lb, problem.ub, problem.is_int)
     if solver is None:
         return _Solved("infeasible", "Model error")
     if start is None:
@@ -645,7 +643,7 @@ class CapSession:
             return None
         problem = self._problem
         x = _snap(problem, res.x)
-        if _row_violation(problem, x) > FEASIBILITY_TOL:
+        if (_row_excess(problem, x) > FEASIBILITY_TOL).any():
             return None
         return _extract_schedule(problem, x, res.objective)
 
@@ -700,55 +698,53 @@ def solve(
     continuous values they bound may lean on that slack: a binary of 2.6e-7
     can carry 3.9e-5 kW on a power limit row. The binaries are therefore
     rounded, and if the rounded point violates any row by more than
-    FEASIBILITY_TOL, the LP with every binary fixed at its rounded value is
-    solved and the schedule is taken from that LP. An infeasible model raises
-    InfeasibleCaseError with the rows an elastic solve names (`_diagnose`).
+    FEASIBILITY_TOL, the schedule is taken from the LP with every binary
+    fixed at its rounded value, the rounded schedule's `CapSession`, at this
+    cap. An infeasible model raises InfeasibleCaseError with the rows that
+    HiGHS's feasibility relaxation relaxes (`_diagnose`).
     """
     if cap is not None:
         problem = replace(problem, b_ub=np.append(problem.b_ub[:-1], cap.cap_kwh))
-    res = _milp(problem, problem.lb, problem.ub, problem.is_int, start)
+    res = _milp(problem, start)
     if res.outcome == "infeasible":
         raise InfeasibleCaseError(_diagnose(problem))
     if res.outcome == "unbounded":
         raise RuntimeError("model unbounded; case invariants violated")
     if res.x is None:
         raise RuntimeError(f"solver failed: HiGHS model status {res.status}")
-    x, objective = _snap(problem, res.x), res.objective
-    if _row_violation(problem, x) > FEASIBILITY_TOL:
-        lb, ub = problem.lb.copy(), problem.ub.copy()
-        lb[problem.is_int] = ub[problem.is_int] = x[problem.is_int]
-        res = _milp(problem, lb, ub, np.zeros(problem.n_variables, dtype=bool))
-        if res.x is None:
-            raise RuntimeError(f"LP with rounded binaries failed: HiGHS model status {res.status}")
-        x, objective = _snap(problem, res.x), res.objective
-    return _extract_schedule(problem, x, objective)
+    x = _snap(problem, res.x)
+    sched = _extract_schedule(problem, x, res.objective)
+    if (_row_excess(problem, x) > FEASIBILITY_TOL).any():
+        sched = CapSession(problem, sched).at(problem.b_ub[-1])
+        if sched is None:
+            raise RuntimeError("LP with rounded binaries failed")
+    return sched
 
 
 def _diagnose(problem: MilpProblem) -> list[str]:
-    """One report line per row that an elastic copy of the problem must relax.
+    """One report line per row that HiGHS's feasibility relaxation of the
+    problem relaxes.
 
-    The copy's rows read a x - s <= b_ub and a x - s + s' == b_eq with every
-    slack s, s' >= 0, and it minimizes the weighted slack sum under the
-    problem's own bounds and integrality. Rows are named from `families`.
+    The relaxation (`feasibilityRelaxation`, the elastic program of Chinneck,
+    *Feasibility and Infeasibility in Optimization*, 2008) gives every row a
+    slack and minimizes the weighted slack sum under the problem's own
+    bounds, kept hard, and integrality. A row's slack is its excess at the
+    relaxation's point. Rows are named from `families`.
     """
-    from scipy import sparse
-
-    n, n_ub, n_rows = problem.n_variables, problem.b_ub.size, problem.a.shape[0]
+    solver = _load(problem, problem.lb, problem.ub, problem.is_int)
+    if solver is None:
+        return ["elastic diagnosis failed: HiGHS model status Model error"]
+    solver.setOptionValue("mip_heuristic_run_zi_round", True)
+    n_ub, n_rows = problem.b_ub.size, problem.a.shape[0]
     # Equality slack costs double: at equal weights a shortfall that a limit row
     # (reserve, tie-line) could absorb kW for kW ties with, and lands on, power balance.
-    weights = np.repeat([1.0, 2.0], [n_ub, 2 * (n_rows - n_ub)])
-    eye = sparse.eye_array(n_rows, format="csc")
-    a = sparse.hstack([problem.a, -eye, eye[:, n_ub:]], format="csc")
-    res = _milp(
-        replace(problem, c=np.pad(weights, (n, 0)), a=a),
-        np.pad(problem.lb, (0, weights.size)),
-        np.pad(problem.ub, (0, weights.size), constant_values=np.inf),
-        np.pad(problem.is_int, (0, weights.size)),
-    )
-    if res.x is None:
-        return [f"elastic diagnosis failed: HiGHS model status {res.status}"]
-    slack = res.x[n : n + n_rows]
-    slack[n_ub:] += res.x[n + n_rows :]
+    weights = np.repeat([1.0, 2.0], [n_ub, n_rows - n_ub])
+    solver.feasibilityRelaxation(-1.0, -1.0, 1.0, None, None, weights)
+    solution = solver.getSolution()
+    if not solution.value_valid:
+        status = solver.modelStatusToString(solver.getModelStatus())
+        return [f"elastic diagnosis failed: HiGHS model status {status}"]
+    slack = _row_excess(problem, np.array(solution.col_value))
     report = []
     for family, rows in problem.families.items():
         for pos in np.argwhere(slack[rows] > FEASIBILITY_TOL):

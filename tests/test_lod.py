@@ -250,11 +250,20 @@ class TestRunLod:
         assert trace.termination_reason == "max_iterations"
 
 
+class NoLp(lod.CapSession):
+    """A session whose LP has no schedule at any cap. The loop takes its
+    sessions by the name `lod.CapSession`, and `solve`'s rounded-binary LP
+    keeps the real class."""
+
+    def at(self, cap_kwh):
+        return None
+
+
 def milp_only(case, model, cfg):
     """The loop with a start-free MILP at every pass, for reference: no
     commitment LP has a schedule, so there is nothing to prove or start from."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lod.CapSession, "at", lambda self, cap_kwh: None)
+        patch.setattr(lod, "CapSession", NoLp)
         return lod.run_lod(case, model, ECON, cfg)
 
 
@@ -320,14 +329,17 @@ class TestLpPasses:
             assert got.usage_cap_kwh == pytest.approx(want.usage_cap_kwh, rel=1e-9), got.index
             assert got.operation_cost == pytest.approx(want.operation_cost, rel=1e-9), got.index
 
-    def test_failed_lp_falls_back_to_the_milp(self, monkeypatch):
-        monkeypatch.setattr(lod.CapSession, "at", lambda self, cap_kwh: None)
+    def test_failed_lp_falls_back_to_the_milp(self):
         case, model, cfg = arbitrage_case(), constant_model(5e-4), LodConfig(alpha=0.1)
-        trace = lod.run_lod(case, model, ECON, cfg)
+        trace = milp_only(case, model, cfg)
         assert trace.milp_solves == len(trace.iterations)
-        reference = milp_only(case, model, cfg)
-        assert [it.total_cost for it in trace.iterations] == [
-            it.total_cost for it in reference.iterations]
+        reference = lod.run_lod(case, model, ECON, cfg)  # proven from the relaxation
+        assert reference.bound_proofs > 0
+        assert (trace.best_index, trace.termination_reason) == (
+            reference.best_index, reference.termination_reason)
+        for got, want in zip(trace.iterations, reference.iterations, strict=True):
+            assert got.usage_cap_kwh == pytest.approx(want.usage_cap_kwh, rel=1e-9), got.index
+            assert got.operation_cost == pytest.approx(want.operation_cost, rel=1e-9), got.index
 
     @pytest.mark.parametrize("quadratic", [False, True], ids=["constant", "quadratic"])
     @pytest.mark.usefixtures("no_bound_proofs")

@@ -327,7 +327,15 @@ class TestOracleEquivalence:
             checked += 1
 
 
-def scipy_milp(problem, lb, ub, is_int, start=None):
+def small_battery_day():
+    """The example day at an 800 kW tie-line with a 120 kWh battery, which
+    cannot keep the reserve at hours 18 and 19 (see TestExampleDay)."""
+    day = load_example_day()
+    bess = [dataclasses.replace(day.bess[0], e_max=120.0, e_initial=100.0, e_min=0.0)]
+    return dataclasses.replace(day, p_grid_max=800.0, bess=bess)
+
+
+def scipy_milp(problem, start=None):
     """`milp._milp` through scipy's public optimize.milp on the same arrays and
     options: the reference that the direct call into scipy's binding matches.
     optimize.milp takes no start."""
@@ -339,8 +347,8 @@ def scipy_milp(problem, lb, ub, is_int, start=None):
             np.concatenate((np.full(problem.b_ub.size, -np.inf), problem.b_eq)),
             np.concatenate((problem.b_ub, problem.b_eq)),
         ),
-        integrality=is_int.astype(int),
-        bounds=optimize.Bounds(lb, ub),
+        integrality=problem.is_int.astype(int),
+        bounds=optimize.Bounds(problem.lb, problem.ub),
         options=dict(mip_rel_gap=0.0, presolve=True, mip_heuristic_run_feasibility_jump=False,
                      mip_heuristic_run_zi_round=True),
     )
@@ -373,14 +381,34 @@ class TestScipyReference:
                 assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), field.name
 
     @pytest.mark.filterwarnings("ignore:Unrecognized options detected:RuntimeWarning")
-    def test_infeasible_reports_match_scipy_milp(self, monkeypatch):
-        problem = build_model(dataclasses.replace(load_example_day(), p_grid_max=700.0))
+    @pytest.mark.parametrize(
+        "case", [dataclasses.replace(load_example_day(), p_grid_max=700.0), small_battery_day()],
+        ids=["700kW", "small_battery"])
+    def test_infeasible_reports_match_scipy_milp(self, case, monkeypatch):
+        # The reference is the elastic copy of the model, solved by
+        # optimize.milp: a x - s <= b_ub and a x - s + s' == b_eq with every
+        # slack >= 0, at weight 1 on inequality slack and 2 on equality slack.
+        problem = build_model(case)
         with pytest.raises(InfeasibleCaseError) as direct:
             solve(problem)
-        monkeypatch.setattr(milp, "_milp", scipy_milp)
-        with pytest.raises(InfeasibleCaseError) as reference:
-            solve(problem)
-        assert direct.value.report == reference.value.report
+        n, n_ub, n_rows = problem.n_variables, problem.b_ub.size, problem.a.shape[0]
+        weights = np.repeat([1.0, 2.0], [n_ub, 2 * (n_rows - n_ub)])
+        eye = sparse.eye_array(n_rows, format="csc")
+        elastic = dataclasses.replace(
+            problem,
+            c=np.concatenate((np.zeros(n), weights)),
+            a=sparse.hstack([problem.a, -eye, eye[:, n_ub:]], format="csc"),
+            lb=np.concatenate((problem.lb, np.zeros(weights.size))),
+            ub=np.concatenate((problem.ub, np.full(weights.size, np.inf))),
+            is_int=np.concatenate((problem.is_int, np.zeros(weights.size, dtype=bool))),
+        )
+        res = scipy_milp(elastic)
+        assert res.outcome == "optimal"
+        slack = res.x[n : n + n_rows]
+        slack[n_ub:] += res.x[n + n_rows :]
+        # The reference's slack, reported as `_diagnose` reports its own.
+        monkeypatch.setattr(milp, "_row_excess", lambda problem, x: slack)
+        assert milp._diagnose(problem) == direct.value.report
 
 
 class TestLoad:
@@ -434,7 +462,7 @@ class TestSolverStatuses:
         a = problem.a.copy()
         a.data[0] = np.inf
         refused = dataclasses.replace(problem, a=a)
-        res = milp._milp(refused, refused.lb, refused.ub, refused.is_int)
+        res = milp._milp(refused)
         assert (res.outcome, res.status, res.x) == ("infeasible", "Model error", None)
         with pytest.raises(InfeasibleCaseError) as exc:
             solve(refused)
@@ -551,8 +579,8 @@ class TestCapSession:
         for share in (1.0, 0.7, 0.4):  # down from the MILP's cap, warm after the first
             at = share * cap
             warm = session.at(at)
-            cold = milp._milp(dataclasses.replace(problem, b_ub=np.append(problem.b_ub[:-1], at)),
-                              lb, ub, lp)
+            cold = milp._milp(dataclasses.replace(
+                problem, b_ub=np.append(problem.b_ub[:-1], at), lb=lb, ub=ub, is_int=lp))
             assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
             assert validate_schedule(problem.case, warm, cap=UsageCap(at)) == []
             for name in ("u_gen", "u_char", "u_disc"):
@@ -595,7 +623,7 @@ class TestStart:
         got = solve(problem, UsageCap(cap), start=start)
         assert got.objective == pytest.approx(solve(problem, UsageCap(cap)).objective, rel=1e-9)
         capped = dataclasses.replace(problem, b_ub=np.append(problem.b_ub[:-1], cap))
-        reference = scipy_milp(capped, capped.lb, capped.ub, capped.is_int)
+        reference = scipy_milp(capped)
         assert got.objective == pytest.approx(reference.objective, rel=1e-9)
         assert validate_schedule(case, got, cap=UsageCap(cap)) == []
 
