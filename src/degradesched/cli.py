@@ -302,7 +302,7 @@ def cmd_schedule(**params) -> None:
                 runner = run_traditional if values["mode"] == "traditional" else run_linear_bdc
                 trace = LodTrace([runner(case, model, econ, soh=values["soh"])], best_index=0,
                                  termination_reason="single_solve", infeasible_report=[],
-                                 milp_solves=1, bound_proofs=0)
+                                 milp_solves=1, bound_proofs=0, lp_solves=0)
     except InfeasibleCaseError as exc:
         for line in exc.report:
             click.echo(f"infeasible: {line}", err=True)

@@ -9,14 +9,18 @@ the same loop: the traditional run on the model that ignores degradation, and
 the linear-bdc run on one that prices throughput at a flat $/kWh rate.
 
 Pass 0 solves the MILP, and so does a pass whose cap is at solver
-tolerance scale. Every other pass first re-solves the LP of the last MILP's
-commitment under its own cap (`milp.CapSession`). One LP relaxation of the
-model, kept warm for the whole run, bounds the MILP's objective at that cap.
-If the LP's objective is within HiGHS's mip_abs_gap of the bound, the LP's
-schedule is the MILP's optimum (`CapSession.proves`) and the pass takes it.
-Otherwise the MILP runs from that schedule as its start, and the next pass
-opens a session on the MILP's commitment. Every pass is thus the MILP's
-optimum at its cap, within HiGHS's mip_abs_gap.
+tolerance scale. Every other pass first takes the LP of the last MILP's
+commitment under its own cap (`milp.CapSession.at`), which walks the caps
+along its basis without a HiGHS run while the basis holds. If that LP's
+reduced costs prove it optimal for the model's LP relaxation too
+(`CapSession.proves_itself`), the LP's schedule is the MILP's optimum and the
+pass takes it. From the first pass whose LP does not prove itself, one LP
+relaxation of the model, kept warm for the rest of the run, bounds the MILP's
+objective at each cap instead: if the LP's objective is within HiGHS's
+mip_abs_gap of the bound (`CapSession.proves`), the pass takes the LP's
+schedule. Otherwise the MILP runs from that schedule as its start, and the
+next pass opens a session on the MILP's commitment. Every pass is thus the
+MILP's optimum at its cap, within HiGHS's mip_abs_gap.
 """
 
 from __future__ import annotations
@@ -112,7 +116,9 @@ class LodTrace:
     "infeasible", and empty for any other stop. A single-solve strategy's
     one pass ends as "single_solve". `milp_solves` counts the passes that
     solved a MILP, and `bound_proofs` those that took a commitment LP's
-    schedule the LP relaxation proved optimal, within HiGHS's mip_abs_gap.
+    schedule proven optimal, within HiGHS's mip_abs_gap, by the LP itself or
+    by the LP relaxation. `lp_solves` counts the HiGHS runs of those LPs,
+    commitment and relaxation.
     """
 
     iterations: list[LodIteration]
@@ -121,6 +127,7 @@ class LodTrace:
     infeasible_report: list[str]
     milp_solves: int
     bound_proofs: int
+    lp_solves: int
 
     @property
     def best(self) -> LodIteration:
@@ -166,24 +173,29 @@ def _passes(
     report: list[str] = []
     session: CapSession | None = None
     relaxation: CapSession | None = None
-    milp_solves = bound_proofs = 0
+    milp_solves = bound_proofs = lp_solves = 0
     tiny_cap = TINY_CAP_SHARE * problem.b_ub[-1]
 
     for index in range(cfg.max_iterations + 1):
         sched = start = None
         if cap is not None and cap.cap_kwh > tiny_cap:
-            # The LP of the last MILP's commitment at this cap: the pass if
-            # the relaxation proves it optimal, else the MILP's start.
-            if relaxation is None:
-                relaxation = CapSession(problem)
+            # The LP of the last MILP's commitment at this cap: the pass if it
+            # proves itself optimal, or the relaxation proves it, else the
+            # MILP's start. The relaxation opens at the first LP that does not
+            # prove itself.
             if session is None:
                 session = CapSession(problem, iterations[-1].schedule)
             start = session.at(cap.cap_kwh)
-            if start is not None and relaxation.proves(start, cap.cap_kwh):
-                sched, start = start, None
-                bound_proofs += 1
+            if start is not None:
+                if relaxation is None and not session.proves_itself():
+                    relaxation = CapSession(problem)
+                if relaxation is None or relaxation.proves(start, cap.cap_kwh):
+                    sched, start = start, None
+                    bound_proofs += 1
         if sched is None:
-            session = None  # freed before the MILP; the next pass opens its commitment's
+            if session is not None:  # freed before the MILP; the next pass opens its commitment's
+                lp_solves += session.runs
+                session = None
             milp_solves += 1
             try:
                 sched = solve(problem, cap, start=start)
@@ -221,6 +233,7 @@ def _passes(
         infeasible_report=report,
         milp_solves=milp_solves,
         bound_proofs=bound_proofs,
+        lp_solves=lp_solves + sum(s.runs for s in (session, relaxation) if s is not None),
     )
 
 
@@ -268,25 +281,29 @@ def run_lod(
     idle, or at the iteration bound; the best iteration is the answer.
 
     Iteration 0 is a MILP. So is each pass whose cap is at most
-    TINY_CAP_SHARE of the model's default cap. Every other pass first solves
-    the LP of the last MILP's commitment at its cap (at pass 1, pass 0's). If
-    the model's LP relaxation at that cap bounds the objective to within
-    HiGHS's mip_abs_gap of the LP schedule's (read from `milp._highs()`'s
-    options), that schedule is the MILP's optimum and the pass takes it;
-    otherwise the MILP runs from it as a start, so HiGHS has an incumbent
-    before its root node. The relaxation's bound comes from the cap-row
-    dual of its last warm solve where that suffices, else from a warm
-    re-solve at the cap. The next pass after a MILP opens the LP of that
-    MILP's commitment; the LP session closes before each MILP, and one
-    with no solution at the cap leaves the MILP without a start. Every pass
-    is the MILP's optimum at its cap. The start changes no cost, but on a
-    tie it may change which schedule, and so which degradation, a pass
-    reports. Iteration 0 has no start, and on a tie its schedule is the
-    vertex HiGHS returns with ZI rounding on (`milp._milp`). `milp_solves`
-    on the trace counts the MILPs and `bound_proofs` the relaxation's
-    proofs; the two sum to the passes, plus the MILP of an "infeasible"
-    stop. An infeasible first pass raises InfeasibleCaseError with the
-    solver's diagnosis; an infeasible later pass ends the loop as
+    TINY_CAP_SHARE of the model's default cap. Every other pass first takes
+    the LP of the last MILP's commitment at its cap (at pass 1, pass 0's),
+    from the LP's basis line where the cap lies on it, else from a warm
+    HiGHS run (`milp.CapSession.at`). The LP's schedule is the MILP's
+    optimum, and the pass takes it, if the LP's own reduced costs prove it
+    optimal for the model's LP relaxation (`CapSession.proves_itself`), or,
+    from the first pass where they do not, if the relaxation at that cap
+    bounds the objective to within HiGHS's mip_abs_gap of the LP
+    schedule's (read from `milp._highs()`'s options). Otherwise the MILP
+    runs from it as a start, so HiGHS has an incumbent before its root
+    node. The relaxation's bound comes from the cap-row dual of its last
+    warm solve where that suffices, else from a warm re-solve at the cap.
+    The next pass after a MILP opens the LP of that MILP's commitment; the
+    LP session closes before each MILP, and one with no solution at the
+    cap leaves the MILP without a start. Every pass is the MILP's optimum at
+    its cap. The start changes no cost, but on a tie it may change which
+    schedule, and so which degradation, a pass reports. Iteration 0 has no
+    start, and on a tie its schedule is the vertex HiGHS returns with ZI
+    rounding on (`milp._milp`). `milp_solves` on the trace counts the MILPs
+    and `bound_proofs` the proven LP schedules; the two sum to the passes,
+    plus the MILP of an "infeasible" stop. `lp_solves` counts the LPs'
+    HiGHS runs. An infeasible first pass raises InfeasibleCaseError with
+    the solver's diagnosis; an infeasible later pass ends the loop as
     "infeasible" and its diagnosis is kept on the trace.
     """
     return _passes(build_model(case), model, econ, cfg or LodConfig(), soh)

@@ -22,12 +22,15 @@ relaxation of it. A `CapSession` keeps one LP loaded in HiGHS while a loop
 moves the usage cap, re-solving it from its basis instead of loading it
 again. Opened on a solved schedule, it holds the LP of that schedule's
 commitment, whose schedule at a cap, where it has one, is feasible for the
-MILP there. Opened with no schedule, it holds the model's LP relaxation,
-whose optimum bounds the MILP's: a start whose objective is within HiGHS's
-own mip_abs_gap of that bound, the gap at which HiGHS closes a MILP, is
-proven optimal without a MILP run (`CapSession.proves`). Otherwise `solve`
-takes the start as the MILP's first incumbent, and HiGHS searches from
-there.
+MILP there; while a basis holds, the session moves that schedule along the
+basis's line in the cap without a run. Opened with no schedule, it holds
+the model's LP relaxation, whose optimum bounds the MILP's: a start whose
+objective is within HiGHS's own mip_abs_gap of that bound, the gap at which
+HiGHS closes a MILP, is proven optimal without a MILP run
+(`CapSession.proves`). The commitment LP's own reduced costs often prove
+the same without the relaxation (`CapSession.proves_itself`). Otherwise
+`solve` takes the start as the MILP's first incumbent, and HiGHS searches
+from there.
 
 scipy loads on the first model build, not with this module: build_model
 imports scipy.sparse, and the first solve imports the binding, which loads
@@ -604,15 +607,19 @@ class CapSession:
     EJOR 164(1), 2005. Opened with no schedule, it holds the relaxation: the
     same rows, bounds and objective, with the binaries continuous in [0, 1].
     Either way it loads without a run. Each run moves the cap row's bound
-    and starts from the basis the last run left.
+    and starts from the basis the last run left; `runs` counts them.
 
-    `at(cap)` is the commitment LP's schedule under that cap. It is optimal
-    for this commitment only, but feasible for the MILP, and so a MILP's
-    start. `bound(cap)` is the relaxation's optimum there, and `proves`
-    compares a start with it. By weak duality a feasible start whose
-    objective meets the relaxation's optimum is the MILP's optimum (Wolsey,
-    *Integer Programming*, 1998, section 2.2); the MILP run would only prove
-    it, through MIP presolve and a cold root LP.
+    `at(cap)` is the commitment LP's schedule under that cap, taken along
+    the last basis's line where the cap lies on it. It is optimal for this
+    commitment only, but feasible for the MILP, and so a MILP's start.
+    `bound(cap)` is the relaxation's optimum there, and `proves` compares a
+    start with it. By weak duality a feasible start whose objective meets
+    the relaxation's optimum is the MILP's optimum (Wolsey, *Integer
+    Programming*, 1998, section 2.2); the MILP run would only prove it,
+    through MIP presolve and a cold root LP. Read the other way round, the
+    commitment LP's duals are a dual point of the relaxation, and
+    `proves_itself` reads off them whether that point alone meets the
+    schedule's objective.
     """
 
     def __init__(self, problem: MilpProblem, sched: DispatchSchedule | None = None):
@@ -621,31 +628,98 @@ class CapSession:
             for name in _INTEGER_FIELDS:
                 lb[problem.index[name]] = ub[problem.index[name]] = getattr(sched, name)
         self._problem = replace(problem, b_ub=problem.b_ub.copy())
+        self._lb, self._ub = lb, ub
         self._solver = _load(self._problem, lb, ub, np.zeros(problem.n_variables, dtype=bool))
+        self.runs = 0  # HiGHS runs so far
         # (cap, optimum, cap-row dual) of the last optimal run, for `_kept_bound`.
         self._dual = (0.0, -math.inf, 0.0)
+        # (cap, x) of the last optimal run, and (cap0, x0, dx) while that run
+        # kept the basis of the optimal run before it.
+        self._last: tuple[float, np.ndarray] | None = None
+        self._line: tuple[float, np.ndarray, np.ndarray] | None = None
+        self._certified: bool | None = None  # `proves_itself` of the last run's basis
 
     def _run_at(self, cap_kwh: float) -> _Solved:
         """Move the cap row's bound to cap_kwh and re-run HiGHS from the kept basis."""
         self._problem.b_ub[-1] = cap_kwh
         self._solver.changeRowBounds(self._problem.b_ub.size - 1, -np.inf, cap_kwh)
+        self.runs += 1
         return _run(self._solver)
+
+    def _on_line(self, cap_kwh: float) -> np.ndarray | None:
+        """The basis line's point at cap_kwh, x0 + (cap_kwh - cap0)·dx, if it
+        lies within the column bounds, FEASIBILITY_TOL outside them at most;
+        None outside the line's range."""
+        cap0, x0, dx = self._line
+        x = x0 + (cap_kwh - cap0) * dx
+        if (x < self._lb - FEASIBILITY_TOL).any() or (x > self._ub + FEASIBILITY_TOL).any():
+            return None
+        return x
 
     def at(self, cap_kwh: float) -> DispatchSchedule | None:
         """The LP's schedule under a usage cap of cap_kwh, read as `solve`
         reads a MILP's; None if HiGHS refused the LP, the LP is not solved
         to optimality or its snapped point violates a row by more than
-        FEASIBILITY_TOL."""
+        FEASIBILITY_TOL.
+
+        A HiGHS run that takes no simplex iteration kept the basis of the
+        optimal run before it, so the LP's solution is affine in the cap
+        while that basis stays primal feasible (right-hand-side ranging;
+        Bertsimas and Tsitsiklis, *Introduction to Linear Optimization*,
+        1997, ch. 5), and optimal, as moving a row's bound leaves its duals
+        feasible. The session keeps that line through the two runs' points,
+        and a later call takes the line's point at its cap, with objective
+        c·x, if it lies within the column bounds, as a run's point does, and
+        once snapped violates no row, as checked for a run's point.
+        Otherwise it drops the line and runs HiGHS."""
         if self._solver is None:
             return None
+        problem = self._problem
+        if self._line is not None:
+            problem.b_ub[-1] = cap_kwh
+            x = self._on_line(cap_kwh)
+            if x is not None:
+                snapped = _snap(problem, x)
+                if not (_row_excess(problem, snapped) > FEASIBILITY_TOL).any():
+                    return _extract_schedule(problem, snapped, float(problem.c @ x))
+            self._line = None
         res = self._run_at(cap_kwh)
         if res.x is None:
+            self._last = self._certified = None
             return None
-        problem = self._problem
+        last, self._last = self._last, (cap_kwh, res.x)
+        if (last is not None and last[0] != cap_kwh
+                and self._solver.getInfo().simplex_iteration_count == 0):
+            self._line = (cap_kwh, res.x, (res.x - last[1]) / (cap_kwh - last[0]))
+        else:
+            self._certified = None
         x = _snap(problem, res.x)
         if (_row_excess(problem, x) > FEASIBILITY_TOL).any():
             return None
         return _extract_schedule(problem, x, res.objective)
+
+    def proves_itself(self) -> bool:
+        """Whether the last `at`'s schedule, read off this commitment's LP, is
+        optimal for the model's LP relaxation too, within HiGHS's
+        mip_abs_gap, and so the MILP's optimum at that cap.
+
+        The last HiGHS run's row duals are feasible for the relaxation's dual
+        too, but each fixed binary's reduced cost r_j then prices it within
+        the relaxation's bounds [lb_j, ub_j]: by weak duality the relaxation
+        costs at least the LP's optimum less Σ r_j·x̄_j - min(r_j·lb_j,
+        r_j·ub_j), which is 0 when every reduced cost holds its binary at
+        its value x̄_j (≥ 0 at 0, ≤ 0 at 1). The duals do not change along
+        `at`'s line, so neither does the answer; the session reads them
+        once per basis, and only when asked. Only a session opened on a
+        schedule proves itself."""
+        if self._certified is None:
+            solution = self._solver.getSolution()
+            fixed = self._problem.is_int
+            r = np.array(solution.col_dual)[fixed]
+            lb, ub = self._problem.lb[fixed], self._problem.ub[fixed]
+            penalty = float((r * self._lb[fixed] - np.minimum(r * lb, r * ub)).sum())
+            self._certified = solution.dual_valid and penalty <= _highs()[1].mip_abs_gap
+        return self._certified
 
     def bound(self, cap_kwh: float) -> float:
         """The LP's optimal objective under a usage cap of cap_kwh, or -inf if
@@ -729,7 +803,9 @@ def _diagnose(problem: MilpProblem) -> list[str]:
     *Feasibility and Infeasibility in Optimization*, 2008) gives every row a
     slack and minimizes the weighted slack sum under the problem's own
     bounds, kept hard, and integrality. A row's slack is its excess at the
-    relaxation's point. Rows are named from `families`.
+    relaxation's point. Rows are named from `families`. A relaxation with no
+    point is one line naming HiGHS's model status, or, where restoring the
+    original model left that status unset, the status the call returned.
     """
     solver = _load(problem, problem.lb, problem.ub, problem.is_int)
     if solver is None:
@@ -739,11 +815,15 @@ def _diagnose(problem: MilpProblem) -> list[str]:
     # Equality slack costs double: at equal weights a shortfall that a limit row
     # (reserve, tie-line) could absorb kW for kW ties with, and lands on, power balance.
     weights = np.repeat([1.0, 2.0], [n_ub, n_rows - n_ub])
-    solver.feasibilityRelaxation(-1.0, -1.0, 1.0, None, None, weights)
+    returned = solver.feasibilityRelaxation(-1.0, -1.0, 1.0, None, None, weights)
     solution = solver.getSolution()
     if not solution.value_valid:
-        status = solver.modelStatusToString(solver.getModelStatus())
-        return [f"elastic diagnosis failed: HiGHS model status {status}"]
+        status = solver.getModelStatus()
+        if status == _highs()[0].HighsModelStatus.kNotset:
+            return [f"elastic diagnosis failed: HiGHS feasibilityRelaxation returned "
+                    f"{returned.name}"]
+        return [f"elastic diagnosis failed: HiGHS model status "
+                f"{solver.modelStatusToString(status)}"]
     slack = _row_excess(problem, np.array(solution.col_value))
     report = []
     for family, rows in problem.families.items():

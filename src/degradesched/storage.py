@@ -588,6 +588,7 @@ def summary_from_trace(trace: LodTrace, solve_seconds: float) -> dict:
         "iterations": len(trace.iterations),
         "milp_solves": trace.milp_solves,
         "bound_proofs": trace.bound_proofs,
+        "lp_solves": trace.lp_solves,
         "best_index": trace.best_index,
         "termination_reason": trace.termination_reason,
     }

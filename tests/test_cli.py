@@ -518,12 +518,16 @@ class TestSchedule:
             )
             assert result.exit_code == 0, result.output
             summary = json.loads((tmp_path / mode / "summary.json").read_text())
-            counts[mode] = (summary["milp_solves"], summary["bound_proofs"], summary["iterations"])
-        assert counts["traditional"] == counts["linear-bdc"] == (1, 0, 1)
-        solves, proofs, iterations = counts["lod"]
-        # Every pass solves a MILP or takes a commitment LP the relaxation proves.
+            counts[mode] = tuple(summary[key] for key in (
+                "milp_solves", "bound_proofs", "lp_solves", "iterations"))
+        assert counts["traditional"] == counts["linear-bdc"] == (1, 0, 0, 1)
+        solves, proofs, lp_solves, iterations = counts["lod"]
+        # Every pass solves a MILP or takes a commitment LP that proves
+        # itself or that the relaxation proves.
         assert 1 <= solves < iterations
         assert solves + proofs == iterations
+        # Basis lines and self-proving LPs leave fewer LP runs than proofs.
+        assert 1 <= lp_solves < proofs
 
     def test_lod_pass_0_alone_is_the_traditional_schedule(self, workdir, tmp_path):
         for mode, flags in (("traditional", []), ("lod", ["--max-iterations", "0"])):

@@ -11,10 +11,7 @@ from degradesched import lod, milp
 from degradesched.exampleday import load_example_day
 from degradesched.lod import EconParams, LodConfig
 from degradesched.milp import (
-    Bess,
-    Generator,
     InfeasibleCaseError,
-    MicrogridCase,
     UsageCap,
     build_model,
     operation_cost,
@@ -23,6 +20,7 @@ from degradesched.milp import (
 )
 from degradesched.net import NetworkSpec, Normalizer, TrainedNetwork, TrainConfig
 from degradesched.quantifier import BDF_FEATURES, BDP_VARIANTS, DegradationModel
+from test_milp import arbitrage_case
 from test_milp import day_case as milp_day_case
 from test_milp import week_case as milp_week_case
 
@@ -52,35 +50,6 @@ def constant_model(per_half_cycle: float) -> DegradationModel:
         bdp_id=10,
         ubdf=constant_network(len(BDF_FEATURES), ubdf_out),
         bdp=constant_network(len(BDP_VARIANTS[10]), [per_half_cycle]),
-    )
-
-
-def arbitrage_case(horizon=6, price_peak=1.2):
-    """Small case where the battery earns money by shifting energy."""
-    buy = np.array([0.05, 0.05, 0.05, price_peak, price_peak, 0.05])[:horizon]
-    load = np.array([50.0, 50.0, 50.0, 250.0, 250.0, 50.0])[:horizon]
-    return MicrogridCase(
-        generators=[Generator(p_min=0, p_max=100, ramp=200, cost_energy=0.4)],
-        bess=[
-            Bess(
-                e_min=20,
-                e_max=200,
-                e_initial=100,
-                p_min=0,
-                p_max=80,
-                eta_charge=0.9,
-                eta_discharge=0.9,
-            )
-        ],
-        p_grid_max=400.0,
-        reserve_fraction=0.0,
-        dt_hours=1.0,
-        load=load,
-        wind=np.zeros(horizon),
-        solar=np.zeros(horizon),
-        price_buy=buy,
-        price_sell=0.5 * buy,
-        temps=np.full(horizon, 25.0),
     )
 
 
@@ -269,7 +238,9 @@ def milp_only(case, model, cfg):
 
 @pytest.fixture
 def no_bound_proofs(monkeypatch):
-    """The LP relaxation proves no start, so every capped pass solves its MILP."""
+    """No commitment LP proves itself and the LP relaxation proves no start,
+    so every capped pass solves its MILP."""
+    monkeypatch.setattr(lod.CapSession, "proves_itself", lambda self: False)
     monkeypatch.setattr(lod.CapSession, "bound", lambda self, cap_kwh: -math.inf)
 
 
@@ -476,6 +447,16 @@ class TestBoundProofs:
         checked, solves = [], []
 
         class Recording(lod.CapSession):
+            def at(self, cap_kwh):
+                self.last = (cap_kwh, super().at(cap_kwh))
+                return self.last[1]
+
+            def proves_itself(self):
+                proven = super().proves_itself()
+                if proven:  # one that does not prove itself goes on to `proves`
+                    checked.append((*self.last, proven))
+                return proven
+
             def proves(self, start, cap_kwh):
                 checked.append((cap_kwh, start, super().proves(start, cap_kwh)))
                 return checked[-1][-1]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import optimize, sparse
 
-from degradesched import milp
+from degradesched import lod, milp, storage
 from degradesched.exampleday import load_example_day
 from degradesched.milp import (
     Bess,
@@ -73,6 +73,35 @@ def day_case(**overrides):
     )
     fields.update(overrides)
     return MicrogridCase(**fields)
+
+
+def arbitrage_case(horizon=6, price_peak=1.2):
+    """Small case where the battery earns money by shifting energy."""
+    buy = np.array([0.05, 0.05, 0.05, price_peak, price_peak, 0.05])[:horizon]
+    load = np.array([50.0, 50.0, 50.0, 250.0, 250.0, 50.0])[:horizon]
+    return MicrogridCase(
+        generators=[Generator(p_min=0, p_max=100, ramp=200, cost_energy=0.4)],
+        bess=[
+            Bess(
+                e_min=20,
+                e_max=200,
+                e_initial=100,
+                p_min=0,
+                p_max=80,
+                eta_charge=0.9,
+                eta_discharge=0.9,
+            )
+        ],
+        p_grid_max=400.0,
+        reserve_fraction=0.0,
+        dt_hours=1.0,
+        load=load,
+        wind=np.zeros(horizon),
+        solar=np.zeros(horizon),
+        price_buy=buy,
+        price_sell=0.5 * buy,
+        temps=np.full(horizon, 25.0),
+    )
 
 
 def _edited(sched, edits):
@@ -468,6 +497,21 @@ class TestSolverStatuses:
             solve(refused)
         assert exc.value.report == ["elastic diagnosis failed: HiGHS model status Model error"]
 
+    def test_a_relaxation_out_of_time_names_the_calls_status(self, monkeypatch):
+        # With no time, feasibilityRelaxation returns kWarning with no point,
+        # and restoring the original model leaves the model status unset.
+        load = milp._load
+
+        def timed_out(*args):
+            solver = load(*args)
+            solver.setOptionValue("time_limit", 0.0)
+            return solver
+
+        monkeypatch.setattr(milp, "_load", timed_out)
+        problem = build_model(dataclasses.replace(load_example_day(), p_grid_max=700.0))
+        assert milp._diagnose(problem) == [
+            "elastic diagnosis failed: HiGHS feasibilityRelaxation returned kWarning"]
+
 
 def week_case():
     """A 168-interval week stored in the case-document layout (inline series)."""
@@ -599,6 +643,74 @@ class TestCapSession:
         refused = dataclasses.replace(problem, a=a)
         assert milp._load(refused, refused.lb, refused.ub, refused.is_int) is None
         assert milp.CapSession(refused, sched).at(cap) is None
+
+    @pytest.mark.parametrize("case", [load_example_day(), day_case()],
+                             ids=["example_day", "testbed_day"])
+    def test_a_point_on_the_basis_line_is_the_highs_resolve(self, case):
+        # Down an α-walk of 3% per pass, a session takes the caps on its basis
+        # line without a run; one that runs HiGHS at every cap re-solves them
+        # from the same basis.
+        class Resolving(milp.CapSession):
+            def _on_line(self, cap_kwh):
+                return None
+
+        problem, sched, cap, session = self.opened(case, 0.9)
+        resolving = Resolving(problem, sched)
+        for at in cap * 0.97 ** np.arange(12):
+            got, want = session.at(at), resolving.at(at)
+            assert validate_schedule(case, got, cap=UsageCap(at)) == [], at
+            for field in dataclasses.fields(want):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert np.allclose(a, b, rtol=1e-9, atol=1e-9), (at, field.name)
+        assert session.runs < resolving.runs == 12
+
+    def test_a_cap_beyond_the_lines_range_runs_highs(self, monkeypatch):
+        problem, sched, cap, session = self.opened(load_example_day(), 0.9)
+        run, runs = milp._run, []
+        monkeypatch.setattr(milp, "_run", lambda solver: runs.append(solver) or run(solver))
+        for share in (1.0, 0.97, 0.94):
+            session.at(share * cap)
+        assert len(runs) == 2  # the second run kept the first's basis, and 0.94 is on its line
+        assert session._on_line(0.0) is None  # an idle battery leaves the line's bounds
+        idle = session.at(0.0)
+        assert len(runs) == 3
+        assert idle.bess_throughput_kwh(problem.case) <= 1e-9
+        assert validate_schedule(problem.case, idle, cap=UsageCap(0.0)) == []
+
+    @pytest.mark.parametrize("case", [load_example_day(), arbitrage_case(), day_case(),
+                                      week_case()],
+                             ids=["example_day", "arbitrage", "testbed_day", "week"])
+    def test_an_lp_that_proves_itself_meets_the_relaxations_bound(self, case):
+        # LOD's walk without degradation: each pass caps throughput 3% below
+        # the last pass's and takes the last MILP's commitment LP there, or
+        # the MILP where that LP has no point.
+        problem = build_model(case)
+        relaxation = milp.CapSession(problem)
+        gap = milp._highs()[1].mip_abs_gap
+        sched, session, proven = solve(problem), None, 0
+        for _ in range(40):
+            cap = 0.97 * sched.bess_throughput_kwh(case)
+            session = session or milp.CapSession(problem, sched)
+            sched = session.at(cap)
+            if sched is None:
+                sched, session = solve(problem, UsageCap(cap)), None
+            elif session.proves_itself():
+                proven += 1
+                assert relaxation.bound(cap) >= problem.c @ milp._columns(problem, sched) - gap
+        assert proven > 0
+
+    @pytest.mark.filterwarnings("ignore::degradesched.quantifier.FeatureRangeWarning")
+    def test_example_day_lod_run_pins_its_highs_runs(self, monkeypatch):
+        # With the benchmark's frozen model: one MILP and ten passes, each
+        # proven by its own commitment LP. The LP walks its first passes
+        # along two basis lines, and needs no LP relaxation.
+        path = Path(__file__).parents[1] / "perfbench" / "model" / "degradesched-model-v1.json"
+        model = storage.read_model_artifact(path)
+        run, runs = milp._run, []
+        monkeypatch.setattr(milp, "_run", lambda solver: runs.append(solver) or run(solver))
+        trace = lod.run_lod(load_example_day(), model, lod.EconParams(capital_cost=120_000.0))
+        assert len(runs) == 7
+        assert (trace.milp_solves, trace.bound_proofs, trace.lp_solves) == (1, 10, 6)
 
 
 class TestStart:
