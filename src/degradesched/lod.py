@@ -10,8 +10,9 @@ the linear-bdc run on one that prices throughput at a flat $/kWh rate.
 
 Pass 0 solves the MILP, and so does a pass whose cap is at solver
 tolerance scale. Every other pass first takes the LP of the last MILP's
-commitment under its own cap (`milp.CapSession.at`), which walks the caps
-along its basis without a HiGHS run while the basis holds. If that LP's
+commitment under its own cap (`milp.CapSession.at`). That LP starts from a
+basis crossed over at the MILP's own schedule, and walks the caps along its
+basis without a HiGHS run while the basis holds. If that LP's
 reduced costs prove it optimal for the model's LP relaxation too
 (`CapSession.proves_itself`), the LP's schedule is the MILP's optimum and the
 pass takes it. From the first pass whose LP does not prove itself, one LP
@@ -118,7 +119,8 @@ class LodTrace:
     solved a MILP, and `bound_proofs` those that took a commitment LP's
     schedule proven optimal, within HiGHS's mip_abs_gap, by the LP itself or
     by the LP relaxation. `lp_solves` counts the HiGHS runs of those LPs,
-    commitment and relaxation.
+    commitment and relaxation; the crossover that starts a commitment LP at
+    its MILP's schedule is not a run.
     """
 
     iterations: list[LodIteration]
@@ -284,7 +286,8 @@ def run_lod(
     TINY_CAP_SHARE of the model's default cap. Every other pass first takes
     the LP of the last MILP's commitment at its cap (at pass 1, pass 0's),
     from the LP's basis line where the cap lies on it, else from a warm
-    HiGHS run (`milp.CapSession.at`). The LP's schedule is the MILP's
+    HiGHS run (`milp.CapSession.at`); a session's first run starts from a
+    basis crossed over at its MILP's schedule. The LP's schedule is the MILP's
     optimum, and the pass takes it, if the LP's own reduced costs prove it
     optimal for the model's LP relaxation (`CapSession.proves_itself`), or,
     from the first pass where they do not, if the relaxation at that cap

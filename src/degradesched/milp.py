@@ -22,7 +22,8 @@ relaxation of it. A `CapSession` keeps one LP loaded in HiGHS while a loop
 moves the usage cap, re-solving it from its basis instead of loading it
 again. Opened on a solved schedule, it holds the LP of that schedule's
 commitment, whose schedule at a cap, where it has one, is feasible for the
-MILP there; while a basis holds, the session moves that schedule along the
+MILP there; HiGHS's crossover builds its first basis at the schedule's own
+point, and while a basis holds, the session moves that schedule along the
 basis's line in the cap without a run. Opened with no schedule, it holds
 the model's LP relaxation, whose optimum bounds the MILP's: a start whose
 objective is within HiGHS's own mip_abs_gap of that bound, the gap at which
@@ -597,6 +598,19 @@ def _milp(problem: MilpProblem, start: DispatchSchedule | None = None) -> _Solve
     return _run(solver)
 
 
+def _crossover(solver, x: np.ndarray) -> None:
+    """Leave a loaded LP holding the basis that HiGHS's crossover builds from
+    the primal point x, so that its next run starts from there (Megiddo, "On
+    finding primal- and dual-optimal bases", ORSA J. Computing 3(1), 1991).
+    HiGHS's status is ignored: with no dual point given it is kWarning, and
+    on kError the run starts cold, as without the crossover. It is not
+    counted as a run."""
+    solution = _highs()[0].HighsSolution()
+    solution.col_value = x
+    solution.value_valid = True
+    solver.crossover(solution)
+
+
 class CapSession:
     """The LP of one schedule's commitment, or the MILP's LP relaxation,
     kept loaded in HiGHS while the usage cap moves.
@@ -606,8 +620,13 @@ class CapSession:
     al., "Efficient market-clearing prices in markets with nonconvexities",
     EJOR 164(1), 2005. Opened with no schedule, it holds the relaxation: the
     same rows, bounds and objective, with the binaries continuous in [0, 1].
-    Either way it loads without a run. Each run moves the cap row's bound
-    and starts from the basis the last run left; `runs` counts them.
+    Either way it loads without a run. A commitment's session then crosses
+    over at the schedule's own point (`_crossover`), so its first run starts
+    from a basis there, not cold through presolve: on a week, where a cold
+    start returned degenerate duals, that run's reduced costs mostly hold
+    the fixed binaries at their values. Each run moves the cap row's bound and
+    starts from the basis the last run left; `runs` counts them, and the
+    crossover is not one.
 
     `at(cap)` is the commitment LP's schedule under that cap, taken along
     the last basis's line where the cap lies on it. It is optimal for this
@@ -630,6 +649,8 @@ class CapSession:
         self._problem = replace(problem, b_ub=problem.b_ub.copy())
         self._lb, self._ub = lb, ub
         self._solver = _load(self._problem, lb, ub, np.zeros(problem.n_variables, dtype=bool))
+        if sched is not None and self._solver is not None:
+            _crossover(self._solver, _columns(problem, sched))
         self.runs = 0  # HiGHS runs so far
         # (cap, optimum, cap-row dual) of the last optimal run, for `_kept_bound`.
         self._dual = (0.0, -math.inf, 0.0)
@@ -711,7 +732,9 @@ class CapSession:
         its value x̄_j (≥ 0 at 0, ≤ 0 at 1). The duals do not change along
         `at`'s line, so neither does the answer; the session reads them
         once per basis, and only when asked. Only a session opened on a
-        schedule proves itself."""
+        schedule proves itself. Its first run starts from the crossover's
+        basis at that schedule, and that run's reduced costs, unlike a cold
+        run's through presolve, usually hold each binary at its value."""
         if self._certified is None:
             solution = self._solver.getSolution()
             fixed = self._problem.is_int

@@ -699,18 +699,50 @@ class TestCapSession:
                 assert relaxation.bound(cap) >= problem.c @ milp._columns(problem, sched) - gap
         assert proven > 0
 
+    @staticmethod
+    def pass_1(case):
+        """The model, the uncapped MILP's schedule and LOD's first cap, 3% below
+        that schedule's throughput."""
+        problem = build_model(case)
+        free = solve(problem)
+        return problem, free, 0.97 * free.bess_throughput_kwh(case)
+
+    @pytest.mark.parametrize("case", [load_example_day(), day_case()],
+                             ids=["example_day", "testbed_day"])
+    def test_a_session_opened_on_its_milp_proves_itself(self, case):
+        # Crossed over at the MILP's point, the first run starts from a basis
+        # there, and its reduced costs hold each fixed binary at its value.
+        problem, free, cap = self.pass_1(case)
+        session = milp.CapSession(problem, free)
+        sched = session.at(cap)
+        assert session.proves_itself()
+        floor = problem.c @ milp._columns(problem, sched) - milp._highs()[1].mip_abs_gap
+        assert milp.CapSession(problem).bound(cap) >= floor
+
+    @pytest.mark.parametrize("case", [load_example_day(), day_case(), week_case()],
+                             ids=["example_day", "testbed_day", "week"])
+    def test_a_session_without_crossover_runs_cold_to_the_same_optimum(self, case, monkeypatch):
+        problem, free, cap = self.pass_1(case)
+        crossed = milp.CapSession(problem, free).at(cap)
+        monkeypatch.setattr(milp, "_crossover", lambda solver, x: None)
+        cold = milp.CapSession(problem, free).at(cap)
+        assert cold.objective == pytest.approx(crossed.objective, rel=1e-9)
+        for sched in (cold, crossed):
+            assert validate_schedule(case, sched, cap=UsageCap(cap)) == []
+
     @pytest.mark.filterwarnings("ignore::degradesched.quantifier.FeatureRangeWarning")
     def test_example_day_lod_run_pins_its_highs_runs(self, monkeypatch):
         # With the benchmark's frozen model: one MILP and ten passes, each
-        # proven by its own commitment LP. The LP walks its first passes
-        # along two basis lines, and needs no LP relaxation.
+        # proven by its own commitment LP. Crossed over at pass 0's schedule,
+        # the LP walks its passes along basis lines in four runs, and needs
+        # no LP relaxation.
         path = Path(__file__).parents[1] / "perfbench" / "model" / "degradesched-model-v1.json"
         model = storage.read_model_artifact(path)
         run, runs = milp._run, []
         monkeypatch.setattr(milp, "_run", lambda solver: runs.append(solver) or run(solver))
         trace = lod.run_lod(load_example_day(), model, lod.EconParams(capital_cost=120_000.0))
-        assert len(runs) == 7
-        assert (trace.milp_solves, trace.bound_proofs, trace.lp_solves) == (1, 10, 6)
+        assert len(runs) == 5
+        assert (trace.milp_solves, trace.bound_proofs, trace.lp_solves) == (1, 10, 4)
 
 
 class TestStart:
